@@ -41,8 +41,8 @@ from .grid import (
     identity_metric,
     integrate,
     laplacian,
-    metric_inverse,
     normalize_sup,
+    twisted_from_hessian,
     twisted_metric,
     volume_density,
 )
@@ -53,7 +53,6 @@ from .hermlin import (
     linearization,
     random_admissible_parts,
     trace_reversal,
-    twisted_from_parts,
     verify_trace_reversal_identities,
 )
 from .manufactured import (

@@ -25,8 +25,9 @@ from .errors import (
     MetricDegeneracyError,
     NonConvergenceError,
 )
-from .grid import complex_hessian, metric_inverse, volume_density
+from .grid import complex_hessian, stencil_offsets, volume_density
 from .hermlin import endomorphism_eigs
+from .solver import damped_newton
 
 # Metric comparability band required on the chart ball, with rounding slack.
 METRIC_LOWER = 0.5
@@ -43,7 +44,6 @@ EIG_FLOOR = 1e-8
 PULLBACK = 2.5
 
 MASS_TOL = 1e-10
-MIN_STEP = 2.0 ** -20
 
 
 @dataclass
@@ -134,7 +134,7 @@ def build_chart(phi, g, g_h, grid):
     g_m = np.asarray(g)[mask]
     gh_m = np.asarray(g_h)[mask]
     lam_min = endomorphism_eigs(g_m, gh_m)[..., 0].real
-    trace = np.einsum("pij,pji->p", metric_inverse(g_m), gh_m).real
+    trace = np.einsum("pij,pji->p", np.linalg.inv(g_m), gh_m).real
     if lam_min.min() <= 0.0 or trace.min() <= 0.0:
         raise MetricDegeneracyError("reference form is not positive definite on the chart ball")
     maximal = 0.5 * (grid.n - 1) * float(np.min(lam_min / trace))
@@ -207,30 +207,11 @@ def hinge_mass(w, F, k, chart):
     return float(np.sum(density) * grid.cell_volume)
 
 
-def _stencil_offsets(m):
-    # every index offset read by the complex Hessian stencil
-    offsets = []
-    for a in range(m):
-        for sa in (1, -1):
-            off = [0] * m
-            off[a] = sa
-            offsets.append(tuple(off))
-    for a, b in itertools.combinations(range(m), 2):
-        for sa in (1, -1):
-            for sb in (1, -1):
-                off = [0] * m
-                off[a] = sa
-                off[b] = sb
-                offsets.append(tuple(off))
-    return offsets
-
-
 @dataclass
 class _ChartGeometry:
     mask_flat: np.ndarray
     ghost_flat: np.ndarray
     extend: object
-    rho_max: float
 
 
 def _chart_geometry(chart):
@@ -251,7 +232,7 @@ def _chart_geometry(chart):
 
     dilated = mask.copy()
     axes = tuple(range(m))
-    for off in _stencil_offsets(m):
+    for off in stencil_offsets(grid.n):
         dilated |= np.roll(mask, off, axis=axes)
     ghost = dilated & ~mask
 
@@ -293,7 +274,6 @@ def _chart_geometry(chart):
         mask_flat=mask_flat,
         ghost_flat=ghost_flat,
         extend=extend,
-        rho_max=float(rp.max()),
     )
     chart._geometry = geometry
     return geometry
@@ -350,44 +330,16 @@ def solve_dirichlet_ma(chart, rhs_density, tolerance=1e-10, max_iterations=60):
         full[geo.ghost_flat] = geo.extend @ values
         return full.reshape(grid.shape)
 
-    def hessian_eigs(values):
-        H = complex_hessian(fill(values), grid)[mask]
-        eigs, frames = np.linalg.eigh(H)
-        return eigs, frames
+    def evaluate_at(values):
+        eigs, frames = np.linalg.eigh(complex_hessian(fill(values), grid)[mask])
+        r = np.sum(np.log(np.maximum(eigs, EIG_FLOOR)), axis=-1) - log_rho
+        return values, r, float(np.max(np.abs(r))), (eigs, frames)
 
-    def log_residual(eigs):
-        clamped = np.maximum(eigs, EIG_FLOOR)
-        return np.sum(np.log(clamped), axis=-1) - log_rho
-
-    R = 2.0 * chart.r0
-    cbar = float(np.mean(rho))
-    psi = cbar ** (1.0 / n) * (chart.dist_sq[mask] - R * R)
-
-    history = []
     clamp_history = []
-    eigs, frames = hessian_eigs(psi)
-    r = log_residual(eigs)
-    sup = float(np.max(np.abs(r)))
-    for iteration in range(max_iterations):
-        history.append(sup)
-        clamp_history.append(int(np.count_nonzero(eigs < EIG_FLOOR)))
-        if sup <= tolerance:
-            min_eig = float(eigs.min())
-            if min_eig < EIG_FLOOR:
-                raise DegeneracyError(
-                    "positivity safeguard active at convergence (min eigenvalue %.3e)" % min_eig
-                )
-            det = np.prod(eigs, axis=-1)
-            return AuxiliarySolution(
-                psi=fill(psi),
-                residual_sup=sup,
-                iterations=iteration,
-                mass=float(np.sum(det) * grid.cell_volume),
-                min_eigenvalue=min_eig,
-                clamp_history=clamp_history,
-                residual_history=history,
-            )
 
+    def step(state, r, krylov_rtol):
+        eigs, frames = state
+        clamp_history.append(int(np.count_nonzero(eigs < EIG_FLOOR)))
         clamped = np.maximum(eigs, EIG_FLOOR)
         inv = np.einsum("pik,pk,pjk->pij", frames, 1.0 / clamped, frames.conj())
 
@@ -398,28 +350,29 @@ def solve_dirichlet_ma(chart, rhs_density, tolerance=1e-10, max_iterations=60):
         diagonal = -np.einsum("pii->p", inv).real / grid.h ** 2
         op = LinearOperator((rho.size, rho.size), matvec=matvec, dtype=float)
         pre = LinearOperator((rho.size, rho.size), matvec=lambda u: u / diagonal, dtype=float)
-        krylov_rtol = min(1e-2, max(1e-10, 0.05 * sup))
-        direction, info = lgmres(op, -r, M=pre, rtol=krylov_rtol, atol=0.0, maxiter=400)
-        if info != 0:
-            raise NonConvergenceError("inner Krylov solve failed (info=%d)" % info, history)
+        return lgmres(op, -r, M=pre, rtol=krylov_rtol, atol=0.0, maxiter=400)
 
-        step = 1.0
-        while True:
-            trial = psi + step * direction
-            trial_eigs, trial_frames = hessian_eigs(trial)
-            trial_r = log_residual(trial_eigs)
-            trial_sup = float(np.max(np.abs(trial_r)))
-            if trial_sup < sup:
-                psi, eigs, frames, r, sup = trial, trial_eigs, trial_frames, trial_r, trial_sup
-                break
-            step *= 0.5
-            if step < MIN_STEP:
-                raise NonConvergenceError(
-                    "line search stalled at residual %.3e" % sup, history
-                )
-
-    raise NonConvergenceError(
-        "no convergence in %d iterations (residual %.3e)" % (max_iterations, sup), history
+    R = 2.0 * chart.r0
+    cbar = float(np.mean(rho))
+    psi, sup, (eigs, _), iterations, history = damped_newton(
+        evaluate_at(cbar ** (1.0 / n) * (chart.dist_sq[mask] - R * R)),
+        lambda values, direction, t: evaluate_at(values + t * direction),
+        step, tolerance, max_iterations,
+    )
+    clamp_history.append(int(np.count_nonzero(eigs < EIG_FLOOR)))
+    min_eig = float(eigs.min())
+    if min_eig < EIG_FLOOR:
+        raise DegeneracyError(
+            "positivity safeguard active at convergence (min eigenvalue %.3e)" % min_eig
+        )
+    return AuxiliarySolution(
+        psi=fill(psi),
+        residual_sup=sup,
+        iterations=iterations,
+        mass=float(np.sum(np.prod(eigs, axis=-1)) * grid.cell_volume),
+        min_eigenvalue=min_eig,
+        clamp_history=clamp_history,
+        residual_history=history,
     )
 
 

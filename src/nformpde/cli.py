@@ -9,6 +9,7 @@ Outputs carry no timestamps so a fixed seed reproduces them byte for byte.
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -20,13 +21,7 @@ from scipy.optimize import brentq
 from . import schemas
 from .auxiliary import run_localization
 from .descriptors import ExperimentDescriptor
-from .errors import (
-    ChartFailureError,
-    InconsistentInputError,
-    InfeasibleStartError,
-    NFormError,
-    NonConvergenceError,
-)
+from .errors import InconsistentInputError, NFormError, NonConvergenceError
 from .grid import entropy_norm
 from .hermlin import random_admissible_parts, verify_trace_reversal_identities
 from .solver import PrimaryProblem, l1_bound_check, solve_primary
@@ -127,8 +122,20 @@ def _build_problem(descriptor, forcing_params=None, tolerance=None):
 
 
 def _solve_artifacts(problem, out_dir, descriptor):
-    solution = solve_primary(problem)
-    bound = l1_bound_check(solution.phi, problem.g, problem.g_h, problem.grid)
+    """Solve and write phi.bin, solve_meta.json and residuals.csv.
+
+    Returns (solution, meta), or None after writing solve_error.json when
+    the solve raises any NFormError.
+    """
+    try:
+        solution = solve_primary(problem)
+        bound = l1_bound_check(solution.phi, problem.g, problem.g_h, problem.grid)
+    except NFormError as exc:
+        _write_json(os.path.join(out_dir, "solve_error.json"), {
+            "error": str(exc),
+            "history": getattr(exc, "history", None) or [],
+        })
+        return None
     field_file = "phi.bin"
     solution.phi.astype("<f8").tofile(os.path.join(out_dir, field_file))
     meta = {
@@ -157,30 +164,19 @@ def _solve_artifacts(problem, out_dir, descriptor):
 
 
 def cmd_solve(descriptor, out_dir, tolerance=None):
-    problem = _build_problem(descriptor, tolerance=tolerance)
-    try:
-        solution, meta = _solve_artifacts(problem, out_dir, descriptor)
-    except (NonConvergenceError, InfeasibleStartError) as exc:
-        _write_json(os.path.join(out_dir, "solve_error.json"), {
-            "error": str(exc),
-            "history": getattr(exc, "history", None) or [],
-        })
+    result = _solve_artifacts(_build_problem(descriptor, tolerance=tolerance), out_dir,
+                              descriptor)
+    if result is None:
         return EXIT_SOLVER
-    if not meta["l1_bound"]["passed"]:
-        return EXIT_CHECK_FAILURE
-    return EXIT_PASS
+    return EXIT_PASS if result[1]["l1_bound"]["passed"] else EXIT_CHECK_FAILURE
 
 
 def cmd_localize(descriptor, out_dir, tolerance=None):
     problem = _build_problem(descriptor, tolerance=tolerance)
-    try:
-        solution, _ = _solve_artifacts(problem, out_dir, descriptor)
-    except (NonConvergenceError, InfeasibleStartError) as exc:
-        _write_json(os.path.join(out_dir, "solve_error.json"), {
-            "error": str(exc),
-            "history": getattr(exc, "history", None) or [],
-        })
+    result = _solve_artifacts(problem, out_dir, descriptor)
+    if result is None:
         return EXIT_SOLVER
+    solution = result[0]
     try:
         report = run_localization(
             solution, problem,
@@ -189,7 +185,7 @@ def cmd_localize(descriptor, out_dir, tolerance=None):
             c_disc=descriptor.tolerances.get("c_disc", 10.0),
             entropy_exponent=descriptor.entropy_exponent,
         )
-    except (ChartFailureError, NFormError) as exc:
+    except NFormError as exc:
         _write_json(os.path.join(out_dir, "localize_error.json"), {"error": str(exc)})
         return EXIT_CHECK_FAILURE
     payload = report.to_dict()
@@ -224,19 +220,14 @@ def _entropy_shift(F, g, grid, p, target):
     return F + shift
 
 
-def _sweep_member(descriptor, parameter, p, target):
-    grid = descriptor.make_grid()
-    spec = descriptor.make_operator()
-    g, g_h = descriptor.make_backgrounds(grid)
-    F = descriptor.make_forcing(grid, {"sigma": parameter})
-    F = _entropy_shift(F, g, grid, p, target)
-    problem = PrimaryProblem(spec=spec, g=g, g_h=g_h, F=F, grid=grid,
-                             tolerance=descriptor.tolerances.get("solver", 1e-9))
+def _sweep_member(descriptor, parameter, p, target, tolerance=None):
+    problem = _build_problem(descriptor, {"sigma": parameter}, tolerance)
+    problem.F = _entropy_shift(problem.F, problem.g, problem.grid, p, target)
     solution = solve_primary(problem)
-    bound = l1_bound_check(solution.phi, g, g_h, grid)
+    bound = l1_bound_check(solution.phi, problem.g, problem.g_h, problem.grid)
     return {
         "parameter": float(parameter),
-        "entropy": float(entropy_norm(F, g, grid, p)),
+        "entropy": float(entropy_norm(problem.F, problem.g, problem.grid, p)),
         "sup_norm": float(np.max(np.abs(solution.phi))),
         "b": solution.b,
         "residual_sup": solution.residual_sup,
@@ -245,7 +236,7 @@ def _sweep_member(descriptor, parameter, p, target):
     }
 
 
-def cmd_sweep(descriptor, out_dir, workers=1):
+def cmd_sweep(descriptor, out_dir, tolerance=None, workers=1):
     grid = descriptor.make_grid()
     p = descriptor.entropy_exponent_or_default(grid.n)
     concentrations = descriptor.concentrations or [0.18, 0.16, 0.14, 0.12, 0.1]
@@ -258,7 +249,7 @@ def cmd_sweep(descriptor, out_dir, workers=1):
 
     def member(value):
         try:
-            return _sweep_member(descriptor, value, p, target)
+            return _sweep_member(descriptor, value, p, target, tolerance)
         except NFormError as exc:
             return {"parameter": float(value), "entropy": None, "sup_norm": None,
                     "b": None, "residual_sup": None, "laplacian_margin": None,
@@ -353,6 +344,13 @@ def _load_descriptor(args):
     return descriptor
 
 
+def _tolerance(text):
+    value = float(text)
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError("must be a positive finite number, got %r" % text)
+    return value
+
+
 def _parser():
     parser = argparse.ArgumentParser(
         prog="nformpde",
@@ -364,7 +362,8 @@ def _parser():
     common.add_argument("--out", default="out", help="output directory")
     common.add_argument("--seed", type=int, default=None, help="override descriptor seed")
     common.add_argument("--grid", type=int, default=None, help="override grid size N")
-    common.add_argument("--tol", type=float, default=None, help="override solver tolerance")
+    common.add_argument("--tol", type=_tolerance, default=None,
+                        help="override solver tolerance (solve, localize, sweep)")
     common.add_argument("--workers", type=int, default=1, help="concurrent sweep members")
     sub.add_parser("check-pointwise", parents=[common])
     sub.add_parser("solve", parents=[common])
@@ -386,15 +385,19 @@ def main(argv=None):
         print("descriptor error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
     os.makedirs(args.out, exist_ok=True)
-    if args.command == "check-pointwise":
-        return cmd_check_pointwise(descriptor, args.out)
-    if args.command == "solve":
-        return cmd_solve(descriptor, args.out, tolerance=args.tol)
-    if args.command == "localize":
-        return cmd_localize(descriptor, args.out, tolerance=args.tol)
-    if args.command == "sweep":
-        return cmd_sweep(descriptor, args.out, workers=args.workers)
-    parser.error("unknown command %r" % (args.command,))
+    try:
+        if args.command == "check-pointwise":
+            return cmd_check_pointwise(descriptor, args.out)
+        if args.command == "solve":
+            return cmd_solve(descriptor, args.out, tolerance=args.tol)
+        if args.command == "localize":
+            return cmd_localize(descriptor, args.out, tolerance=args.tol)
+        return cmd_sweep(descriptor, args.out, tolerance=args.tol, workers=args.workers)
+    except InconsistentInputError as exc:
+        # generator parameters are range-checked when the inputs are realized;
+        # every solve-time error is mapped inside the commands
+        print("descriptor error: %s" % exc, file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

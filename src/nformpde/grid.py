@@ -17,6 +17,7 @@ density det(g).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -124,29 +125,47 @@ def complex_hessian(phi, grid):
     return out
 
 
-def metric_inverse(g):
-    return np.linalg.inv(g)
+def stencil_offsets(n):
+    """Every nonzero index offset over the 2n real axes read by complex_hessian.
+
+    The axis neighbours of the pure second differences, and the four corners
+    of each cross stencil; cross stencils only pair axes of distinct complex
+    coordinates.
+    """
+    unit = np.eye(2 * n, dtype=int)
+    offsets = [tuple(s * unit[a]) for a in range(2 * n) for s in (1, -1)]
+    offsets += [
+        tuple(sa * unit[a] + sb * unit[b])
+        for a, b in itertools.combinations(range(2 * n), 2) if a // 2 != b // 2
+        for sa in (1, -1) for sb in (1, -1)
+    ]
+    return offsets
 
 
-def laplacian(phi, g, grid, g_inv=None, phi_h=None):
+def laplacian(phi, g, grid, g_inv=None):
     """Metric trace of the complex Hessian, tr(g^-1 H(phi)); real field."""
-    if phi_h is None:
-        phi_h = complex_hessian(phi, grid)
     if g_inv is None:
-        g_inv = metric_inverse(g)
-    return np.einsum("...ij,...ji->...", g_inv, phi_h).real
+        g_inv = np.linalg.inv(g)
+    return np.einsum("...ij,...ji->...", g_inv, complex_hessian(phi, grid)).real
+
+
+def twisted_from_hessian(phi_h, g, g_h, g_inv=None):
+    """Twisted metric gt = g_h + ((tr_g H) g - H) / (n - 1) of a Hessian field H.
+
+    Pointwise on the trailing (n, n) axes; requires n >= 2.
+    """
+    n = g.shape[-1]
+    if n < 2:
+        raise UnsupportedDimensionError("twisted metric needs n >= 2")
+    if g_inv is None:
+        g_inv = np.linalg.inv(g)
+    lap = np.einsum("...ij,...ji->...", g_inv, phi_h).real
+    return g_h + (lap[..., None, None] * g - phi_h) / (n - 1)
 
 
 def twisted_metric(phi, g, g_h, grid, g_inv=None):
-    """Reference metric plus the trace-reversed complex Hessian of phi.
-
-    gt = g_h + ((tr_g H) g - H) / (n - 1); requires n >= 2.
-    """
-    if grid.n < 2:
-        raise UnsupportedDimensionError("twisted metric needs n >= 2")
-    phi_h = complex_hessian(phi, grid)
-    lap = laplacian(phi, g, grid, g_inv=g_inv, phi_h=phi_h)
-    return g_h + (lap[..., None, None] * g - phi_h) / (grid.n - 1)
+    """Twisted metric of a potential on the grid; see twisted_from_hessian."""
+    return twisted_from_hessian(complex_hessian(phi, grid), g, g_h, g_inv=g_inv)
 
 
 def volume_density(g):

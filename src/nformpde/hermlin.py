@@ -28,6 +28,7 @@ from .errors import (
     MetricDegeneracyError,
     UnsupportedDimensionError,
 )
+from .grid import twisted_from_hessian
 
 TRACE_TOL = 1e-10        # |tr(G gt) - 1|
 IDENTITY_TOL = 1e-9      # residual of identity (a)
@@ -156,15 +157,6 @@ class TraceReversalReport:
         )
 
 
-def twisted_from_parts(g, g_h, phi_h):
-    """Reference metric plus the trace-reversed complex Hessian of phi."""
-    n = g.shape[-1]
-    if n < 2:
-        raise UnsupportedDimensionError("needs dimension >= 2")
-    lap = np.einsum("...ij,...ji->...", np.linalg.inv(g), phi_h)
-    return g_h + (lap.real[..., None, None] * g - phi_h) / (n - 1)
-
-
 def verify_trace_reversal_identities(spec, g, g_h, gt, phi_h):
     """Check the two pointwise identities on a (batch of) admissible data.
 
@@ -179,7 +171,7 @@ def verify_trace_reversal_identities(spec, g, g_h, gt, phi_h):
     if not is_hermitian(phi_h, tol=1e-12):
         raise ValueError("complex Hessian must be Hermitian")
     cholesky_pd(g_h, "reference metric")
-    rebuilt = twisted_from_parts(g, g_h, phi_h)
+    rebuilt = twisted_from_hessian(phi_h, g, g_h)
     scale = 1.0 + np.max(np.abs(gt))
     defect = np.max(np.abs(gt - rebuilt)) / scale
     if defect > CONSISTENCY_TOL:
@@ -229,7 +221,7 @@ def random_admissible_parts(spec, count, rng, metric_scale=0.2, hess_scale=0.25,
         ok = np.linalg.eigvalsh(g)[..., 0] > 0.05
         ok &= np.linalg.eigvalsh(g_h)[..., 0] > 0.05
         g, g_h, phi_h = g[ok], g_h[ok], phi_h[ok]
-        gt = twisted_from_parts(g, g_h, phi_h)
+        gt = twisted_from_hessian(phi_h, g, g_h)
         lam = endomorphism_eigs(g, gt)
         keep = symfun.interior_margin(lam, spec.cone) > margin_floor
         g, g_h, phi_h, gt = g[keep], g_h[keep], phi_h[keep], gt[keep]

@@ -74,7 +74,7 @@ def forcing_from_hessian(spec, g, g_h, phi_h, b=0.0):
     """Forcing F with log f(lam[g^-1 gt]) = F + b for the given Hessian field."""
     from . import hermlin, symfun
 
-    gt = hermlin.twisted_from_parts(g, g_h, phi_h)
+    gt = gridmod.twisted_from_hessian(phi_h, g, g_h)
     lam = hermlin.endomorphism_eigs(g, gt)
     return np.log(symfun.evaluate(spec, lam)) - b
 

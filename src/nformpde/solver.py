@@ -23,7 +23,6 @@ from . import hermlin, symfun
 from .errors import (
     ConeViolationError,
     InfeasibleStartError,
-    MetricDegeneracyError,
     NonConvergenceError,
 )
 
@@ -53,10 +52,7 @@ class PrimaryProblem:
         if not np.all(np.isfinite(self.F)):
             raise ValueError("forcing must be finite")
         for name, m in (("metric", self.g), ("reference metric", self.g_h)):
-            try:
-                hermlin.cholesky_pd(m, name)
-            except MetricDegeneracyError:
-                raise
+            hermlin.cholesky_pd(m, name)
         if not self.tolerance > 0:
             raise ValueError("tolerance must be positive")
 
@@ -115,7 +111,10 @@ def apply_trace_reversed_hessian(coeff, dphi, grid):
 
 
 def _newton_step(problem, coeff, r, krylov_rtol):
-    """Solve the bordered system tr(coeff H(dphi)) - db = -r, mean(dphi) = 0."""
+    """Solve the bordered system tr(coeff H(dphi)) - db = -r, mean(dphi) = 0.
+
+    Returns ((dphi, db), info) with info the lgmres exit flag.
+    """
     g = problem.grid
     m = g.num_points
     shape = g.shape
@@ -140,19 +139,60 @@ def _newton_step(problem, coeff, r, krylov_rtol):
     M = LinearOperator((m + 1, m + 1), matvec=precond, dtype=float)
     rhs = np.concatenate([(-r).reshape(-1), np.array([0.0])])
     sol, info = lgmres(op, rhs, M=M, rtol=krylov_rtol, atol=0.0, maxiter=400)
-    if info != 0:
-        raise NonConvergenceError(f"inner Krylov solve stalled (info={info})")
     dphi = sol[:m].reshape(shape)
-    return dphi - dphi.mean(), float(sol[m])
+    return (dphi - dphi.mean(), float(sol[m])), info
 
 
-def solve_primary(problem, initial=None):
-    """Damped Newton iteration; returns a sup-normalized PrimarySolution.
+def damped_newton(start, evaluate, step, tolerance, max_iterations):
+    """Damped inexact Newton iteration shared by the periodic and chart solves.
 
-    The step is halved until the cone constraint holds everywhere and the
-    sup residual decreases; steps below 2**-20 raise NonConvergenceError
-    with the residual history attached.
+    ``start`` is the evaluated initial iterate ``(iterate, r, sup, state)``:
+    the residual field, its sup norm and whatever ``step`` needs.
+    ``step(state, r, rtol)`` returns the Krylov result ``(direction, info)``
+    for the linearized equation ``J direction = -r`` solved to relative
+    tolerance ``rtol``.  ``evaluate(iterate, direction, t)`` returns the
+    evaluated trial ``iterate + t * direction`` in the same form as
+    ``start`` (the iterate as it is to be kept), or None when the trial
+    leaves the admissible set.
+
+    The forcing term is min(1e-2, max(1e-10, 0.05 * sup)).  A trial is
+    accepted once its sup residual decreases; t halves from 1 and a step
+    below MIN_STEP raises NonConvergenceError, as does a failed Krylov
+    solve or an iterate still above tolerance after max_iterations steps.
+    Every error carries the residual history.  Returns
+    ``(iterate, sup, state, iterations, history)``.
     """
+    iterate, r, sup, state = start
+    del start  # only the current iterate stays alive
+    history = [sup]
+    for iterations in range(max_iterations + 1):
+        if sup <= tolerance:
+            return iterate, sup, state, iterations, history
+        if iterations == max_iterations:
+            break
+        direction, info = step(state, r, min(1e-2, max(1e-10, 0.05 * sup)))
+        if info != 0:
+            raise NonConvergenceError(f"inner Krylov solve stalled (info={info})", history)
+        t = 1.0
+        while True:
+            trial = evaluate(iterate, direction, t)
+            if trial is not None and trial[2] < sup:
+                break
+            t *= 0.5
+            if t < MIN_STEP:
+                raise NonConvergenceError(
+                    f"line search stalled below the minimum step (residual {sup:.3e})",
+                    history,
+                )
+        iterate, r, sup, state = trial
+        history.append(sup)
+    raise NonConvergenceError(
+        f"no convergence in {max_iterations} iterations (residual {sup:.3e})", history
+    )
+
+
+def _primary_start(problem, initial):
+    """Evaluated zero-mean start for damped_newton, b chosen to zero the mean residual."""
     g = problem.grid
     if initial is None:
         phi = np.zeros(g.shape)
@@ -172,54 +212,42 @@ def solve_primary(problem, initial=None):
         )
     f = symfun.evaluate(problem.spec, lam)
     b = float(np.mean(np.log(f) - problem.F))
-
-    history = []
     r = np.log(f) - problem.F - b
-    sup = float(np.max(np.abs(r)))
-    history.append(sup)
+    return (phi, b), r, float(np.max(np.abs(r))), phi
 
-    for it in range(1, problem.max_iterations + 1):
-        if sup <= problem.tolerance:
-            return PrimarySolution(
-                gridmod.normalize_sup(phi), b, sup, it - 1, history
-            )
-        gt, lam = _eigs_of_twisted(problem, phi)
-        coeff = _coefficient_field(problem, gt)
-        krylov_rtol = min(1e-2, max(1e-10, 0.05 * sup))
-        dphi, db = _newton_step(problem, coeff, r, krylov_rtol)
 
-        step = 1.0
-        while True:
-            trial_phi = phi + step * dphi
-            trial_b = b + step * db
-            try:
-                _, lam_t = _eigs_of_twisted(problem, trial_phi)
-                if _cone_ok(problem, lam_t):
-                    f_t = symfun.evaluate(problem.spec, lam_t)
-                    r_t = np.log(f_t) - problem.F - trial_b
-                    sup_t = float(np.max(np.abs(r_t)))
-                    if sup_t < sup:
-                        break
-            except ConeViolationError:
-                pass
-            step *= 0.5
-            if step < MIN_STEP:
-                raise NonConvergenceError(
-                    "line search stalled below the minimum step", history
-                )
-        phi, b, r, sup = trial_phi, trial_b, r_t, sup_t
-        phi -= phi.mean()
-        history.append(sup)
+def solve_primary(problem, initial=None):
+    """Damped Newton iteration; returns a sup-normalized PrimarySolution.
 
-    if sup <= problem.tolerance:
-        return PrimarySolution(
-            gridmod.normalize_sup(phi), b, sup, problem.max_iterations, history
-        )
-    raise NonConvergenceError(
-        f"no convergence in {problem.max_iterations} iterations "
-        f"(residual {sup:.3e})",
-        history,
+    The unknowns are the zero-mean potential and b; a trial step must keep
+    the eigenvalues inside the cone and decrease the sup residual (see
+    damped_newton for the step policy and the NonConvergenceError cases).
+    """
+
+    def evaluate(iterate, direction, t):
+        trial_phi = iterate[0] + t * direction[0]
+        trial_b = iterate[1] + t * direction[1]
+        try:
+            _, lam_t = _eigs_of_twisted(problem, trial_phi)
+            if not _cone_ok(problem, lam_t):
+                return None
+            f_t = symfun.evaluate(problem.spec, lam_t)
+        except ConeViolationError:
+            return None
+        r_t = np.log(f_t) - problem.F - trial_b
+        sup_t = float(np.max(np.abs(r_t)))
+        trial_phi -= trial_phi.mean()
+        return (trial_phi, trial_b), r_t, sup_t, trial_phi
+
+    def step(phi, r, krylov_rtol):
+        gt, _ = _eigs_of_twisted(problem, phi)
+        return _newton_step(problem, _coefficient_field(problem, gt), r, krylov_rtol)
+
+    (phi, b), sup, _, iterations, history = damped_newton(
+        _primary_start(problem, initial), evaluate, step,
+        problem.tolerance, problem.max_iterations,
     )
+    return PrimarySolution(gridmod.normalize_sup(phi), b, sup, iterations, history)
 
 
 @dataclass(frozen=True)

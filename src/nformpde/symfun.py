@@ -434,11 +434,8 @@ def gamma_lower_bound(spec, sample_count=_GAMMA_SAMPLES, seed=_GAMMA_SEED):
     if spec.family == "hessian" and spec.k in (1, n):
         return GammaBound(float(n) ** (-n), True, "closed-form")
     if spec.family == "combination":
-        value, certified = max(
-            ((w**n * s.gamma, s.gamma_certified) for w, s in zip(spec.weights, spec.members)),
-            key=lambda pair: pair[0],
-        )
-        return GammaBound(value, certified, "member-bound")
+        # combine() already took the best weighted member bound
+        return GammaBound(spec.gamma, spec.gamma_certified, "member-bound")
     if sample_count < 1:
         raise ValueError("sample_count must be >= 1")
     rng = np.random.default_rng(seed)

@@ -343,3 +343,17 @@ def test_run_localization_captures_cell_errors():
     cell = report.reports[0]
     assert not cell.passed
     assert "smoothing index" in cell.error
+
+
+def test_dirichlet_solve_checks_the_last_allowed_step():
+    # the flat constant-rhs solve converges in three steps, so a budget of
+    # three steps must return it rather than report non-convergence
+    grid = TorusGrid(n=2, N=16, L=1.0)
+    g = identity_metric(grid)
+    chart = build_chart(np.zeros(grid.shape), g, g, grid)
+    rhs = np.zeros(grid.shape)
+    rhs[chart.mask] = 1.0 / (chart.num_interior * grid.cell_volume)
+    sol = solve_dirichlet_ma(chart, rhs, max_iterations=3)
+    assert sol.iterations == 3
+    assert sol.residual_sup <= 1e-10
+    assert len(sol.residual_history) == len(sol.clamp_history) == 4

@@ -8,9 +8,10 @@ import sys
 import numpy as np
 import pytest
 
-from nformpde import schemas
+from nformpde import cli, schemas
 from nformpde.cli import EXIT_CHECK_FAILURE, EXIT_PASS, EXIT_SOLVER, EXIT_USAGE, main
 from nformpde.descriptors import ExperimentDescriptor
+from nformpde.errors import DegeneratePointError
 
 
 def write_config(path, **overrides):
@@ -96,7 +97,16 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     assert main(["solve", "--config", worse, "--out", str(tmp_path / "o")]) == EXIT_USAGE
     err = capsys.readouterr().err
     assert "descriptor error" in err
+    # generator parameters are range-checked when the fields are realized
+    banded = write_config(tmp_path / "banded.json", grid={"n": 2, "N": 8, "L": 1.0},
+                          background_gh={"name": "banded", "params": {"amplitude": 0.9}})
+    assert main(["solve", "--config", banded, "--out", str(tmp_path / "o")]) == EXIT_USAGE
+    assert "descriptor error" in capsys.readouterr().err
     assert main(["report", "--out", str(tmp_path / "empty")]) == EXIT_USAGE
+    for tol in ("0", "-1e-9", "nan", "inf", "abc"):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--out", str(tmp_path / "o"), "--tol", tol])
+        assert exc.value.code == EXIT_USAGE
 
 
 def test_solver_budget_failure_writes_diagnostic(tmp_path):
@@ -111,6 +121,20 @@ def test_solver_budget_failure_writes_diagnostic(tmp_path):
     diag = json.loads(read(out / "solve_error.json"))
     assert "error" in diag
     assert isinstance(diag["history"], list) and diag["history"]
+    assert not os.path.exists(out / "solve_meta.json")
+
+
+@pytest.mark.parametrize("command", ["solve", "localize"])
+def test_any_solve_error_writes_diagnostic(tmp_path, monkeypatch, command):
+    def fail(problem):
+        raise DegeneratePointError("gradient at the cone boundary")
+
+    monkeypatch.setattr(cli, "solve_primary", fail)
+    config = write_config(tmp_path / "desc.json", grid={"n": 2, "N": 8, "L": 1.0})
+    out = tmp_path / "out"
+    assert main([command, "--config", config, "--out", str(out)]) == EXIT_SOLVER
+    diag = json.loads(read(out / "solve_error.json"))
+    assert diag == {"error": "gradient at the cone boundary", "history": []}
     assert not os.path.exists(out / "solve_meta.json")
 
 
@@ -198,6 +222,40 @@ def test_sweep_workers_parity(tmp_path):
     assert main(["sweep", "--config", config, "--out", str(b), "--workers", "2"]) == EXIT_PASS
     assert read(a / "sweep.json") == read(b / "sweep.json")
     assert read(a / "sweep.csv") == read(b / "sweep.csv")
+
+
+def sweep_config(path, **overrides):
+    return write_config(
+        path,
+        grid={"n": 2, "N": 12, "L": 1.0},
+        forcing={"name": "gaussian", "params": {"amplitude": 1.0, "sigma": 0.18}},
+        concentrations=[0.18, 0.10],
+        seed=3,
+        **overrides,
+    )
+
+
+def test_sweep_honours_solver_budget(tmp_path):
+    config = sweep_config(tmp_path / "desc.json",
+                          tolerances={"solver": 1e-9, "max_iterations": 1})
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", config, "--out", str(out)]) == EXIT_SOLVER
+    payload = json.loads(read(out / "sweep.json"))
+    assert not payload["all_converged"]
+    for row in payload["rows"]:
+        assert row["converged"] is False
+        assert row["error"].startswith("no convergence in 1 iterations")
+
+
+def test_sweep_honours_tol_flag(tmp_path):
+    # one Newton step reaches a loose tolerance but not the descriptor's 1e-9
+    config = sweep_config(tmp_path / "desc.json",
+                          tolerances={"solver": 1e-9, "max_iterations": 1})
+    out = tmp_path / "out"
+    main(["sweep", "--config", config, "--out", str(out), "--tol", "0.5"])
+    payload = json.loads(read(out / "sweep.json"))
+    assert payload["all_converged"]
+    assert all(1e-9 < row["residual_sup"] <= 0.5 for row in payload["rows"])
 
 
 def test_seed_and_grid_overrides(tmp_path):

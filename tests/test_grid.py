@@ -16,10 +16,10 @@ from nformpde.grid import (
     integrate,
     laplacian,
     normalize_sup,
+    stencil_offsets,
     twisted_metric,
     volume_density,
 )
-from nformpde.hermlin import twisted_from_parts
 
 
 def trig_field(grid, shift=0.0):
@@ -149,7 +149,9 @@ def test_twisted_metric_matches_parts():
     g = identity_metric(grid)
     g_h = identity_metric(grid)
     gt = twisted_metric(phi, g, g_h, grid)
-    manual = twisted_from_parts(g, g_h, complex_hessian(phi, grid))
+    H = complex_hessian(phi, grid)
+    lap = (H[..., 0, 0] + H[..., 1, 1]).real
+    manual = g_h + lap[..., None, None] * g - H
     assert np.abs(gt - manual).max() <= 1e-13
 
 
@@ -179,3 +181,16 @@ def test_normalize_sup():
     out = normalize_sup(phi)
     assert out.max() == 0.0
     assert np.allclose(out - out.min(), phi - phi.min())
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_complex_hessian_footprint_is_stencil_offsets(n):
+    grid = TorusGrid(n=n, N=8, L=1.0)
+    impulse = np.zeros(grid.shape)
+    impulse[(0,) * (2 * n)] = 1.0
+    H = complex_hessian(impulse, grid)
+    support = np.argwhere(np.abs(H).reshape(grid.shape + (n * n,)).max(axis=-1) > 0.0)
+    expected = {(0,) * (2 * n)} | {tuple(int(o) % grid.N for o in off)
+                                   for off in stencil_offsets(n)}
+    assert {tuple(int(i) for i in idx) for idx in support} == expected
+    assert len(stencil_offsets(n)) == 4 * n + 16 * n * (n - 1) // 2

@@ -13,10 +13,10 @@ from nformpde.hermlin import (
     linearization,
     to_orthonormal_frame,
     trace_reversal,
-    twisted_from_parts,
     verify_trace_reversal_identities,
     random_admissible_parts,
 )
+from nformpde.grid import twisted_from_hessian
 from nformpde.symfun import hessian, monge_ampere, p_monge_ampere
 
 
@@ -91,7 +91,7 @@ def test_identity_suite_batches():
         assert report.chain_slack >= CHAIN_SLACK_TOL
 
 
-def test_twisted_from_parts_matches_definition():
+def test_twisted_from_hessian_matches_definition():
     rng = np.random.default_rng(3)
     spec = monge_ampere(3)
     g, g_h, phi_h, gt = random_admissible_parts(spec, 50, rng)
@@ -125,7 +125,7 @@ def test_degenerate_metric_rejected():
     g = np.eye(2, dtype=complex)
     g_h = np.diag([1.0, 0.0]).astype(complex)
     phi_h = np.zeros((2, 2), dtype=complex)
-    gt = twisted_from_parts(g, g_h, phi_h)
+    gt = twisted_from_hessian(phi_h, g, g_h)
     with pytest.raises(MetricDegeneracyError):
         verify_trace_reversal_identities(spec, g, g_h, gt, phi_h)
 

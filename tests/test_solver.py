@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from nformpde.errors import InfeasibleStartError
+from nformpde.errors import InfeasibleStartError, NonConvergenceError
 from nformpde.grid import (
     TorusGrid,
     complex_hessian,
@@ -14,7 +14,14 @@ from nformpde.grid import (
     twisted_metric,
 )
 from nformpde.manufactured import forcing_from_hessian, trig_hessian, trig_potential
-from nformpde.solver import PrimaryProblem, l1_bound_check, residual, solve_primary
+from nformpde.solver import (
+    MIN_STEP,
+    PrimaryProblem,
+    damped_newton,
+    l1_bound_check,
+    residual,
+    solve_primary,
+)
 from nformpde.symfun import combine, hessian, monge_ampere
 
 
@@ -133,3 +140,65 @@ def test_problem_validation():
         PrimaryProblem(
             spec=monge_ampere(2), g=g, g_h=g, F=np.full(grid.shape, np.nan), grid=grid
         )
+
+
+# toy problem for damped_newton: residual r(x) = x, and a Krylov "solve" that
+# returns half the Newton direction, so every full step halves the residual
+def toy_evaluate(x, direction, t):
+    trial = x + t * direction
+    return trial, trial, float(np.max(np.abs(trial))), None
+
+
+def toy_step(state, r, rtol):
+    return -0.5 * r, 0
+
+
+def test_damped_newton_converges_on_last_allowed_step():
+    start = toy_evaluate(np.array([1.0]), np.zeros(1), 0.0)
+    x, sup, _, iterations, history = damped_newton(
+        start, toy_evaluate, toy_step, tolerance=0.125, max_iterations=3)
+    assert iterations == 3
+    assert sup == 0.125 and x[0] == 0.125
+    assert history == [1.0, 0.5, 0.25, 0.125]
+
+
+def test_damped_newton_budget_error_carries_full_history():
+    start = toy_evaluate(np.array([1.0]), np.zeros(1), 0.0)
+    with pytest.raises(NonConvergenceError, match="no convergence in 2 iterations") as err:
+        damped_newton(start, toy_evaluate, toy_step, tolerance=0.125, max_iterations=2)
+    assert err.value.history == [1.0, 0.5, 0.25]
+
+
+@pytest.mark.parametrize("x0, expected", [
+    (0.4, [1e-2, 1e-2, 0.05 * 0.1]),
+    (1e-12, [1e-10, 1e-10, 1e-10]),
+])
+def test_damped_newton_forcing_term_and_krylov_failure(x0, expected):
+    rtols = []
+
+    def step(state, r, rtol):
+        rtols.append(rtol)
+        return -0.5 * r, 0 if len(rtols) < 3 else 7
+
+    start = toy_evaluate(np.array([x0]), np.zeros(1), 0.0)
+    with pytest.raises(NonConvergenceError, match="info=7") as err:
+        damped_newton(start, toy_evaluate, step, tolerance=1e-15, max_iterations=10)
+    assert rtols == expected
+    assert err.value.history == [x0, x0 / 2, x0 / 4]
+
+
+@pytest.mark.parametrize("trial_sup", [None, 1.0])
+def test_damped_newton_line_search_stalls_below_min_step(trial_sup):
+    # an always infeasible trial, or one whose residual never decreases
+    steps = []
+
+    def evaluate(x, direction, t):
+        steps.append(t)
+        return None if trial_sup is None else (x, x, trial_sup, None)
+
+    start = toy_evaluate(np.array([1.0]), np.zeros(1), 0.0)
+    with pytest.raises(NonConvergenceError, match="line search stalled") as err:
+        damped_newton(start, evaluate, toy_step, tolerance=1e-9, max_iterations=5)
+    assert steps == [2.0**-j for j in range(21)]
+    assert steps[-1] == MIN_STEP
+    assert err.value.history == [1.0]
