@@ -144,6 +144,7 @@ def _solve_artifacts(problem, out_dir, descriptor):
         "sup_norm": float(np.max(np.abs(solution.phi))),
         "residual_sup": solution.residual_sup,
         "iterations": solution.iterations,
+        "krylov_iterations": solution.krylov_iterations,
         "l1_bound": {
             "c_prime": bound.c_prime,
             "laplacian_margin": bound.laplacian_margin,
@@ -351,6 +352,13 @@ def _tolerance(text):
     return value
 
 
+def _workers(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be a positive integer, got %r" % text)
+    return value
+
+
 def _parser():
     parser = argparse.ArgumentParser(
         prog="nformpde",
@@ -364,7 +372,8 @@ def _parser():
     common.add_argument("--grid", type=int, default=None, help="override grid size N")
     common.add_argument("--tol", type=_tolerance, default=None,
                         help="override solver tolerance (solve, localize, sweep)")
-    common.add_argument("--workers", type=int, default=1, help="concurrent sweep members")
+    common.add_argument("--workers", type=_workers, default=1,
+                        help="sweep members run concurrently on threads")
     sub.add_parser("check-pointwise", parents=[common])
     sub.add_parser("solve", parents=[common])
     sub.add_parser("localize", parents=[common])

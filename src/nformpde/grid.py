@@ -125,6 +125,44 @@ def complex_hessian(phi, grid):
     return out
 
 
+def hessian_symbol(T, grid):
+    """Fourier symbol of u -> tr(T H(u)) for one constant Hermitian (n, n) T.
+
+    On the mode exp(i sum_a theta_a x_a / h) the stencils act by
+    multiplication: d2 along axis a by (2 cos theta_a - 2)/h^2, dcross along
+    (a, b) by -sin theta_a sin theta_b / h^2.  These combine into H_ii,
+    Re H_ij and Im H_ij as in complex_hessian, and tr(T H) = sum_i T_ii H_ii
+    + 2 sum_{i<j} (Re T_ij Re H_ij + Im T_ij Im H_ij).  Returns the real
+    symbol on the np.fft.rfftn modes, shape (N,)*(2n-1) + (N//2 + 1,): zero
+    at the zero mode, strictly negative at every other mode when T is
+    positive definite.
+    """
+    n, N, h = grid.n, grid.N, grid.h
+    T = np.asarray(T)
+    theta = []
+    for axis in range(2 * n):
+        freq = np.fft.rfftfreq(N) if axis == 2 * n - 1 else np.fft.fftfreq(N)
+        shape = [1] * (2 * n)
+        shape[axis] = freq.size
+        theta.append(2.0 * math.pi * freq.reshape(shape))
+    second = [(2.0 * np.cos(t) - 2.0) / h**2 for t in theta]
+    sine = [np.sin(t) for t in theta]
+
+    def cross(a, b):
+        return -sine[a] * sine[b] / h**2
+
+    out = 0.0
+    for i in range(n):
+        xi, yi = 2 * i, 2 * i + 1
+        out = out + T[i, i].real * 0.25 * (second[xi] + second[yi])
+        for j in range(i + 1, n):
+            xj, yj = 2 * j, 2 * j + 1
+            re = 0.25 * (cross(xi, xj) + cross(yi, yj))
+            im = 0.25 * (cross(xi, yj) - cross(yi, xj))
+            out = out + 2.0 * (T[i, j].real * re + T[i, j].imag * im)
+    return out
+
+
 def stencil_offsets(n):
     """Every nonzero index offset over the 2n real axes read by complex_hessian.
 

@@ -83,13 +83,14 @@ POINTWISE_REPORT_SCHEMA = {
 SOLVE_META_SCHEMA = {
     "type": "object",
     "required": ["grid", "b", "sup_norm", "residual_sup", "iterations",
-                 "l1_bound", "field_file"],
+                 "krylov_iterations", "l1_bound", "field_file"],
     "properties": {
         "grid": {"type": "object"},
         "b": {"type": "number"},
         "sup_norm": {"type": "number"},
         "residual_sup": {"type": "number"},
         "iterations": {"type": "integer"},
+        "krylov_iterations": {"type": "array", "items": {"type": "integer", "minimum": 1}},
         "l1_bound": {"type": "object"},
         "field_file": {"type": "string"},
     },

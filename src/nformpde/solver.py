@@ -8,7 +8,10 @@ The linearization of the left side along dphi is tr(T @ H(dphi)) where T is
 the trace reversal of the linearization coefficients, so each Newton step
 solves an elliptic variable-coefficient problem; the constant mode is fixed
 by a zero-mean constraint and b absorbs the compatibility defect (bordered
-system, matrix-free Krylov with a diagonal preconditioner).
+system, matrix-free Krylov).  T is positive definite, so the operator is
+uniformly elliptic; frozen at its grid mean it has constant coefficients,
+np.fft diagonalizes it on the torus, and its exact inverse preconditions
+the Krylov solve.
 """
 
 from __future__ import annotations
@@ -65,13 +68,17 @@ class PrimaryProblem:
 
 @dataclass
 class PrimarySolution:
-    """Sup-normalized potential, log-scale constant, and iteration stats."""
+    """Sup-normalized potential, log-scale constant, and iteration stats.
+
+    krylov_iterations holds the operator applications of each Newton step.
+    """
 
     phi: np.ndarray
     b: float
     residual_sup: float
     iterations: int
     residual_history: list = field(default_factory=list)
+    krylov_iterations: list = field(default_factory=list)
 
 
 def _eigs_of_twisted(problem, phi):
@@ -113,34 +120,49 @@ def apply_trace_reversed_hessian(coeff, dphi, grid):
 def _newton_step(problem, coeff, r, krylov_rtol):
     """Solve the bordered system tr(coeff H(dphi)) - db = -r, mean(dphi) = 0.
 
-    Returns ((dphi, db), info) with info the lgmres exit flag.
+    The preconditioner is the exact inverse of the bordered system with
+    coeff frozen at its grid mean Tbar: db = -mean(top), the zero mode of
+    dphi is the bordered entry, and every other Fourier mode of top is
+    divided by the symbol of tr(Tbar H(.)) (grid.hessian_symbol).
+
+    Returns ((dphi, db), info, matvecs) with info the lgmres exit flag and
+    matvecs the number of operator applications.
     """
     g = problem.grid
     m = g.num_points
     shape = g.shape
+    axes = tuple(range(len(shape)))
+    matvecs = 0
 
     def matvec(u):
+        nonlocal matvecs
+        matvecs += 1
         dphi = u[:m].reshape(shape)
         db = u[m]
         top = apply_trace_reversed_hessian(coeff, dphi, g) - db
         bottom = np.array([dphi.mean()])
         return np.concatenate([top.reshape(-1), bottom])
 
-    # center coefficient of each pure second difference is -2/h^2 and the
-    # diagonal Hessian entries carry 1/4 twice: -tr(Re coeff)/h^2 pointwise
-    diag = -np.einsum("...ii->...", coeff).real / g.h**2
-    diag = np.where(np.abs(diag) > 1e-14, diag, -1.0)
-    scale = np.concatenate([diag.reshape(-1), np.array([1.0])])
+    symbol = gridmod.hessian_symbol(coeff.mean(axis=axes), g)
+    symbol.flat[0] = 1.0  # the zero mode is set from the bordered entry
 
     def precond(u):
-        return u / scale
+        top = u[:m].reshape(shape)
+        modes = np.fft.rfftn(top, s=shape, axes=axes) / symbol
+        modes.flat[0] = u[m] * m
+        dphi = np.fft.irfftn(modes, s=shape, axes=axes)
+        return np.concatenate([dphi.reshape(-1), np.array([-top.mean()])])
 
     op = LinearOperator((m + 1, m + 1), matvec=matvec, dtype=float)
     M = LinearOperator((m + 1, m + 1), matvec=precond, dtype=float)
     rhs = np.concatenate([(-r).reshape(-1), np.array([0.0])])
-    sol, info = lgmres(op, rhs, M=M, rtol=krylov_rtol, atol=0.0, maxiter=400)
+    # start from the frozen-coefficient solution: exact for constant coeff,
+    # and the first matvec then measures a residual instead of applying the
+    # operator to zero
+    sol, info = lgmres(op, rhs, x0=precond(rhs), M=M, rtol=krylov_rtol, atol=0.0,
+                       maxiter=400)
     dphi = sol[:m].reshape(shape)
-    return (dphi - dphi.mean(), float(sol[m])), info
+    return (dphi - dphi.mean(), float(sol[m])), info, matvecs
 
 
 def damped_newton(start, evaluate, step, tolerance, max_iterations):
@@ -239,15 +261,21 @@ def solve_primary(problem, initial=None):
         trial_phi -= trial_phi.mean()
         return (trial_phi, trial_b), r_t, sup_t, trial_phi
 
+    krylov_iterations = []
+
     def step(phi, r, krylov_rtol):
         gt, _ = _eigs_of_twisted(problem, phi)
-        return _newton_step(problem, _coefficient_field(problem, gt), r, krylov_rtol)
+        direction, info, matvecs = _newton_step(
+            problem, _coefficient_field(problem, gt), r, krylov_rtol)
+        krylov_iterations.append(matvecs)
+        return direction, info
 
     (phi, b), sup, _, iterations, history = damped_newton(
         _primary_start(problem, initial), evaluate, step,
         problem.tolerance, problem.max_iterations,
     )
-    return PrimarySolution(gridmod.normalize_sup(phi), b, sup, iterations, history)
+    return PrimarySolution(gridmod.normalize_sup(phi), b, sup, iterations, history,
+                           krylov_iterations)
 
 
 @dataclass(frozen=True)

@@ -62,6 +62,7 @@ def test_solve_zero_forcing_flat_artifacts(tmp_path):
     assert abs(meta["b"]) <= 1e-12
     assert meta["l1_bound"]["passed"]
     assert meta["l1_bound"]["c_prime"] == pytest.approx(2.0, abs=1e-12)
+    assert meta["iterations"] == 0 and meta["krylov_iterations"] == []
     phi = np.fromfile(out / "phi.bin", dtype="<f8")
     assert phi.size == 12**4
     assert np.abs(phi).max() <= 1e-12
@@ -85,6 +86,9 @@ def test_solve_gaussian_deterministic(tmp_path):
     meta = json.loads(read(a / "solve_meta.json"))
     assert meta["sup_norm"] > 1e-3
     assert meta["residual_sup"] <= 1e-9
+    # one operator-application count per Newton step
+    assert len(meta["krylov_iterations"]) == meta["iterations"] > 0
+    assert all(count >= 1 for count in meta["krylov_iterations"])
 
 
 def test_usage_errors_exit_two(tmp_path, capsys):
@@ -106,6 +110,10 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     for tol in ("0", "-1e-9", "nan", "inf", "abc"):
         with pytest.raises(SystemExit) as exc:
             main(["solve", "--out", str(tmp_path / "o"), "--tol", tol])
+        assert exc.value.code == EXIT_USAGE
+    for workers in ("0", "-1", "abc"):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--out", str(tmp_path / "o"), "--workers", workers])
         assert exc.value.code == EXIT_USAGE
 
 

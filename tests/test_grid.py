@@ -12,6 +12,7 @@ from nformpde.grid import (
     d2,
     dcross,
     entropy_norm,
+    hessian_symbol,
     identity_metric,
     integrate,
     laplacian,
@@ -20,6 +21,7 @@ from nformpde.grid import (
     twisted_metric,
     volume_density,
 )
+from nformpde.solver import apply_trace_reversed_hessian
 
 
 def trig_field(grid, shift=0.0):
@@ -194,3 +196,29 @@ def test_complex_hessian_footprint_is_stencil_offsets(n):
                                    for off in stencil_offsets(n)}
     assert {tuple(int(i) for i in idx) for idx in support} == expected
     assert len(stencil_offsets(n)) == 4 * n + 16 * n * (n - 1) // 2
+
+
+def random_hermitian_pd(n, rng):
+    A = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    return A @ A.conj().T + 0.1 * np.eye(n)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("N", [8, 9])
+def test_hessian_symbol_diagonalizes_the_frozen_operator(n, N):
+    grid = TorusGrid(n=n, N=N, L=1.3)
+    rng = np.random.default_rng(10 * n + N)
+    T = random_hermitian_pd(n, rng)
+    symbol = hessian_symbol(T, grid)
+    axes = tuple(range(2 * n))
+    assert symbol.shape == (N,) * (2 * n - 1) + (N // 2 + 1,)
+    assert symbol.dtype == np.float64
+    u = rng.normal(size=grid.shape)
+    spectral = np.fft.irfftn(np.fft.rfftn(u, s=grid.shape, axes=axes) * symbol,
+                             s=grid.shape, axes=axes)
+    stencil = apply_trace_reversed_hessian(np.broadcast_to(T, grid.shape + (n, n)), u, grid)
+    assert np.abs(spectral - stencil).max() <= 1e-12 * np.abs(stencil).max()
+    # positive definite T: zero only at the zero mode, so the frozen operator
+    # is invertible off the constants
+    assert symbol.flat[0] == 0.0
+    assert symbol.reshape(-1)[1:].max() < 0.0

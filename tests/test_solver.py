@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nformpde.errors import InfeasibleStartError, NonConvergenceError
 from nformpde.grid import (
@@ -17,6 +19,8 @@ from nformpde.manufactured import forcing_from_hessian, trig_hessian, trig_poten
 from nformpde.solver import (
     MIN_STEP,
     PrimaryProblem,
+    _newton_step,
+    apply_trace_reversed_hessian,
     damped_newton,
     l1_bound_check,
     residual,
@@ -202,3 +206,58 @@ def test_damped_newton_line_search_stalls_below_min_step(trial_sup):
     assert steps == [2.0**-j for j in range(21)]
     assert steps[-1] == MIN_STEP
     assert err.value.history == [1.0]
+
+
+# the bordered Newton system on a small grid, with coefficient fields built
+# from a hypothesis-drawn seed
+STEP_GRID = TorusGrid(n=2, N=8, L=1.0)
+
+
+def step_problem():
+    g = identity_metric(STEP_GRID)
+    return PrimaryProblem(spec=monge_ampere(2), g=g, g_h=g, F=np.zeros(STEP_GRID.shape),
+                          grid=STEP_GRID)
+
+
+def random_hermitian(shape, rng):
+    A = rng.normal(size=shape + (2, 2)) + 1j * rng.normal(size=shape + (2, 2))
+    return 0.5 * (A + np.conj(np.swapaxes(A, -1, -2)))
+
+
+def bordered_residual(coeff, r, step):
+    dphi, db = step
+    top = apply_trace_reversed_hessian(coeff, dphi, STEP_GRID) - db + r
+    residual = np.concatenate([top.reshape(-1), [dphi.mean()]])
+    return float(np.linalg.norm(residual) / np.linalg.norm(r))
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), rtol=st.sampled_from([1e-10, 1e-6, 1e-2]))
+def test_newton_step_constant_coefficients_is_one_preconditioner_solve(seed, rtol):
+    # the preconditioner is the exact inverse of a constant-coefficient system
+    rng = np.random.default_rng(seed)
+    T = random_hermitian((), rng)
+    T = T @ T + 0.1 * np.eye(2)
+    coeff = np.broadcast_to(T, STEP_GRID.shape + (2, 2))
+    r = rng.normal(size=STEP_GRID.shape)
+    step, info, matvecs = _newton_step(step_problem(), coeff, r, rtol)
+    assert info == 0 and matvecs <= 2
+    assert bordered_residual(coeff, r, step) <= 1e-11
+    assert step[0].mean() == pytest.approx(0.0, abs=1e-15)
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), amplitude=st.floats(0.0, 0.5),
+       rtol=st.sampled_from([1e-10, 1e-6, 1e-2]))
+def test_newton_step_meets_rtol_on_perturbed_coefficients(seed, amplitude, rtol):
+    rng = np.random.default_rng(seed)
+    T = random_hermitian((), rng)
+    T = T @ T + 0.1 * np.eye(2)
+    P = random_hermitian(STEP_GRID.shape, rng)
+    # a perturbation below the smallest eigenvalue of T keeps the field positive definite
+    P *= amplitude * np.linalg.eigvalsh(T)[0] / np.linalg.norm(P, ord=2, axis=(-2, -1)).max()
+    coeff = T + P
+    r = rng.normal(size=STEP_GRID.shape)
+    step, info, matvecs = _newton_step(step_problem(), coeff, r, rtol)
+    assert info == 0 and matvecs >= 1
+    assert bordered_residual(coeff, r, step) <= rtol
