@@ -221,6 +221,10 @@ def _entropy_shift(F, g, grid, p, target):
     return F + shift
 
 
+_SWEEP_COLUMNS = ("parameter", "entropy", "sup_norm", "b", "residual_sup",
+                 "laplacian_margin", "converged")
+
+
 def _sweep_member(descriptor, parameter, p, target, tolerance=None):
     problem = _build_problem(descriptor, {"sigma": parameter}, tolerance)
     problem.F = _entropy_shift(problem.F, problem.g, problem.grid, p, target)
@@ -252,9 +256,8 @@ def cmd_sweep(descriptor, out_dir, tolerance=None, workers=1):
         try:
             return _sweep_member(descriptor, value, p, target, tolerance)
         except NFormError as exc:
-            return {"parameter": float(value), "entropy": None, "sup_norm": None,
-                    "b": None, "residual_sup": None, "laplacian_margin": None,
-                    "converged": False, "error": str(exc)}
+            return dict(dict.fromkeys(_SWEEP_COLUMNS), parameter=float(value),
+                        converged=False, error=str(exc))
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -279,11 +282,8 @@ def cmd_sweep(descriptor, out_dir, tolerance=None, workers=1):
     _write_json(os.path.join(out_dir, "sweep.json"), payload)
     _write_csv(
         os.path.join(out_dir, "sweep.csv"),
-        ["parameter", "entropy", "sup_norm", "b", "residual_sup",
-         "laplacian_margin", "converged"],
-        [[row["parameter"], row["entropy"], row["sup_norm"], row["b"],
-          row["residual_sup"], row["laplacian_margin"], row["converged"]]
-         for row in rows],
+        _SWEEP_COLUMNS,
+        [[row[key] for key in _SWEEP_COLUMNS] for row in rows],
     )
     if not payload["all_converged"]:
         return EXIT_SOLVER

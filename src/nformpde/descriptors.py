@@ -16,18 +16,24 @@ from .grid import TorusGrid, identity_metric
 from .symfun import combine, hessian, monge_ampere, p_monge_ampere
 
 
+def _required(config, key):
+    if key not in config:
+        raise InconsistentInputError("operator %r is missing %r" % (config.get("family"), key))
+    return config[key]
+
+
 def _operator_from_config(config):
     family = config.get("family")
     n = int(config.get("dim", 2))
     if family == "monge-ampere":
         return monge_ampere(n)
     if family == "hessian":
-        return hessian(n, int(config["k"]))
+        return hessian(n, int(_required(config, "k")))
     if family == "p-monge-ampere":
-        return p_monge_ampere(n, int(config["p"]))
+        return p_monge_ampere(n, int(_required(config, "p")))
     if family == "combination":
-        members = [_operator_from_config(m) for m in config["members"]]
-        return combine(members, [float(w) for w in config["weights"]])
+        members = [_operator_from_config(m) for m in _required(config, "members")]
+        return combine(members, [float(w) for w in _required(config, "weights")])
     raise InconsistentInputError("unknown operator family %r" % (family,))
 
 
@@ -76,7 +82,7 @@ def _background_banded(grid, params):
         raise InconsistentInputError("banded background needs at least two complex directions")
     k = 2.0 * np.pi / grid.L
     x = grid.axis_coordinates(0)
-    y = grid.axis_coordinates(3 if grid.n >= 2 else 1)
+    y = grid.axis_coordinates(3)
     band = 0.5 * amp * (np.cos(k * x) + 1j * np.sin(k * y))
     g = identity_metric(grid)
     g[..., 0, 1] = band

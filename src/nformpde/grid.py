@@ -17,7 +17,6 @@ density det(g).
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -85,25 +84,35 @@ class TorusGrid:
         return total
 
 
-def d1(f, axis, h):
-    """Centered first difference, second order, periodic."""
-    return (np.roll(f, -1, axis) - np.roll(f, 1, axis)) / (2.0 * h)
-
-
-def d2(f, axis, h):
-    """Centered second difference, second order, periodic."""
-    return (np.roll(f, -1, axis) - 2.0 * f + np.roll(f, 1, axis)) / h**2
-
-
-def dcross(f, axis_a, axis_b, h):
-    """Symmetrized four-point cross stencil for a mixed second derivative."""
-    if axis_a == axis_b:
-        return d2(f, axis_a, h)
-    pp = np.roll(np.roll(f, -1, axis_a), -1, axis_b)
-    pm = np.roll(np.roll(f, -1, axis_a), 1, axis_b)
-    mp = np.roll(np.roll(f, 1, axis_a), -1, axis_b)
-    mm = np.roll(np.roll(f, 1, axis_a), 1, axis_b)
+def second_difference(f, a, b, h):
+    """Periodic second-order d^2 f / dx_a dx_b: the three-point difference
+    when a == b, otherwise the symmetrized four-point cross."""
+    if a == b:
+        return (np.roll(f, -1, a) - 2.0 * f + np.roll(f, 1, a)) / h**2
+    pp = np.roll(f, (-1, -1), (a, b))
+    pm = np.roll(f, (-1, 1), (a, b))
+    mp = np.roll(f, (1, -1), (a, b))
+    mm = np.roll(f, (1, 1), (a, b))
     return (pp - pm - mp + mm) / (4.0 * h**2)
+
+
+def _second_difference_multiplier(theta, a, b, h):
+    """Fourier multiplier of second_difference(., a, b, h) at angles theta."""
+    if a == b:
+        return (2.0 * np.cos(theta[a]) - 2.0) / h**2
+    return -np.sin(theta[a]) * np.sin(theta[b]) / h**2
+
+
+def _hessian_entries(D, n):
+    """Yield (i, j, re, im), H_ij = re + 1j * im for i <= j (im None if i == j),
+    from D(a, b), a second difference along real axes a and b."""
+    for i in range(n):
+        xi, yi = 2 * i, 2 * i + 1
+        yield i, i, 0.25 * (D(xi, xi) + D(yi, yi)), None
+        for j in range(i + 1, n):
+            xj, yj = 2 * j, 2 * j + 1
+            yield (i, j, 0.25 * (D(xi, xj) + D(yi, yj)),
+                   0.25 * (D(xi, yj) - D(yi, xj)))
 
 
 def complex_hessian(phi, grid):
@@ -113,13 +122,10 @@ def complex_hessian(phi, grid):
         raise ValueError("field shape does not match the grid")
     n, h = grid.n, grid.h
     out = np.zeros(grid.shape + (n, n), dtype=complex)
-    for i in range(n):
-        xi, yi = 2 * i, 2 * i + 1
-        out[..., i, i] = 0.25 * (d2(phi, xi, h) + d2(phi, yi, h))
-        for j in range(i + 1, n):
-            xj, yj = 2 * j, 2 * j + 1
-            re = 0.25 * (dcross(phi, xi, xj, h) + dcross(phi, yi, yj, h))
-            im = 0.25 * (dcross(phi, xi, yj, h) - dcross(phi, yi, xj, h))
+    for i, j, re, im in _hessian_entries(lambda a, b: second_difference(phi, a, b, h), n):
+        if im is None:
+            out[..., i, i] = re
+        else:
             out[..., i, j] = re + 1j * im
             out[..., j, i] = re - 1j * im
     return out
@@ -128,10 +134,10 @@ def complex_hessian(phi, grid):
 def hessian_symbol(T, grid):
     """Fourier symbol of u -> tr(T H(u)) for one constant Hermitian (n, n) T.
 
-    On the mode exp(i sum_a theta_a x_a / h) the stencils act by
-    multiplication: d2 along axis a by (2 cos theta_a - 2)/h^2, dcross along
-    (a, b) by -sin theta_a sin theta_b / h^2.  These combine into H_ii,
-    Re H_ij and Im H_ij as in complex_hessian, and tr(T H) = sum_i T_ii H_ii
+    On the mode exp(i sum_a theta_a x_a / h) each second difference acts by
+    multiplication: along (a, a) by (2 cos theta_a - 2)/h^2, along a != b by
+    -sin theta_a sin theta_b / h^2.  These combine into H_ii, Re H_ij and
+    Im H_ij as in complex_hessian, and tr(T H) = sum_i T_ii H_ii
     + 2 sum_{i<j} (Re T_ij Re H_ij + Im T_ij Im H_ij).  Returns the real
     symbol on the np.fft.rfftn modes, shape (N,)*(2n-1) + (N//2 + 1,): zero
     at the zero mode, strictly negative at every other mode when T is
@@ -145,39 +151,31 @@ def hessian_symbol(T, grid):
         shape = [1] * (2 * n)
         shape[axis] = freq.size
         theta.append(2.0 * math.pi * freq.reshape(shape))
-    second = [(2.0 * np.cos(t) - 2.0) / h**2 for t in theta]
-    sine = [np.sin(t) for t in theta]
-
-    def cross(a, b):
-        return -sine[a] * sine[b] / h**2
 
     out = 0.0
-    for i in range(n):
-        xi, yi = 2 * i, 2 * i + 1
-        out = out + T[i, i].real * 0.25 * (second[xi] + second[yi])
-        for j in range(i + 1, n):
-            xj, yj = 2 * j, 2 * j + 1
-            re = 0.25 * (cross(xi, xj) + cross(yi, yj))
-            im = 0.25 * (cross(xi, yj) - cross(yi, xj))
+    for i, j, re, im in _hessian_entries(
+            lambda a, b: _second_difference_multiplier(theta, a, b, h), n):
+        if im is None:
+            out = out + T[i, i].real * re
+        else:
             out = out + 2.0 * (T[i, j].real * re + T[i, j].imag * im)
     return out
 
 
 def stencil_offsets(n):
-    """Every nonzero index offset over the 2n real axes read by complex_hessian.
-
-    The axis neighbours of the pure second differences, and the four corners
-    of each cross stencil; cross stencils only pair axes of distinct complex
-    coordinates.
-    """
-    unit = np.eye(2 * n, dtype=int)
-    offsets = [tuple(s * unit[a]) for a in range(2 * n) for s in (1, -1)]
-    offsets += [
-        tuple(sa * unit[a] + sb * unit[b])
-        for a, b in itertools.combinations(range(2 * n), 2) if a // 2 != b // 2
-        for sa in (1, -1) for sb in (1, -1)
-    ]
-    return offsets
+    """Every nonzero index offset over the 2n real axes read by complex_hessian:
+    the nonzero taps of the Hessian entries of a centered 3^(2n) impulse."""
+    center = (1,) * (2 * n)
+    kernel = np.zeros((3,) * (2 * n))
+    kernel[center] = 1.0
+    taps = np.zeros(kernel.shape, dtype=bool)
+    for _, _, re, im in _hessian_entries(
+            lambda a, b: second_difference(kernel, a, b, 1.0), n):
+        taps |= re != 0.0
+        if im is not None:
+            taps |= im != 0.0
+    taps[center] = False
+    return [tuple(1 - int(i) for i in idx) for idx in np.argwhere(taps)]
 
 
 def laplacian(phi, g, grid, g_inv=None):

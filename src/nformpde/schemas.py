@@ -3,6 +3,7 @@
 import jsonschema
 
 _NUMBER_OR_NULL = {"type": ["number", "null"]}
+_POSITIVE = {"type": "number", "exclusiveMinimum": 0}
 
 DESCRIPTOR_SCHEMA = {
     "type": "object",
@@ -11,10 +12,11 @@ DESCRIPTOR_SCHEMA = {
         "operator": {"type": "object"},
         "grid": {
             "type": "object",
+            "additionalProperties": False,
             "properties": {
                 "n": {"type": "integer", "minimum": 2},
                 "N": {"type": "integer", "minimum": 8},
-                "L": {"type": "number", "exclusiveMinimum": 0},
+                "L": _POSITIVE,
             },
         },
         "background_g": {"type": "object"},
@@ -25,7 +27,16 @@ DESCRIPTOR_SCHEMA = {
         "entropy_exponent": _NUMBER_OR_NULL,
         "concentrations": {"type": "array", "items": {"type": "number"}},
         "entropy_target": _NUMBER_OR_NULL,
-        "tolerances": {"type": "object"},
+        "tolerances": {
+            "type": "object",
+            "additionalProperties": False,
+            "properties": {
+                "solver": _POSITIVE,
+                "c_disc": _POSITIVE,
+                "sweep_ratio": _POSITIVE,
+                "max_iterations": {"type": "integer", "minimum": 0},
+            },
+        },
         "samples": {"type": "integer", "minimum": 1},
         "seed": {"type": "integer"},
     },

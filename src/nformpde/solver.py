@@ -23,11 +23,7 @@ from scipy.sparse.linalg import LinearOperator, lgmres
 
 from . import grid as gridmod
 from . import hermlin, symfun
-from .errors import (
-    ConeViolationError,
-    InfeasibleStartError,
-    NonConvergenceError,
-)
+from .errors import InfeasibleStartError, NonConvergenceError
 
 MIN_STEP = 2.0**-20
 
@@ -102,8 +98,14 @@ def residual(problem, phi, b):
     return np.log(f) - problem.F - b
 
 
-def _cone_ok(problem, lam):
-    return bool(np.all(symfun.interior_margin(lam, problem.spec.cone) > 0.0))
+def _evaluate_iterate(problem, phi):
+    """(log f(lam), margin) for the twisted eigenvalues lam of phi: margin is
+    their interior margin field, and log f is None off the strict interior."""
+    _, lam = _eigs_of_twisted(problem, phi)
+    margin = symfun.interior_margin(lam, problem.spec.cone)
+    if not np.all(margin > 0.0):
+        return None, margin
+    return np.log(symfun.evaluate(problem.spec, lam)), margin
 
 
 def _coefficient_field(problem, gt):
@@ -224,17 +226,15 @@ def _primary_start(problem, initial):
             raise ValueError("initial guess shape does not match the grid")
     phi -= phi.mean()
 
-    _, lam = _eigs_of_twisted(problem, phi)
-    if not _cone_ok(problem, lam):
-        margin = symfun.interior_margin(lam, problem.spec.cone)
+    log_f, margin = _evaluate_iterate(problem, phi)
+    if log_f is None:
         idx = int(np.argmin(margin.reshape(-1)))
         raise InfeasibleStartError(
             f"initial iterate violates the cone constraint (margin "
             f"{float(margin.reshape(-1)[idx]):.3e} at flat index {idx})"
         )
-    f = symfun.evaluate(problem.spec, lam)
-    b = float(np.mean(np.log(f) - problem.F))
-    r = np.log(f) - problem.F - b
+    b = float(np.mean(log_f - problem.F))
+    r = log_f - problem.F - b
     return (phi, b), r, float(np.max(np.abs(r))), phi
 
 
@@ -249,14 +249,10 @@ def solve_primary(problem, initial=None):
     def evaluate(iterate, direction, t):
         trial_phi = iterate[0] + t * direction[0]
         trial_b = iterate[1] + t * direction[1]
-        try:
-            _, lam_t = _eigs_of_twisted(problem, trial_phi)
-            if not _cone_ok(problem, lam_t):
-                return None
-            f_t = symfun.evaluate(problem.spec, lam_t)
-        except ConeViolationError:
+        log_f, _ = _evaluate_iterate(problem, trial_phi)
+        if log_f is None:
             return None
-        r_t = np.log(f_t) - problem.F - trial_b
+        r_t = log_f - problem.F - trial_b
         sup_t = float(np.max(np.abs(r_t)))
         trial_phi -= trial_phi.mean()
         return (trial_phi, trial_b), r_t, sup_t, trial_phi

@@ -106,6 +106,14 @@ def test_usage_errors_exit_two(tmp_path, capsys):
                           background_gh={"name": "banded", "params": {"amplitude": 0.9}})
     assert main(["solve", "--config", banded, "--out", str(tmp_path / "o")]) == EXIT_USAGE
     assert "descriptor error" in capsys.readouterr().err
+    # a missing operator key, or a key no field reads, is a descriptor error
+    for fields in ({"operator": {"family": "hessian", "dim": 2}},
+                   {"operator": {"family": "combination", "dim": 2}},
+                   {"grid": {"n": 2, "N": 16, "L": 1.0, "M": 3}},
+                   {"tolerances": {"solvr": 1e-3}}):
+        config = write_config(tmp_path / "keys.json", **fields)
+        assert main(["solve", "--config", config, "--out", str(tmp_path / "o")]) == EXIT_USAGE
+        assert "descriptor error" in capsys.readouterr().err
     assert main(["report", "--out", str(tmp_path / "empty")]) == EXIT_USAGE
     for tol in ("0", "-1e-9", "nan", "inf", "abc"):
         with pytest.raises(SystemExit) as exc:

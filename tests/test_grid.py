@@ -1,5 +1,6 @@
 """Periodic grid calculus: stencils, complex Hessian, integrals."""
 
+import itertools
 import math
 
 import numpy as np
@@ -8,19 +9,18 @@ import pytest
 from nformpde.grid import (
     TorusGrid,
     complex_hessian,
-    d1,
-    d2,
-    dcross,
     entropy_norm,
     hessian_symbol,
     identity_metric,
     integrate,
     laplacian,
     normalize_sup,
+    second_difference,
     stencil_offsets,
     twisted_metric,
     volume_density,
 )
+from nformpde.manufactured import trig_hessian, trig_potential
 from nformpde.solver import apply_trace_reversed_hessian
 
 
@@ -52,40 +52,18 @@ def test_distance_sq_fold():
     assert d2f[15, 0] == d2f[1, 0]
 
 
-def test_first_difference_order():
+@pytest.mark.parametrize("a,b", [(0, 0), (0, 1)])
+def test_second_difference_converges_at_second_order(a, b):
+    # trig_field = sin(kx) cos(ky): d_xx = -k^2 trig_field, d_xy = -k^2 cos(kx) sin(ky)
     errs = []
+    k = 2.0 * math.pi
     for N in (16, 32):
         grid = TorusGrid(n=1, N=N, L=1.0)
         f = trig_field(grid)
-        k = 2.0 * math.pi
-        exact = k * np.cos(k * grid.axis_coordinates(0)) * np.cos(k * grid.axis_coordinates(1))
-        errs.append(np.abs(d1(f, 0, grid.h) - exact).max())
-    ratio = errs[0] / errs[1]
-    assert 3.5 <= ratio <= 4.5
-
-
-def test_second_difference_order():
-    errs = []
-    for N in (16, 32):
-        grid = TorusGrid(n=1, N=N, L=1.0)
-        f = trig_field(grid)
-        k = 2.0 * math.pi
-        exact = -k * k * f
-        errs.append(np.abs(d2(f, 0, grid.h) - exact).max())
-    ratio = errs[0] / errs[1]
-    assert 3.5 <= ratio <= 4.5
-
-
-def test_cross_difference_order():
-    errs = []
-    for N in (16, 32):
-        grid = TorusGrid(n=1, N=N, L=1.0)
-        f = trig_field(grid)
-        k = 2.0 * math.pi
         x = grid.axis_coordinates(0)
         y = grid.axis_coordinates(1)
-        exact = -k * k * np.cos(k * x) * np.sin(k * y)
-        errs.append(np.abs(dcross(f, 0, 1, grid.h) - exact).max())
+        exact = -k * k * (f if a == b else np.cos(k * x) * np.sin(k * y))
+        errs.append(np.abs(second_difference(f, a, b, grid.h) - exact).max())
     ratio = errs[0] / errs[1]
     assert 3.5 <= ratio <= 4.5
 
@@ -132,6 +110,18 @@ def test_complex_hessian_convergence_order():
         errs.append(np.abs(H[..., 0, 0] - exact00).max())
     ratio = errs[0] / errs[1]
     assert 3.5 <= ratio <= 4.5
+
+
+def test_complex_hessian_matches_analytic_entries():
+    # an oracle independent of the stencil table: every n=2 entry, real and
+    # imaginary parts, converges at second order to the closed form
+    errs = []
+    for N in (16, 32):
+        grid = TorusGrid(n=2, N=N, L=1.0)
+        diff = complex_hessian(trig_potential(grid), grid) - trig_hessian(grid)
+        errs.append(np.abs(diff).reshape(-1, 4).max(axis=0))
+    ratios = errs[0] / errs[1]
+    assert np.all((3.5 <= ratios) & (ratios <= 4.5)), ratios
 
 
 def test_laplacian_matches_trace():
@@ -195,6 +185,14 @@ def test_complex_hessian_footprint_is_stencil_offsets(n):
     expected = {(0,) * (2 * n)} | {tuple(int(o) % grid.N for o in off)
                                    for off in stencil_offsets(n)}
     assert {tuple(int(i) for i in idx) for idx in support} == expected
+    # the axis neighbours, and the corners of every cross pairing axes of
+    # distinct complex coordinates
+    unit = np.eye(2 * n, dtype=int)
+    listed = {tuple(s * unit[a]) for a in range(2 * n) for s in (1, -1)}
+    listed |= {tuple(sa * unit[a] + sb * unit[b])
+               for a, b in itertools.combinations(range(2 * n), 2) if a // 2 != b // 2
+               for sa in (1, -1) for sb in (1, -1)}
+    assert set(stencil_offsets(n)) == listed
     assert len(stencil_offsets(n)) == 4 * n + 16 * n * (n - 1) // 2
 
 
