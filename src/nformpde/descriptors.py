@@ -16,25 +16,73 @@ from .grid import TorusGrid, identity_metric
 from .symfun import combine, hessian, monge_ampere, p_monge_ampere
 
 
+def _object(value, what):
+    if not isinstance(value, dict):
+        raise InconsistentInputError("%s must be an object, got %r" % (what, value))
+    return value
+
+
+def _check_keys(config, accepted, what):
+    unread = sorted(set(config) - set(accepted))
+    if unread:
+        raise InconsistentInputError("%s does not read %s" % (what, unread))
+
+
 def _required(config, key):
     if key not in config:
         raise InconsistentInputError("operator %r is missing %r" % (config.get("family"), key))
     return config[key]
 
 
+def _integer(config, key, default=None):
+    value = _required(config, key) if default is None else config.get(key, default)
+    if isinstance(value, bool) or not (
+            isinstance(value, int) or (isinstance(value, float) and value.is_integer())):
+        raise InconsistentInputError(
+            "operator %r needs an integer %r, got %r" % (config.get("family"), key, value))
+    return int(value)
+
+
+def _list(config, key):
+    value = _required(config, key)
+    if not isinstance(value, list):
+        raise InconsistentInputError(
+            "operator %r needs a list %r, got %r" % (config.get("family"), key, value))
+    return value
+
+
+def _weight(value):
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise InconsistentInputError("combination weight must be a number, got %r" % (value,))
+    return float(value)
+
+
+# the keys besides "family" that each operator family reads
+_OPERATOR_KEYS = {
+    "monge-ampere": ("dim",),
+    "hessian": ("dim", "k"),
+    "p-monge-ampere": ("dim", "p"),
+    "combination": ("dim", "members", "weights"),
+}
+
+
 def _operator_from_config(config):
-    family = config.get("family")
-    n = int(config.get("dim", 2))
+    family = _object(config, "operator").get("family")
+    if not isinstance(family, str) or family not in _OPERATOR_KEYS:
+        raise InconsistentInputError("unknown operator family %r" % (family,))
+    _check_keys(config, ("family",) + _OPERATOR_KEYS[family], "operator %r" % family)
+    n = _integer(config, "dim", 2)
     if family == "monge-ampere":
         return monge_ampere(n)
     if family == "hessian":
-        return hessian(n, int(_required(config, "k")))
+        return hessian(n, _integer(config, "k"))
     if family == "p-monge-ampere":
-        return p_monge_ampere(n, int(_required(config, "p")))
-    if family == "combination":
-        members = [_operator_from_config(m) for m in _required(config, "members")]
-        return combine(members, [float(w) for w in _required(config, "weights")])
-    raise InconsistentInputError("unknown operator family %r" % (family,))
+        return p_monge_ampere(n, _integer(config, "p"))
+    members = [_operator_from_config(m) for m in _list(config, "members")]
+    spec = combine(members, [_weight(w) for w in _list(config, "weights")])
+    if "dim" in config and spec.dim != n:
+        raise InconsistentInputError("combination dim %d does not match its members" % n)
+    return spec
 
 
 def _operator_to_config(spec):
@@ -90,10 +138,11 @@ def _background_banded(grid, params):
     return g
 
 
+# name -> (generator, the params keys it reads)
 _BACKGROUNDS = {
-    "identity": _background_identity,
-    "conformal": _background_conformal,
-    "banded": _background_banded,
+    "identity": (_background_identity, ()),
+    "conformal": (_background_conformal, ("amplitude",)),
+    "banded": (_background_banded, ("amplitude",)),
 }
 
 
@@ -166,12 +215,24 @@ def _forcing_bandlimited(grid, params, rng):
     return out
 
 
+# name -> (generator, the params keys it reads)
 _FORCINGS = {
-    "constant": _forcing_constant,
-    "gaussian": _forcing_gaussian,
-    "bumps": _forcing_bumps,
-    "bandlimited": _forcing_bandlimited,
+    "constant": (_forcing_constant, ("value",)),
+    "gaussian": (_forcing_gaussian, ("amplitude", "sigma", "center")),
+    "bumps": (_forcing_bumps, ("amplitude", "sigma", "count")),
+    "bandlimited": (_forcing_bandlimited, ("amplitude", "max_mode")),
 }
+
+
+def _check_generator(config, label, table):
+    """Reject an unknown generator name, or a key that neither the generator
+    object (name, params) nor the generator itself reads."""
+    _check_keys(_object(config, label), ("name", "params"), label)
+    name = config.get("name")
+    if not isinstance(name, str) or name not in table:
+        raise InconsistentInputError("%s generator %r does not exist" % (label, name))
+    params = _object(config.get("params", {}), "%s params" % label)
+    _check_keys(params, table[name][1], "%s generator %r" % (label, name))
 
 
 @dataclass
@@ -232,11 +293,9 @@ class ExperimentDescriptor:
         spec = _operator_from_config(self.operator)
         if spec.dim != n:
             raise InconsistentInputError("operator dimension does not match the grid")
-        for cfg, label in ((self.background_g, "background_g"), (self.background_gh, "background_gh")):
-            if cfg.get("name") not in _BACKGROUNDS:
-                raise InconsistentInputError("%s generator %r does not exist" % (label, cfg.get("name")))
-        if self.forcing.get("name") not in _FORCINGS:
-            raise InconsistentInputError("forcing generator %r does not exist" % (self.forcing.get("name"),))
+        _check_generator(self.background_g, "background_g", _BACKGROUNDS)
+        _check_generator(self.background_gh, "background_gh", _BACKGROUNDS)
+        _check_generator(self.forcing, "forcing", _FORCINGS)
         exponent = self.entropy_exponent
         if exponent is not None and exponent <= n:
             raise InconsistentInputError("entropy exponent must exceed the complex dimension")
@@ -260,8 +319,8 @@ class ExperimentDescriptor:
         return _operator_from_config(self.operator)
 
     def make_backgrounds(self, grid):
-        g = _BACKGROUNDS[self.background_g["name"]](grid, self.background_g.get("params", {}))
-        g_h = _BACKGROUNDS[self.background_gh["name"]](grid, self.background_gh.get("params", {}))
+        g = _BACKGROUNDS[self.background_g["name"]][0](grid, self.background_g.get("params", {}))
+        g_h = _BACKGROUNDS[self.background_gh["name"]][0](grid, self.background_gh.get("params", {}))
         return g, g_h
 
     def make_forcing(self, grid, params=None):
@@ -269,7 +328,7 @@ class ExperimentDescriptor:
         merged = dict(self.forcing.get("params", {}))
         if params:
             merged.update(params)
-        return _FORCINGS[self.forcing["name"]](grid, merged, rng)
+        return _FORCINGS[self.forcing["name"]][0](grid, merged, rng)
 
     def entropy_exponent_or_default(self, n):
         return n + 1 if self.entropy_exponent is None else self.entropy_exponent

@@ -10,6 +10,12 @@ pointwise identities the comparison argument rests on:
       g-orthonormal frame) at least det of the linearization, which is at
       least gamma / f**n.
 
+For n = 2, endomorphism_eigs and linearization take a closed form: the
+Cholesky factor of g, its inverse and the reduced matrix entry by entry,
+the eigenvalues as mean -/+ rad, and the linearization without
+eigenvectors.  The general path (Cholesky reduction, eigvalsh/eigh) serves
+n >= 3 and is the reference the closed form is tested against.
+
 All functions broadcast over leading batch axes; matrices live on the last
 two axes.  Matrix-valued tensors with upper indices (the linearization, its
 trace reversal) pair with lower-index metrics by a plain matrix trace, and
@@ -44,7 +50,11 @@ def hermitian_part(a):
 def is_hermitian(a, tol=1e-12):
     a = np.asarray(a)
     scale = 1.0 + np.max(np.abs(a))
-    return bool(np.max(np.abs(a - np.conj(np.swapaxes(a, -1, -2)))) <= tol * scale)
+    # |a_ij - conj(a_ji)| is symmetric in (i, j): read each pair once
+    n = a.shape[-1]
+    defect = np.max([np.max(np.abs(a[..., i, j] - np.conj(a[..., j, i])))
+                     for i in range(n) for j in range(i, n)])
+    return bool(defect <= tol * scale)
 
 
 def _as_matrix(a, name):
@@ -67,24 +77,83 @@ def cholesky_pd(g, name="metric"):
         raise MetricDegeneracyError(f"{name} is not positive definite") from exc
 
 
-def _reduce_pencil(g, gt):
-    """Cholesky reduction of the pair (g, gt) to a standard Hermitian matrix.
-
-    Returns (L, M) with g = L L^H and M = L^-1 gt L^-H.
-    """
+def _twisted_matrix(gt):
     gt = _as_matrix(gt, "twisted metric")
     if not is_hermitian(gt, tol=1e-10):
         raise ValueError("twisted metric must be Hermitian")
+    return gt
+
+
+def _reduce_pencil(g, gt):
+    """Cholesky reduction of the pair (g, gt) to a standard Hermitian matrix.
+
+    Returns (L, M) with g = L L^H and M = L^-1 gt L^-H.  The general-n
+    reference path; _reduce_pencil_2x2 is its closed form for n = 2.
+    """
+    gt = _twisted_matrix(gt)
     L = cholesky_pd(g)
     tmp = np.linalg.solve(L, gt)
     M = np.conj(np.swapaxes(np.linalg.solve(L, np.conj(np.swapaxes(tmp, -1, -2))), -1, -2))
     return L, hermitian_part(M)
 
 
+def _reduce_pencil_2x2(g, gt):
+    """_reduce_pencil for n = 2, entry by entry, with the same checks.
+
+    Returns ((a, c, d), (m00, m01, m11)): L^-1 = [[a, 0], [c, d]] for the
+    Cholesky factor L = [[sqrt(g00), 0], [g10 / sqrt(g00), sqrt(schur)]],
+    schur = g11 - |g10|^2 / g00, and the upper triangle of M = L^-1 gt L^-H
+    (a, d and the diagonal of M real).
+    """
+    gt = _twisted_matrix(gt)
+    g = _as_matrix(g, "metric")
+    if gt.shape[-1] != 2:
+        raise ValueError("metric and twisted metric must have the same size")
+    if not is_hermitian(g, tol=1e-12):
+        raise MetricDegeneracyError("metric is not Hermitian")
+    g00 = g[..., 0, 0].real
+    g10 = g[..., 1, 0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        schur = g[..., 1, 1].real - (g10.real**2 + g10.imag**2) / g00
+    if not (np.all(g00 > 0.0) and np.all(schur > 0.0)):
+        raise MetricDegeneracyError("metric is not positive definite")
+    a = 1.0 / np.sqrt(g00)
+    d = 1.0 / np.sqrt(schur)
+    c = -g10 * (a * a * d)
+    # Hermitian part of gt, as the reference takes of M
+    h00 = gt[..., 0, 0].real
+    h11 = gt[..., 1, 1].real
+    h01 = 0.5 * (gt[..., 0, 1] + np.conj(gt[..., 1, 0]))
+    ch01 = c * h01
+    m00 = a * a * h00
+    m01 = a * (h00 * np.conj(c) + d * h01)
+    m11 = (c.real**2 + c.imag**2) * h00 + 2.0 * d * ch01.real + d * d * h11
+    return (a, c, d), (m00, m01, m11)
+
+
+def _is_2x2(g):
+    return np.shape(g)[-2:] == (2, 2)
+
+
+def _eigs_2x2(m00, m01, m11):
+    """Ascending eigenvalues mean -/+ rad of a Hermitian 2x2 matrix, and rad."""
+    mean = 0.5 * (m00 + m11)
+    rad = np.hypot(0.5 * (m00 - m11), np.abs(m01))
+    return np.stack([mean - rad, mean + rad], axis=-1), rad
+
+
 def endomorphism_eigs(g, gt):
-    """Eigenvalues of g^-1 gt, ascending; real because the pair is Hermitian."""
-    _, M = _reduce_pencil(g, gt)
-    return np.linalg.eigvalsh(M)
+    """Eigenvalues of g^-1 gt, ascending; real because the pair is Hermitian.
+
+    Closed form for n = 2, Cholesky reduction and eigvalsh otherwise.
+    """
+    if _is_2x2(g):
+        return _eigs_2x2(*_reduce_pencil_2x2(g, gt)[1])[0]
+    return _endomorphism_eigs_general(g, gt)
+
+
+def _endomorphism_eigs_general(g, gt):
+    return np.linalg.eigvalsh(_reduce_pencil(g, gt)[1])
 
 
 def g_orthonormal_eigenframe(g, gt):
@@ -101,7 +170,32 @@ def linearization(spec, g, gt):
     In a g-orthonormal eigenframe the matrix is diag(df/dlam_j / f); pushed
     back to the ambient frame it satisfies tr(G @ gt) = 1 (degree-1
     homogeneity) and is Hermitian positive definite.
+
+    For n = 2 no eigenvectors are formed: with d = grad f / f at the
+    eigenvalues mean -/+ rad of M = L^-1 gt L^-H, U diag(d) U^H equals
+    s I + (dd / (2 rad)) (M - mean I) with s = (d0 + d1) / 2, dd = d1 - d0,
+    and s I at rad = 0; dd / rad stays bounded as the eigenvalues merge.
+    It is pushed back as G = L^-H P L^-1.
     """
+    if not _is_2x2(g):
+        return _linearization_general(spec, g, gt)
+    (a, c, d), (m00, m01, m11) = _reduce_pencil_2x2(g, gt)
+    lam, rad = _eigs_2x2(m00, m01, m11)
+    dlog = symfun.gradient(spec, lam) / symfun.evaluate(spec, lam)[..., None]
+    s = 0.5 * (dlog[..., 0] + dlog[..., 1])
+    k = np.divide(0.5 * (dlog[..., 1] - dlog[..., 0]), rad,
+                  out=np.zeros_like(rad), where=rad > 0.0)
+    kd = k * (0.5 * (m00 - m11))
+    p00, p01, p11 = s + kd, k * m01, s - kd
+    G = np.empty(np.shape(p00) + (2, 2), dtype=complex)
+    G[..., 0, 0] = a * a * p00 + 2.0 * a * (p01 * c).real + (c.real**2 + c.imag**2) * p11
+    G[..., 0, 1] = d * (a * p01 + np.conj(c) * p11)
+    G[..., 1, 0] = np.conj(G[..., 0, 1])
+    G[..., 1, 1] = d * d * p11
+    return G
+
+
+def _linearization_general(spec, g, gt):
     lam, V = g_orthonormal_eigenframe(g, gt)
     f = symfun.evaluate(spec, lam)
     grads = symfun.gradient(spec, lam)
@@ -109,12 +203,12 @@ def linearization(spec, g, gt):
     return hermitian_part(np.einsum("...ik,...k,...jk->...ij", V, d, np.conj(V)))
 
 
-def trace_reversal(G, g):
+def trace_reversal(G, g, g_inv=None):
     """Trace reversal (tr(G g) g^-1 - G) / (n - 1) of an upper-index tensor.
 
     These are the elliptic coefficients through which the twisted metric
     couples to the complex Hessian: tr(T @ hess) equals the linearized
-    operator applied to the potential.
+    operator applied to the potential.  g_inv, when given, is g^-1.
     """
     G = _as_matrix(G, "linearization")
     n = G.shape[-1]
@@ -122,7 +216,8 @@ def trace_reversal(G, g):
         raise UnsupportedDimensionError("trace reversal needs dimension >= 2")
     g = _as_matrix(g, "metric")
     t = np.einsum("...ij,...ji->...", G, g).real
-    g_inv = np.linalg.inv(g)
+    if g_inv is None:
+        g_inv = np.linalg.inv(g)
     return (t[..., None, None] * g_inv - G) / (n - 1)
 
 
@@ -179,7 +274,7 @@ def verify_trace_reversal_identities(spec, g, g_h, gt, phi_h):
             f"twisted metric inconsistent with its parts (defect {defect:.3e})"
         )
 
-    lam, _ = g_orthonormal_eigenframe(g, gt)
+    lam = endomorphism_eigs(g, gt)
     f = symfun.evaluate(spec, lam)
     G = linearization(spec, g, gt)
     T = trace_reversal(G, g)

@@ -110,7 +110,7 @@ def _evaluate_iterate(problem, phi):
 
 def _coefficient_field(problem, gt):
     G = hermlin.linearization(problem.spec, problem.g, gt)
-    return hermlin.trace_reversal(G, problem.g)
+    return hermlin.trace_reversal(G, problem.g, g_inv=problem.g_inv)
 
 
 def apply_trace_reversed_hessian(coeff, dphi, grid):

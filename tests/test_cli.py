@@ -106,9 +106,32 @@ def test_usage_errors_exit_two(tmp_path, capsys):
                           background_gh={"name": "banded", "params": {"amplitude": 0.9}})
     assert main(["solve", "--config", banded, "--out", str(tmp_path / "o")]) == EXIT_USAGE
     assert "descriptor error" in capsys.readouterr().err
-    # a missing operator key, or a key no field reads, is a descriptor error
+    # a missing or malformed operator key, or a key no field reads, is a
+    # descriptor error
+    ma = {"family": "monge-ampere", "dim": 2}
     for fields in ({"operator": {"family": "hessian", "dim": 2}},
                    {"operator": {"family": "combination", "dim": 2}},
+                   {"operator": {"family": "combination", "dim": 2, "members": [1],
+                                 "weights": [1.0]}},
+                   {"operator": {"family": "combination", "dim": 2, "members": ma,
+                                 "weights": [1.0]}},
+                   {"operator": {"family": "combination", "dim": 2, "members": [ma],
+                                 "weights": 1.0}},
+                   {"operator": {"family": "combination", "dim": 2, "members": [ma],
+                                 "weights": ["x"]}},
+                   {"operator": {"family": "combination", "dim": 3, "members": [ma],
+                                 "weights": [1.0]}},
+                   {"operator": {"family": "hessian", "dim": 2, "k": "x"}},
+                   {"operator": {"family": "hessian", "dim": 2, "k": 1.5}},
+                   {"operator": {"family": "p-monge-ampere", "dim": 2, "p": None}},
+                   {"operator": {"family": "monge-ampere", "dim": "x"}},
+                   {"operator": {"family": "monge-ampere", "dim": 2, "k": 3}},
+                   {"operator": [ma]},
+                   {"forcing": {"name": "gaussian", "params": {"amplitude": 0.4, "sigm": 0.05}}},
+                   {"forcing": {"name": "constant", "parms": {"value": 0.1}}},
+                   {"forcing": {"name": "constant", "params": [0.1]}},
+                   {"background_g": {"name": "identity", "params": {"amplitude": 0.1}}},
+                   {"background_gh": {"name": ["banded"], "params": {}}},
                    {"grid": {"n": 2, "N": 16, "L": 1.0, "M": 3}},
                    {"tolerances": {"solvr": 1e-3}}):
         config = write_config(tmp_path / "keys.json", **fields)

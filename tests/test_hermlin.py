@@ -2,9 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nformpde.errors import InconsistentInputError, MetricDegeneracyError
 from nformpde.hermlin import (
+    _endomorphism_eigs_general,
+    _linearization_general,
     CHAIN_SLACK_TOL,
     DET_SLACK_TOL,
     endomorphism_eigs,
@@ -135,3 +139,121 @@ def test_hermitian_part_projects():
     h = hermitian_part(a)
     assert np.allclose(h, h.conj().T)
     assert np.allclose(h, [[1.0, 1.0], [1.0, 3.0]])
+
+
+# ---------------------------------------------------------------------------
+# the n = 2 closed form against the general (Cholesky + eigh) path
+
+SPECS_2 = [monge_ampere(2), hessian(2, 1), hessian(2, 2), p_monge_ampere(2, 1),
+           p_monge_ampere(2, 2)]
+
+
+def _unitary(rng, m):
+    q, _ = np.linalg.qr(rng.normal(size=(m, 2, 2)) + 1j * rng.normal(size=(m, 2, 2)))
+    return q
+
+
+def _adjoint(a):
+    return np.conj(np.swapaxes(a, -1, -2))
+
+
+def _metric(rng, m, diagonal):
+    """HPD metrics with eigenvalues in [0.2, 5], diagonal or in a random frame."""
+    w = np.exp(rng.uniform(np.log(0.2), np.log(5.0), size=(m, 2)))
+    if diagonal:
+        return w[:, :, None] * np.eye(2)
+    U = _unitary(rng, m)
+    return hermitian_part((U * w[:, None, :]) @ _adjoint(U))
+
+
+def _pencils(kind, rng, m, diagonal):
+    """(g, gt) batches whose eigenvalues of g^-1 gt are positive and:
+    generic in [0.1, 10]; repeated (gt = c g); nearly repeated (relative gap
+    1e-13 to 1e-9); or near the cone boundary (smallest about 1e-8)."""
+    g = _metric(rng, m, diagonal)
+    if kind == "repeated":
+        return g, np.exp(rng.uniform(np.log(0.1), np.log(10.0), size=(m, 1, 1))) * g
+    low = np.exp(rng.uniform(np.log(0.1), np.log(10.0), size=m))
+    if kind == "generic":
+        lam = np.sort(np.stack([low, np.exp(rng.uniform(np.log(0.1), np.log(10.0), size=m))],
+                               axis=-1), axis=-1)
+    elif kind == "near":
+        lam = np.stack([low, low * (1.0 + 10.0 ** rng.uniform(-13, -9, size=m))], axis=-1)
+    else:
+        lam = np.stack([1e-8 * np.exp(rng.uniform(-1.0, 1.0, size=m)),
+                        np.exp(rng.uniform(np.log(0.5), np.log(5.0), size=m))], axis=-1)
+    L = np.linalg.cholesky(g)
+    U = _unitary(rng, m)
+    return g, hermitian_part(L @ (U * lam[:, None, :]) @ _adjoint(U) @ _adjoint(L))
+
+
+def _relative_defect(a, b):
+    """Per-sample max |a - b| over the max |b| of that sample."""
+    m = len(b)
+    return np.abs(a - b).reshape(m, -1).max(axis=-1) / np.abs(b).reshape(m, -1).max(axis=-1)
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), diagonal=st.booleans(),
+       kind=st.sampled_from(["generic", "repeated", "near", "boundary"]),
+       spec=st.sampled_from(SPECS_2))
+def test_closed_form_matches_general_path(seed, diagonal, kind, spec):
+    rng = np.random.default_rng(seed)
+    g, gt = _pencils(kind, rng, 32, diagonal)
+    lam = _endomorphism_eigs_general(g, gt)
+    assert np.all(np.abs(endomorphism_eigs(g, gt) - lam) <= 1e-13 * lam[:, 1:])
+    # both paths round the smallest eigenvalue to about eps * largest, so
+    # d log f / d lam, and with it G, agree to about eps * lam1 / lam0
+    tol = 1e-13 * lam[:, 1] / lam[:, 0]
+    G = linearization(spec, g, gt)
+    G_ref = _linearization_general(spec, g, gt)
+    assert np.array_equal(G, _adjoint(G))
+    assert np.all(_relative_defect(G, G_ref) <= tol)
+    T = trace_reversal(G, g, g_inv=np.linalg.inv(g))
+    assert np.all(_relative_defect(T, trace_reversal(G_ref, g)) <= tol)
+
+
+def test_closed_form_exact_repeated_eigenvalue_is_the_limit():
+    # rad = 0 exactly: U diag(d) U^H = s I, with no division by zero
+    g = np.eye(2, dtype=complex)
+    with np.errstate(all="raise"):
+        assert endomorphism_eigs(g, 2.0 * g).tolist() == [2.0, 2.0]
+        G = linearization(monge_ampere(2), g, 2.0 * g)
+    assert np.array_equal(G, 0.25 * g)
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), diagonal=st.booleans(),
+       defect=st.sampled_from(["indefinite", "singular", "non-hermitian"]))
+def test_closed_form_raises_as_general_path_on_bad_metric(seed, diagonal, defect):
+    rng = np.random.default_rng(seed)
+    g, gt = _pencils("generic", rng, 8, diagonal)
+    bad = int(rng.integers(8))
+    if defect == "non-hermitian":
+        g[bad, 0, 1] += 0.5
+    elif defect == "indefinite":
+        U = np.eye(2) if diagonal else _unitary(rng, 1)[0]
+        g[bad] = (U * [-0.1, 1.0]) @ _adjoint(U)
+    else:
+        # exactly singular, so neither factorization is decided by roundoff
+        g[bad] = np.diag([1.0, 0.0]) if diagonal else [[4.0, 2j], [-2j, 1.0]]
+    spec = monge_ampere(2)
+    for call in (lambda: endomorphism_eigs(g, gt), lambda: _endomorphism_eigs_general(g, gt),
+                 lambda: linearization(spec, g, gt),
+                 lambda: _linearization_general(spec, g, gt)):
+        with pytest.raises(MetricDegeneracyError):
+            call()
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), diagonal=st.booleans())
+def test_closed_form_raises_as_general_path_on_non_hermitian_twisted_metric(seed, diagonal):
+    rng = np.random.default_rng(seed)
+    g, gt = _pencils("generic", rng, 8, diagonal)
+    gt[int(rng.integers(8)), 0, 1] += 1e-3
+    spec = monge_ampere(2)
+    for call in (lambda: endomorphism_eigs(g, gt), lambda: _endomorphism_eigs_general(g, gt),
+                 lambda: linearization(spec, g, gt),
+                 lambda: _linearization_general(spec, g, gt)):
+        with pytest.raises(ValueError, match="twisted metric must be Hermitian"):
+            call()
