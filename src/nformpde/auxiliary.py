@@ -193,18 +193,23 @@ def smooth_hinge(x, k):
     return out
 
 
+def _hinge_density(w, F, k, chart):
+    """smooth_hinge(-w, k) * exp(n F) * det(g) on the chart ball, and its mass."""
+    grid = chart.grid
+    mask = chart.mask
+    w = np.asarray(w, dtype=float)
+    F = np.asarray(F, dtype=float)
+    density = smooth_hinge(-w[mask], k) * np.exp(grid.n * F[mask]) * chart.vol_density[mask]
+    return density, float(np.sum(density) * grid.cell_volume)
+
+
 def hinge_mass(w, F, k, chart):
     """Discrete mass of the smoothed negative part of w over the chart ball.
 
     Integrates smooth_hinge(-w, k) * exp(n F) against the metric volume
     element; strictly positive since the hinge is bounded below by 1/(2k).
     """
-    grid = chart.grid
-    mask = chart.mask
-    w = np.asarray(w, dtype=float)
-    F = np.asarray(F, dtype=float)
-    density = smooth_hinge(-w[mask], k) * np.exp(grid.n * F[mask]) * chart.vol_density[mask]
-    return float(np.sum(density) * grid.cell_volume)
+    return _hinge_density(w, F, k, chart)[1]
 
 
 @dataclass
@@ -533,14 +538,9 @@ def run_localization(solution, problem, s_fractions=(0.25, 0.5, 0.75),
         for k in k_list:
             try:
                 w, sublevel = tilted_potential(solution.phi, chart, s)
-                mass = hinge_mass(w, problem.F, k, chart)
+                density, mass = _hinge_density(w, problem.F, k, chart)
                 rhs = np.zeros(grid.shape)
-                rhs[chart.mask] = (
-                    smooth_hinge(-w[chart.mask], k)
-                    * np.exp(n * problem.F[chart.mask])
-                    * chart.vol_density[chart.mask]
-                    / mass
-                )
+                rhs[chart.mask] = density / mass
                 aux = solve_dirichlet_ma(chart, rhs)
                 eps = comparison_scale(mass, problem.spec.gamma, n)
                 reports.append(check_comparison(

@@ -15,12 +15,11 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
-from jsonschema import ValidationError
 from scipy.optimize import brentq
 
 from . import schemas
 from .auxiliary import run_localization
-from .descriptors import ExperimentDescriptor
+from .descriptors import ExperimentDescriptor, parse_json
 from .errors import InconsistentInputError, NFormError, NonConvergenceError
 from .grid import entropy_norm
 from .hermlin import random_admissible_parts, verify_trace_reversal_identities
@@ -129,7 +128,8 @@ def _solve_artifacts(problem, out_dir, descriptor):
     """
     try:
         solution = solve_primary(problem)
-        bound = l1_bound_check(solution.phi, problem.g, problem.g_h, problem.grid)
+        bound = l1_bound_check(solution.phi, problem.g, problem.g_h, problem.grid,
+                               g_inv=problem.g_inv)
     except NFormError as exc:
         _write_json(os.path.join(out_dir, "solve_error.json"), {
             "error": str(exc),
@@ -229,7 +229,8 @@ def _sweep_member(descriptor, parameter, p, target, tolerance=None):
     problem = _build_problem(descriptor, {"sigma": parameter}, tolerance)
     problem.F = _entropy_shift(problem.F, problem.g, problem.grid, p, target)
     solution = solve_primary(problem)
-    bound = l1_bound_check(solution.phi, problem.g, problem.g_h, problem.grid)
+    bound = l1_bound_check(solution.phi, problem.g, problem.g_h, problem.grid,
+                           g_inv=problem.g_inv)
     return {
         "parameter": float(parameter),
         "entropy": float(entropy_norm(problem.F, problem.g, problem.grid, p)),
@@ -242,9 +243,12 @@ def _sweep_member(descriptor, parameter, p, target, tolerance=None):
 
 
 def cmd_sweep(descriptor, out_dir, tolerance=None, workers=1):
+    concentrations = descriptor.concentrations or [0.18, 0.16, 0.14, 0.12, 0.1]
+    # every member's forcing must read the swept sigma and accept its value
+    for value in concentrations:
+        descriptor.forcing_params({"sigma": value})
     grid = descriptor.make_grid()
     p = descriptor.entropy_exponent_or_default(grid.n)
-    concentrations = descriptor.concentrations or [0.18, 0.16, 0.14, 0.12, 0.1]
     if descriptor.entropy_target is not None:
         target = float(descriptor.entropy_target)
     else:
@@ -331,18 +335,19 @@ def cmd_report(out_dir):
 # argument handling
 
 def _load_descriptor(args):
-    if args.config is None:
-        descriptor = ExperimentDescriptor()
-    else:
+    """The descriptor with --seed and --grid applied, validated once."""
+    data = {}
+    if args.config is not None:
         with open(args.config) as handle:
-            descriptor = ExperimentDescriptor.from_json(handle.read())
-    if getattr(args, "seed", None) is not None:
-        descriptor.seed = args.seed
-    if getattr(args, "grid", None) is not None:
-        descriptor.grid = dict(descriptor.grid, N=args.grid)
-    descriptor.validate()
-    schemas.validate(descriptor.to_dict(), schemas.DESCRIPTOR_SCHEMA)
-    return descriptor
+            data = parse_json(handle.read())
+    # an override lands only in an object; any other value fails validation
+    if isinstance(data, dict):
+        if args.seed is not None:
+            data["seed"] = args.seed
+        grid = data.setdefault("grid", ExperimentDescriptor().grid)
+        if args.grid is not None and isinstance(grid, dict):
+            grid["N"] = args.grid
+    return ExperimentDescriptor.from_dict(data)
 
 
 def _tolerance(text):
@@ -390,7 +395,7 @@ def main(argv=None):
         return cmd_report(args.out)
     try:
         descriptor = _load_descriptor(args)
-    except (InconsistentInputError, OSError, ValueError, ValidationError) as exc:
+    except (InconsistentInputError, OSError, ValueError) as exc:
         print("descriptor error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
     os.makedirs(args.out, exist_ok=True)
@@ -403,8 +408,9 @@ def main(argv=None):
             return cmd_localize(descriptor, args.out, tolerance=args.tol)
         return cmd_sweep(descriptor, args.out, tolerance=args.tol, workers=args.workers)
     except InconsistentInputError as exc:
-        # generator parameters are range-checked when the inputs are realized;
-        # every solve-time error is mapped inside the commands
+        # what depends on the realized grid (a gaussian center's length) and the
+        # sweep's sigma overrides are checked here; every solve-time error is
+        # mapped inside the commands
         print("descriptor error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
 

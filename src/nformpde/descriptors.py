@@ -10,87 +10,84 @@ import json
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
+from jsonschema import ValidationError
 
+from . import schemas
 from .errors import InconsistentInputError
 from .grid import TorusGrid, identity_metric
 from .symfun import combine, hessian, monge_ampere, p_monge_ampere
 
 
-def _object(value, what):
-    if not isinstance(value, dict):
-        raise InconsistentInputError("%s must be an object, got %r" % (what, value))
-    return value
+def _check(instance, rule, what):
+    """Raise InconsistentInputError, naming the field path under `what`, when
+    instance breaks the JSON-schema rule."""
+    try:
+        schemas.validate(instance, rule)
+    except ValidationError as exc:
+        raise InconsistentInputError("%s: %s" % (what + exc.json_path[1:], exc.message)) from None
 
 
-def _check_keys(config, accepted, what):
-    unread = sorted(set(config) - set(accepted))
-    if unread:
-        raise InconsistentInputError("%s does not read %s" % (what, unread))
+def _entry(config, table, key, what):
+    """The table entry that config[key] names, once config satisfies its rule."""
+    _check(config, {"type": "object", "required": [key], "properties": {key: {"enum": list(table)}}},
+           what)
+    entry = table[config[key]]
+    _check(config, entry[1], what)
+    return entry
 
 
-def _required(config, key):
-    if key not in config:
-        raise InconsistentInputError("operator %r is missing %r" % (config.get("family"), key))
-    return config[key]
+def _keys(required=(), **properties):
+    """Rule for an object that takes only these keys, the required ones always."""
+    return {"type": "object", "additionalProperties": False, "properties": properties,
+            "required": list(required)}
 
 
-def _integer(config, key, default=None):
-    value = _required(config, key) if default is None else config.get(key, default)
-    if isinstance(value, bool) or not (
-            isinstance(value, int) or (isinstance(value, float) and value.is_integer())):
-        raise InconsistentInputError(
-            "operator %r needs an integer %r, got %r" % (config.get("family"), key, value))
-    return int(value)
+_NUMBER = {"type": "number"}
+_POSITIVE_INTEGER = {"type": "integer", "minimum": 1}
 
 
-def _list(config, key):
-    value = _required(config, key)
-    if not isinstance(value, list):
-        raise InconsistentInputError(
-            "operator %r needs a list %r, got %r" % (config.get("family"), key, value))
-    return value
+def _operator(build, required=(), **keys):
+    return build, _keys(("family",) + required, family={}, dim={"type": "integer"}, **keys)
 
 
-def _weight(value):
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise InconsistentInputError("combination weight must be a number, got %r" % (value,))
-    return float(value)
-
-
-# the keys besides "family" that each operator family reads
-_OPERATOR_KEYS = {
-    "monge-ampere": ("dim",),
-    "hessian": ("dim", "k"),
-    "p-monge-ampere": ("dim", "p"),
-    "combination": ("dim", "members", "weights"),
-}
-
-
-def _operator_from_config(config):
-    family = _object(config, "operator").get("family")
-    if not isinstance(family, str) or family not in _OPERATOR_KEYS:
-        raise InconsistentInputError("unknown operator family %r" % (family,))
-    _check_keys(config, ("family",) + _OPERATOR_KEYS[family], "operator %r" % family)
-    n = _integer(config, "dim", 2)
-    if family == "monge-ampere":
-        return monge_ampere(n)
-    if family == "hessian":
-        return hessian(n, _integer(config, "k"))
-    if family == "p-monge-ampere":
-        return p_monge_ampere(n, _integer(config, "p"))
-    members = [_operator_from_config(m) for m in _list(config, "members")]
-    spec = combine(members, [_weight(w) for w in _list(config, "weights")])
+def _combination(config, n):
+    spec = combine([_operator_from_config(m) for m in config["members"]], config["weights"])
     if "dim" in config and spec.dim != n:
         raise InconsistentInputError("combination dim %d does not match its members" % n)
     return spec
 
 
-def _operator_to_config(spec):
+# family -> (builder from a checked config and its dim, rule of the config)
+_OPERATORS = {
+    "monge-ampere": _operator(lambda config, n: monge_ampere(n)),
+    "hessian": _operator(lambda config, n: hessian(n, int(config["k"])), ("k",),
+                         k={"type": "integer"}),
+    "p-monge-ampere": _operator(lambda config, n: p_monge_ampere(n, int(config["p"])), ("p",),
+                                p={"type": "integer"}),
+    "combination": _operator(_combination, ("members", "weights"),
+                             members={"type": "array"},
+                             weights={"type": "array", "items": _NUMBER}),
+}
+
+
+def _check_operator(config, what="operator"):
+    _entry(config, _OPERATORS, "family", what)
+    for i, member in enumerate(config.get("members", [])):
+        _check_operator(member, "%s.members[%d]" % (what, i))
+
+
+def _operator_from_config(config):
+    """The operator spec of a config that _check_operator accepted."""
+    return _OPERATORS[config["family"]][0](config, int(config.get("dim", 2)))
+
+
+def operator_config(spec):
+    """Serializable configuration for an operator spec."""
     if spec.family == "combination":
         return {
             "family": spec.family,
             "dim": spec.dim,
-            "members": [_operator_to_config(m) for m in spec.members],
+            "members": [operator_config(m) for m in spec.members],
             "weights": list(spec.weights),
         }
     config = {"family": spec.family, "dim": spec.dim}
@@ -99,6 +96,10 @@ def _operator_to_config(spec):
     if spec.family == "p-monge-ampere":
         config["p"] = spec.p
     return config
+
+
+def _generator(generate, **params):
+    return generate, _keys(("name",), name={}, params=_keys(**params))
 
 
 # ---------------------------------------------------------------------------
@@ -110,9 +111,7 @@ def _background_identity(grid, params):
 
 def _background_conformal(grid, params):
     """(1 + amp * cos(2 pi x / L) * cos(2 pi y / L)) * I on the first chart pair."""
-    amp = float(params.get("amplitude", 0.1))
-    if not 0.0 <= amp <= 0.45:
-        raise InconsistentInputError("conformal amplitude must lie in [0, 0.45]")
+    amp = params.get("amplitude", 0.1)
     k = 2.0 * np.pi / grid.L
     x = grid.axis_coordinates(0)
     y = grid.axis_coordinates(1)
@@ -123,9 +122,7 @@ def _background_conformal(grid, params):
 
 def _background_banded(grid, params):
     """Identity plus a smooth off-diagonal Hermitian band."""
-    amp = float(params.get("amplitude", 0.1))
-    if not 0.0 <= amp <= 0.45:
-        raise InconsistentInputError("banded amplitude must lie in [0, 0.45]")
+    amp = params.get("amplitude", 0.1)
     if grid.n < 2:
         raise InconsistentInputError("banded background needs at least two complex directions")
     k = 2.0 * np.pi / grid.L
@@ -138,11 +135,13 @@ def _background_banded(grid, params):
     return g
 
 
-# name -> (generator, the params keys it reads)
+_AMPLITUDE = {"type": "number", "minimum": 0, "maximum": 0.45}
+
+# name -> (generator, rule of the generator object and its params)
 _BACKGROUNDS = {
-    "identity": (_background_identity, ()),
-    "conformal": (_background_conformal, ("amplitude",)),
-    "banded": (_background_banded, ("amplitude",)),
+    "identity": _generator(_background_identity),
+    "conformal": _generator(_background_conformal, amplitude=_AMPLITUDE),
+    "banded": _generator(_background_banded, amplitude=_AMPLITUDE),
 }
 
 
@@ -164,26 +163,22 @@ def _periodized_gaussian(grid, center, sigma):
 
 
 def _forcing_constant(grid, params, rng):
-    return float(params.get("value", 0.0)) * np.ones(grid.shape)
+    return params.get("value", 0.0) * np.ones(grid.shape)
 
 
 def _forcing_gaussian(grid, params, rng):
-    amp = float(params.get("amplitude", 1.0))
-    sigma = float(params.get("sigma", 0.15)) * grid.L
+    amp = params.get("amplitude", 1.0)
+    sigma = params.get("sigma", 0.15) * grid.L
     center = params.get("center", [0.5] * (2 * grid.n))
     if len(center) != 2 * grid.n:
         raise InconsistentInputError("gaussian center must have one entry per real axis")
-    if sigma <= 0:
-        raise InconsistentInputError("gaussian sigma must be positive")
-    return amp * _periodized_gaussian(grid, [float(c) for c in center], sigma)
+    return amp * _periodized_gaussian(grid, center, sigma)
 
 
 def _forcing_bumps(grid, params, rng):
-    amp = float(params.get("amplitude", 1.0))
-    sigma = float(params.get("sigma", 0.12)) * grid.L
+    amp = params.get("amplitude", 1.0)
+    sigma = params.get("sigma", 0.12) * grid.L
     count = int(params.get("count", 3))
-    if count < 1:
-        raise InconsistentInputError("bump count must be positive")
     field_sum = np.zeros(grid.shape)
     centers = rng.uniform(0.0, 1.0, size=(count, 2 * grid.n))
     signs = rng.choice([-1.0, 1.0], size=count)
@@ -193,10 +188,8 @@ def _forcing_bumps(grid, params, rng):
 
 
 def _forcing_bandlimited(grid, params, rng):
-    amp = float(params.get("amplitude", 0.5))
+    amp = params.get("amplitude", 0.5)
     max_mode = int(params.get("max_mode", 2))
-    if max_mode < 1:
-        raise InconsistentInputError("max_mode must be at least 1")
     m = 2 * grid.n
     mesh = [grid.axis_coordinates(a) for a in range(m)]
     out = np.zeros(grid.shape)
@@ -215,24 +208,29 @@ def _forcing_bandlimited(grid, params, rng):
     return out
 
 
-# name -> (generator, the params keys it reads)
+# one rule for the width of gaussian and bumps, the parameter a sweep varies
+_SIGMA = {"type": "number", "exclusiveMinimum": 0}
+
+# name -> (generator, rule of the generator object and its params)
 _FORCINGS = {
-    "constant": (_forcing_constant, ("value",)),
-    "gaussian": (_forcing_gaussian, ("amplitude", "sigma", "center")),
-    "bumps": (_forcing_bumps, ("amplitude", "sigma", "count")),
-    "bandlimited": (_forcing_bandlimited, ("amplitude", "max_mode")),
+    "constant": _generator(_forcing_constant, value=_NUMBER),
+    "gaussian": _generator(_forcing_gaussian, amplitude=_NUMBER, sigma=_SIGMA,
+                           center={"type": "array", "items": _NUMBER}),
+    "bumps": _generator(_forcing_bumps, amplitude=_NUMBER, sigma=_SIGMA, count=_POSITIVE_INTEGER),
+    "bandlimited": _generator(_forcing_bandlimited, amplitude=_NUMBER, max_mode=_POSITIVE_INTEGER),
 }
 
 
-def _check_generator(config, label, table):
-    """Reject an unknown generator name, or a key that neither the generator
-    object (name, params) nor the generator itself reads."""
-    _check_keys(_object(config, label), ("name", "params"), label)
-    name = config.get("name")
-    if not isinstance(name, str) or name not in table:
-        raise InconsistentInputError("%s generator %r does not exist" % (label, name))
-    params = _object(config.get("params", {}), "%s params" % label)
-    _check_keys(params, table[name][1], "%s generator %r" % (label, name))
+def _not_json(constant):
+    raise InconsistentInputError("descriptor is not valid JSON: %s is not a JSON number" % constant)
+
+
+def parse_json(text):
+    """Plain data of a descriptor's JSON text (NaN and Infinity are not JSON)."""
+    try:
+        return json.loads(text, parse_constant=_not_json)
+    except json.JSONDecodeError as exc:
+        raise InconsistentInputError("descriptor is not valid JSON: %s" % exc) from None
 
 
 @dataclass
@@ -261,52 +259,26 @@ class ExperimentDescriptor:
 
     @classmethod
     def from_dict(cls, data):
-        known = {f for f in cls.__dataclass_fields__}
-        extra = set(data) - known
-        if extra:
-            raise InconsistentInputError("unknown descriptor fields: %s" % sorted(extra))
-        descriptor = cls(**data)
-        descriptor.validate()
-        return descriptor
+        """A descriptor from plain data, checked once before any field is
+        realized: DESCRIPTOR_SCHEMA first, then validate()."""
+        _check(data, schemas.DESCRIPTOR_SCHEMA, "descriptor")
+        return cls(**data).validate()
 
     @classmethod
     def from_json(cls, text):
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise InconsistentInputError("descriptor is not valid JSON: %s" % exc)
-        if not isinstance(data, dict):
-            raise InconsistentInputError("descriptor must be a JSON object")
-        return cls.from_dict(data)
+        return cls.from_dict(parse_json(text))
 
     def validate(self):
-        grid_cfg = self.grid
-        n = int(grid_cfg.get("n", 2))
-        N = int(grid_cfg.get("N", 16))
-        L = float(grid_cfg.get("L", 1.0))
-        if n < 2:
-            raise InconsistentInputError("need at least two complex directions")
-        if N < 8:
-            raise InconsistentInputError("grid too coarse (N >= 8)")
-        if L <= 0:
-            raise InconsistentInputError("torus size must be positive")
-        spec = _operator_from_config(self.operator)
-        if spec.dim != n:
+        """The rules that span fields, and each operator and generator object
+        against its table; the fields already satisfy DESCRIPTOR_SCHEMA."""
+        n = self.grid.get("n", 2)
+        if self.make_operator().dim != n:
             raise InconsistentInputError("operator dimension does not match the grid")
-        _check_generator(self.background_g, "background_g", _BACKGROUNDS)
-        _check_generator(self.background_gh, "background_gh", _BACKGROUNDS)
-        _check_generator(self.forcing, "forcing", _FORCINGS)
-        exponent = self.entropy_exponent
-        if exponent is not None and exponent <= n:
+        _entry(self.background_g, _BACKGROUNDS, "name", "background_g")
+        _entry(self.background_gh, _BACKGROUNDS, "name", "background_gh")
+        _entry(self.forcing, _FORCINGS, "name", "forcing")
+        if self.entropy_exponent is not None and self.entropy_exponent <= n:
             raise InconsistentInputError("entropy exponent must exceed the complex dimension")
-        for fraction in self.s_fractions:
-            if not 0.0 < fraction < 1.0:
-                raise InconsistentInputError("tilt fractions must lie in (0, 1)")
-        for k in self.k_list:
-            if int(k) != k or k < 1:
-                raise InconsistentInputError("smoothing indices must be positive integers")
-        if self.samples < 1:
-            raise InconsistentInputError("sample count must be positive")
         return self
 
     # ---- realized objects ----
@@ -316,24 +288,26 @@ class ExperimentDescriptor:
                          L=float(self.grid.get("L", 1.0)))
 
     def make_operator(self):
+        _check_operator(self.operator)
         return _operator_from_config(self.operator)
 
     def make_backgrounds(self, grid):
-        g = _BACKGROUNDS[self.background_g["name"]][0](grid, self.background_g.get("params", {}))
-        g_h = _BACKGROUNDS[self.background_gh["name"]][0](grid, self.background_gh.get("params", {}))
-        return g, g_h
+        generate_g = _entry(self.background_g, _BACKGROUNDS, "name", "background_g")[0]
+        generate_gh = _entry(self.background_gh, _BACKGROUNDS, "name", "background_gh")[0]
+        return (generate_g(grid, self.background_g.get("params", {})),
+                generate_gh(grid, self.background_gh.get("params", {})))
+
+    def forcing_params(self, overrides=None):
+        """The forcing's params with `overrides` merged in, checked against
+        its generator's rule."""
+        params = {**self.forcing.get("params", {}), **(overrides or {})}
+        _entry(dict(self.forcing, params=params), _FORCINGS, "name", "forcing")
+        return params
 
     def make_forcing(self, grid, params=None):
-        rng = np.random.default_rng(self.seed)
-        merged = dict(self.forcing.get("params", {}))
-        if params:
-            merged.update(params)
-        return _FORCINGS[self.forcing["name"]][0](grid, merged, rng)
+        generate = _FORCINGS[self.forcing["name"]][0]
+        return generate(grid, self.forcing_params(params), np.random.default_rng(self.seed))
 
     def entropy_exponent_or_default(self, n):
         return n + 1 if self.entropy_exponent is None else self.entropy_exponent
 
-
-def operator_config(spec):
-    """Serializable configuration for an operator spec."""
-    return _operator_to_config(spec)

@@ -1,6 +1,7 @@
 """Published JSON schemas for descriptors and emitted reports."""
 
-import jsonschema
+from jsonschema.exceptions import best_match
+from jsonschema.validators import validator_for
 
 _NUMBER_OR_NULL = {"type": ["number", "null"]}
 _POSITIVE = {"type": "number", "exclusiveMinimum": 0}
@@ -22,7 +23,10 @@ DESCRIPTOR_SCHEMA = {
         "background_g": {"type": "object"},
         "background_gh": {"type": "object"},
         "forcing": {"type": "object"},
-        "s_fractions": {"type": "array", "items": {"type": "number"}},
+        "s_fractions": {
+            "type": "array",
+            "items": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
+        },
         "k_list": {"type": "array", "items": {"type": "integer", "minimum": 1}},
         "entropy_exponent": _NUMBER_OR_NULL,
         "concentrations": {"type": "array", "items": {"type": "number"}},
@@ -138,6 +142,14 @@ REPORT_SUMMARY_SCHEMA = {
 
 
 def validate(instance, schema):
-    """Raise jsonschema.ValidationError when instance violates schema."""
-    jsonschema.validate(instance=instance, schema=schema)
+    """Raise jsonschema.ValidationError when instance violates schema.
+
+    The error is the one jsonschema.validate would raise, but the schema
+    itself is not checked against its metaschema on every call: every
+    schema the toolkit validates with is a constant that the tests check
+    once.
+    """
+    error = best_match(validator_for(schema)(schema).iter_errors(instance))
+    if error is not None:
+        raise error
     return instance

@@ -294,14 +294,15 @@ class L1BoundReport:
         return self.laplacian_margin >= -1e-9 and self.rescaled_trace_min >= -1e-9
 
 
-def l1_bound_check(phi, g, g_h, grid):
+def l1_bound_check(phi, g, g_h, grid, g_inv=None):
     """Verify the trace-route premises on a solved potential.
 
     Both checks are trace conditions: membership of the rescaled twisted
     eigenvalues in the largest cone only constrains the metric trace.
     """
     phi = np.asarray(phi, dtype=float)
-    g_inv = np.linalg.inv(g)
+    if g_inv is None:
+        g_inv = np.linalg.inv(g)
     lap = gridmod.laplacian(phi, g, grid, g_inv=g_inv)
     c_prime = float(np.max(np.einsum("...ij,...ji->...", g_inv, g_h).real))
     laplacian_margin = float(np.min(lap) + c_prime)

@@ -101,7 +101,7 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     assert main(["solve", "--config", worse, "--out", str(tmp_path / "o")]) == EXIT_USAGE
     err = capsys.readouterr().err
     assert "descriptor error" in err
-    # generator parameters are range-checked when the fields are realized
+    # a generator parameter out of range is a descriptor error
     banded = write_config(tmp_path / "banded.json", grid={"n": 2, "N": 8, "L": 1.0},
                           background_gh={"name": "banded", "params": {"amplitude": 0.9}})
     assert main(["solve", "--config", banded, "--out", str(tmp_path / "o")]) == EXIT_USAGE
@@ -133,10 +133,38 @@ def test_usage_errors_exit_two(tmp_path, capsys):
                    {"background_g": {"name": "identity", "params": {"amplitude": 0.1}}},
                    {"background_gh": {"name": ["banded"], "params": {}}},
                    {"grid": {"n": 2, "N": 16, "L": 1.0, "M": 3}},
-                   {"tolerances": {"solvr": 1e-3}}):
+                   {"tolerances": {"solvr": 1e-3}},
+                   {"grid": {"n": 2, "N": [16], "L": 1.0}},
+                   {"samples": "x"},
+                   {"s_fractions": 0.5},
+                   {"s_fractions": ["a"]},
+                   {"entropy_exponent": "x"}):
         config = write_config(tmp_path / "keys.json", **fields)
         assert main(["solve", "--config", config, "--out", str(tmp_path / "o")]) == EXIT_USAGE
         assert "descriptor error" in capsys.readouterr().err
+    # a malformed generator parameter is rejected before any field is realized
+    coarse = {"n": 2, "N": 8, "L": 1.0}
+    for fields in ({"forcing": {"name": "gaussian", "params": {"amplitude": "x"}}},
+                   {"forcing": {"name": "gaussian", "params": {"center": [0.5, "a", 0.5, 0.5]}}},
+                   {"background_gh": {"name": "banded", "params": {"amplitude": None}}},
+                   # json.dump writes NaN, which is not JSON and passes no range
+                   {"background_gh": {"name": "banded", "params": {"amplitude": float("nan")}}},
+                   {"forcing": {"name": "bumps", "params": {"count": "two"}}},
+                   {"forcing": {"name": "bumps", "params": {"sigma": 0}}}):
+        config = write_config(tmp_path / "params.json", grid=coarse, **fields)
+        assert main(["solve", "--config", config, "--out", str(tmp_path / "o")]) == EXIT_USAGE
+        assert "descriptor error" in capsys.readouterr().err
+    # a sweep needs a forcing that reads sigma, and every swept value must be
+    # a valid sigma; no member runs otherwise
+    for name, concentrations in (("constant", [0.18, 0.1]), ("gaussian", [0.18, -0.1]),
+                                 ("bumps", [0.12, 0.0])):
+        out = tmp_path / ("sweep-" + name)
+        config = write_config(tmp_path / "sweep.json", grid=coarse,
+                              forcing={"name": name, "params": {}},
+                              concentrations=concentrations)
+        assert main(["sweep", "--config", config, "--out", str(out)]) == EXIT_USAGE
+        assert "descriptor error" in capsys.readouterr().err
+        assert not os.path.exists(out / "sweep.json")
     assert main(["report", "--out", str(tmp_path / "empty")]) == EXIT_USAGE
     for tol in ("0", "-1e-9", "nan", "inf", "abc"):
         with pytest.raises(SystemExit) as exc:

@@ -5,6 +5,9 @@ import json
 import numpy as np
 import pytest
 
+from jsonschema.validators import validator_for
+
+from nformpde import descriptors, schemas
 from nformpde.descriptors import ExperimentDescriptor, operator_config
 from nformpde.errors import InconsistentInputError
 from nformpde.grid import TorusGrid, integrate, volume_density
@@ -181,3 +184,13 @@ def test_entropy_exponent_default():
     assert desc.entropy_exponent_or_default(2) == 3
     desc2 = ExperimentDescriptor(entropy_exponent=4.5)
     assert desc2.entropy_exponent_or_default(2) == 4.5
+
+
+def test_every_schema_and_rule_is_a_valid_schema():
+    # schemas.validate does not check its schema on each call
+    published = [value for name, value in vars(schemas).items() if name.endswith("_SCHEMA")]
+    tables = (descriptors._OPERATORS, descriptors._BACKGROUNDS, descriptors._FORCINGS)
+    rules = [rule for table in tables for _, rule in table.values()]
+    assert len(published) == 7 and len(rules) == 11
+    for schema in published + rules:
+        validator_for(schema).check_schema(schema)
