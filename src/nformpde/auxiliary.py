@@ -14,7 +14,6 @@ import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.sparse import csr_matrix
 from scipy.sparse.linalg import LinearOperator, lgmres
 
@@ -587,6 +586,8 @@ def tight_comparison_fixture(spec, grid, k=10, tightness=0.9):
     """
     if not 0.0 < tightness < 1.0:
         raise ValueError("tightness must lie in (0, 1)")
+    from scipy.optimize import brentq
+
     from .grid import identity_metric
 
     n = grid.n

@@ -15,13 +15,12 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import schemas
 from .auxiliary import run_localization
 from .descriptors import ExperimentDescriptor, parse_json
 from .errors import InconsistentInputError, NFormError, NonConvergenceError
-from .grid import entropy_norm
+from .grid import entropy_integrand, entropy_norm, integrate, volume_density
 from .hermlin import random_admissible_parts, verify_trace_reversal_identities
 from .solver import PrimaryProblem, l1_bound_check, solve_primary
 from .symfun import evaluate, gradient, sample_cone
@@ -205,20 +204,32 @@ def cmd_localize(descriptor, out_dir, tolerance=None):
 # uniformity sweep
 
 def _entropy_shift(F, g, grid, p, target):
-    def defect(c):
-        return entropy_norm(F + c, g, grid, p) - target
+    """The c with entropy_norm(F + c) == target.
 
-    lo, hi = -10.0, 10.0
-    while defect(lo) > 0.0:
-        lo *= 2.0
-        if lo < -700.0:
-            raise NonConvergenceError("entropy target unreachable from below")
-    while defect(hi) < 0.0:
-        hi *= 2.0
-        if hi > 700.0:
+    Newton on the increasing d(c) = log(E(c) / target), E(c) = int e^(F+c)
+    L^p dV_g, whose slope E'/E lies in [1, 1 + p]; a step that leaves the
+    bracket of evaluated points bisects it, and the iteration stops at
+    |dc| <= 1e-12 + 1e-15 |c|.  A c beyond +-640, or where E' overflows,
+    is out of reach."""
+    density = volume_density(g)
+    limit = 640.0
+    lo, hi, c = -math.inf, math.inf, 0.0
+    for _ in range(100):
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            value, slope = entropy_integrand(F + c, p, slope=True)
+            mass, growth = integrate(value, density, grid), integrate(slope, density, grid)
+            d = np.log(mass) - math.log(target)
+            step = -d * mass / growth
+        if d < 0.0 and (c >= limit or growth == math.inf):
             raise NonConvergenceError("entropy target unreachable from above")
-    shift = brentq(defect, lo, hi, xtol=1e-12, rtol=1e-15)
-    return F + shift
+        if d > 0.0 and c <= -limit:
+            raise NonConvergenceError("entropy target unreachable from below")
+        if abs(step) <= 1e-12 + 1e-15 * abs(c) and growth < math.inf:
+            return c + step
+        lo, hi = (c, hi) if d < 0.0 else (lo, c)
+        c = c + step if lo < c + step < hi else 0.5 * (lo + hi)
+        c = min(max(c, -limit), limit)
+    raise NonConvergenceError("entropy shift did not converge")
 
 
 _SWEEP_COLUMNS = ("parameter", "entropy", "sup_norm", "b", "residual_sup",
@@ -227,7 +238,7 @@ _SWEEP_COLUMNS = ("parameter", "entropy", "sup_norm", "b", "residual_sup",
 
 def _sweep_member(descriptor, parameter, p, target, tolerance=None):
     problem = _build_problem(descriptor, {"sigma": parameter}, tolerance)
-    problem.F = _entropy_shift(problem.F, problem.g, problem.grid, p, target)
+    problem.F = problem.F + _entropy_shift(problem.F, problem.g, problem.grid, p, target)
     solution = solve_primary(problem)
     bound = l1_bound_check(solution.phi, problem.g, problem.g_h, problem.grid,
                            g_inv=problem.g_inv)

@@ -225,10 +225,21 @@ def _not_json(constant):
     raise InconsistentInputError("descriptor is not valid JSON: %s is not a JSON number" % constant)
 
 
-def parse_json(text):
-    """Plain data of a descriptor's JSON text (NaN and Infinity are not JSON)."""
+def _json_int(text):
+    """A JSON integer, rejected when no float can hold it."""
     try:
-        return json.loads(text, parse_constant=_not_json)
+        float(int(text))
+    except (OverflowError, ValueError):
+        raise InconsistentInputError("descriptor integer %s... is too large for a float"
+                                     % text[:12]) from None
+    return int(text)
+
+
+def parse_json(text):
+    """Plain data of a descriptor's JSON text (NaN and Infinity are not JSON,
+    and every number must fit a float)."""
+    try:
+        return json.loads(text, parse_constant=_not_json, parse_int=_json_int)
     except json.JSONDecodeError as exc:
         raise InconsistentInputError("descriptor is not valid JSON: %s" % exc) from None
 

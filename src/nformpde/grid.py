@@ -217,6 +217,17 @@ def integrate(field, density, grid):
     return float(np.sum(field * density) * grid.cell_volume)
 
 
+def entropy_integrand(F, p, slope=False):
+    """e^F L^p with L = log(e + e^F), the integrand of entropy_norm; with
+    slope, also its derivative in F, e^F L^(p-1) (L + p e^F / (e + e^F))."""
+    eF = np.exp(np.asarray(F, dtype=float))
+    L = np.log(math.e + eF)
+    value = eF * L ** p
+    if not slope:
+        return value
+    return value, value * (1.0 + p * eF / ((math.e + eF) * L))
+
+
 def entropy_norm(F, g, grid, p):
     """Orlicz-type entropy integral of e^F: int e^F (log(e + e^F))^p dV_g.
 
@@ -224,10 +235,7 @@ def entropy_norm(F, g, grid, p):
     """
     if not p > grid.n:
         raise ValueError(f"entropy exponent must exceed n={grid.n}")
-    F = np.asarray(F, dtype=float)
-    eF = np.exp(F)
-    integrand = eF * np.log(math.e + eF) ** p
-    return integrate(integrand, volume_density(g), grid)
+    return integrate(entropy_integrand(F, p), volume_density(g), grid)
 
 
 def normalize_sup(phi):

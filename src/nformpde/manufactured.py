@@ -17,7 +17,6 @@ so v' follows from a cumulative quadrature and v from one more integral.
 from __future__ import annotations
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
 
 from . import grid as gridmod
 
@@ -87,6 +86,7 @@ def radial_profile(rhs_of_t, T, n, nodes=10001):
     """
     if nodes < 101:
         raise ValueError("use at least 101 radial nodes")
+    from scipy.integrate import cumulative_simpson
     t = np.linspace(0.0, T, nodes)
     rho = np.asarray(rhs_of_t(t), dtype=float)
     if np.any(rho < 0):

@@ -30,7 +30,7 @@ DESCRIPTOR_SCHEMA = {
         "k_list": {"type": "array", "items": {"type": "integer", "minimum": 1}},
         "entropy_exponent": _NUMBER_OR_NULL,
         "concentrations": {"type": "array", "items": {"type": "number"}},
-        "entropy_target": _NUMBER_OR_NULL,
+        "entropy_target": {"type": ["number", "null"], "exclusiveMinimum": 0},
         "tolerances": {
             "type": "object",
             "additionalProperties": False,

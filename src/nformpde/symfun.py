@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import ConeViolationError, DegeneratePointError
 
@@ -459,6 +458,7 @@ def _polish_ray_minimum(spec, lam0, f0):
     noise.  Every evaluated point is a genuine ray, so the result is still
     an empirical infimum.
     """
+    from scipy.optimize import minimize
 
     def objective(lam):
         lam = np.asarray(lam, dtype=float)[None, :]

@@ -7,11 +7,14 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nformpde import cli, schemas
 from nformpde.cli import EXIT_CHECK_FAILURE, EXIT_PASS, EXIT_SOLVER, EXIT_USAGE, main
 from nformpde.descriptors import ExperimentDescriptor
 from nformpde.errors import DegeneratePointError
+from nformpde.grid import TorusGrid, entropy_norm, identity_metric
 
 
 def write_config(path, **overrides):
@@ -150,18 +153,25 @@ def test_usage_errors_exit_two(tmp_path, capsys):
                    # json.dump writes NaN, which is not JSON and passes no range
                    {"background_gh": {"name": "banded", "params": {"amplitude": float("nan")}}},
                    {"forcing": {"name": "bumps", "params": {"count": "two"}}},
-                   {"forcing": {"name": "bumps", "params": {"sigma": 0}}}):
-        config = write_config(tmp_path / "params.json", grid=coarse, **fields)
+                   {"forcing": {"name": "bumps", "params": {"sigma": 0}}},
+                   # an integer too large for a float is rejected when parsed
+                   {"forcing": {"name": "gaussian", "params": {"amplitude": 10 ** 400}}},
+                   {"forcing": {"name": "gaussian", "params": {"sigma": 10 ** 400}}},
+                   {"grid": {"n": 2, "N": 8, "L": 10 ** 400}}):
+        config = write_config(tmp_path / "params.json", **{"grid": coarse, **fields})
         assert main(["solve", "--config", config, "--out", str(tmp_path / "o")]) == EXIT_USAGE
         assert "descriptor error" in capsys.readouterr().err
     # a sweep needs a forcing that reads sigma, and every swept value must be
     # a valid sigma; no member runs otherwise
-    for name, concentrations in (("constant", [0.18, 0.1]), ("gaussian", [0.18, -0.1]),
-                                 ("bumps", [0.12, 0.0])):
+    # and an entropy target it can reach: the entropy integral is positive
+    for name, concentrations, target in (("constant", [0.18, 0.1], None),
+                                         ("gaussian", [0.18, -0.1], None),
+                                         ("bumps", [0.12, 0.0], None),
+                                         ("gaussian", [0.18, 0.1], -1.0)):
         out = tmp_path / ("sweep-" + name)
         config = write_config(tmp_path / "sweep.json", grid=coarse,
                               forcing={"name": name, "params": {}},
-                              concentrations=concentrations)
+                              concentrations=concentrations, entropy_target=target)
         assert main(["sweep", "--config", config, "--out", str(out)]) == EXIT_USAGE
         assert "descriptor error" in capsys.readouterr().err
         assert not os.path.exists(out / "sweep.json")
@@ -323,6 +333,55 @@ def test_sweep_honours_tol_flag(tmp_path):
     payload = json.loads(read(out / "sweep.json"))
     assert payload["all_converged"]
     assert all(1e-9 < row["residual_sup"] <= 0.5 for row in payload["rows"])
+
+
+def test_sweep_unreachable_entropy_target_fails_every_row(tmp_path):
+    # the shift is searched in |c| <= 640, where this entropy stays below 1e300
+    config = sweep_config(tmp_path / "desc.json", entropy_target=1e300)
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", config, "--out", str(out)]) == EXIT_SOLVER
+    rows = json.loads(read(out / "sweep.json"))["rows"]
+    assert len(rows) == 2
+    for row in rows:
+        assert row["converged"] is False
+        assert row["error"] == "entropy target unreachable from above"
+
+
+def smooth_field(torus, seed, amplitude):
+    """A random trigonometric field of low modes with the given sup norm."""
+    rng = np.random.default_rng(seed)
+    field = np.zeros(torus.shape)
+    for axis in range(2 * torus.n):
+        x = torus.axis_coordinates(axis)
+        field = field + rng.normal() * np.sin(2 * np.pi * (x + rng.uniform()))
+    return amplitude * field / np.max(np.abs(field))
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), amplitude=st.floats(0.01, 3.0),
+       log_ratio=st.floats(-3.0, 3.0), p=st.sampled_from([3, 4.5]))
+def test_entropy_shift_reaches_the_target(seed, amplitude, log_ratio, p):
+    from scipy.optimize import brentq
+
+    torus = TorusGrid(n=2, N=8, L=1.0)
+    g = identity_metric(torus)
+    F = smooth_field(torus, seed, amplitude)
+    target = entropy_norm(F, g, torus, p) * np.exp(log_ratio)
+    c = cli._entropy_shift(F, g, torus, p, target)
+    assert abs(entropy_norm(F + c, g, torus, p) / target - 1.0) <= 1e-14
+    reference = brentq(lambda s: entropy_norm(F + s, g, torus, p) - target, -10.0, 10.0,
+                       xtol=1e-14, rtol=1e-15)
+    assert abs(c - reference) <= 1e-12
+    # F's own entropy needs no shift
+    assert abs(cli._entropy_shift(F, g, torus, p, entropy_norm(F, g, torus, p))) <= 1e-15
+
+
+def test_cli_import_loads_no_optimize_or_integrate():
+    # a fresh interpreter: this one has loaded scipy.optimize for other tests
+    code = ("import sys, nformpde, nformpde.cli; "
+            "print([m for m in sys.modules if m.startswith(('scipy.optimize', 'scipy.integrate'))])")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 def test_seed_and_grid_overrides(tmp_path):
