@@ -24,7 +24,7 @@ from .errors import (
     MetricDegeneracyError,
     NonConvergenceError,
 )
-from .grid import complex_hessian, stencil_offsets, volume_density
+from .grid import complex_hessian, frozen_hessian_inverse, stencil_offsets, volume_density
 from .hermlin import endomorphism_eigs
 from .solver import damped_newton
 
@@ -285,7 +285,10 @@ def _chart_geometry(chart):
 
 @dataclass
 class AuxiliarySolution:
-    """Solved Dirichlet Monge-Ampere problem on a chart ball."""
+    """Solved Dirichlet Monge-Ampere problem on a chart ball.
+
+    krylov_iterations holds the operator applications of each Newton step.
+    """
 
     psi: np.ndarray
     residual_sup: float
@@ -293,6 +296,7 @@ class AuxiliarySolution:
     mass: float
     min_eigenvalue: float
     clamp_history: list
+    krylov_iterations: list
     residual_history: list
 
 
@@ -304,6 +308,14 @@ def solve_dirichlet_ma(chart, rhs_density, tolerance=1e-10, max_iterations=60):
     extrapolation of the chart geometry.  Hessian eigenvalues are clamped
     at EIG_FLOOR during the iteration; a clamp still active at convergence
     raises DegeneracyError.
+
+    Each Newton step solves tr(inv H(d)) = -r on the ball, inv the clamped
+    inverse Hessian, by LGMRES preconditioned with the exact torus inverse
+    of tr(Tbar H(.)), Tbar the ball mean of inv (grid.frozen_hessian_inverse,
+    as in the periodic solve): the ball residual is zero-extended to the
+    grid, its zero mode dropped, and the result restricted to the ball.
+    LGMRES starts from that preconditioned residual, and the operator
+    applications of each step are in ``krylov_iterations``.
 
     Parameters
     ----------
@@ -327,9 +339,9 @@ def solve_dirichlet_ma(chart, rhs_density, tolerance=1e-10, max_iterations=60):
     log_rho = np.log(rho)
     n = grid.n
     mask = chart.mask
+    full = np.zeros(grid.num_points)  # fill and the preconditioner write only here
 
     def fill(values):
-        full = np.zeros(grid.num_points)
         full[geo.mask_flat] = values
         full[geo.ghost_flat] = geo.extend @ values
         return full.reshape(grid.shape)
@@ -340,21 +352,34 @@ def solve_dirichlet_ma(chart, rhs_density, tolerance=1e-10, max_iterations=60):
         return values, r, float(np.max(np.abs(r))), (eigs, frames)
 
     clamp_history = []
+    krylov_iterations = []
 
     def step(state, r, krylov_rtol):
         eigs, frames = state
         clamp_history.append(int(np.count_nonzero(eigs < EIG_FLOOR)))
         clamped = np.maximum(eigs, EIG_FLOOR)
         inv = np.einsum("pik,pk,pjk->pij", frames, 1.0 / clamped, frames.conj())
+        matvecs = 0
 
         def matvec(d):
+            nonlocal matvecs
+            matvecs += 1
             dH = complex_hessian(fill(d), grid)[mask]
             return np.einsum("pij,pji->p", inv, dH).real
 
-        diagonal = -np.einsum("pii->p", inv).real / grid.h ** 2
+        frozen = frozen_hessian_inverse(inv.mean(axis=0), grid)
+
+        def precond(u):
+            full[geo.mask_flat] = u
+            full[geo.ghost_flat] = 0.0
+            return frozen(full.reshape(grid.shape), 0.0).reshape(-1)[geo.mask_flat]
+
         op = LinearOperator((rho.size, rho.size), matvec=matvec, dtype=float)
-        pre = LinearOperator((rho.size, rho.size), matvec=lambda u: u / diagonal, dtype=float)
-        return lgmres(op, -r, M=pre, rtol=krylov_rtol, atol=0.0, maxiter=400)
+        M = LinearOperator((rho.size, rho.size), matvec=precond, dtype=float)
+        result = lgmres(op, -r, x0=precond(-r), M=M, rtol=krylov_rtol, atol=0.0,
+                        maxiter=400)
+        krylov_iterations.append(matvecs)
+        return result
 
     R = 2.0 * chart.r0
     cbar = float(np.mean(rho))
@@ -370,12 +395,13 @@ def solve_dirichlet_ma(chart, rhs_density, tolerance=1e-10, max_iterations=60):
             "positivity safeguard active at convergence (min eigenvalue %.3e)" % min_eig
         )
     return AuxiliarySolution(
-        psi=fill(psi),
+        psi=fill(psi).copy(),
         residual_sup=sup,
         iterations=iterations,
         mass=float(np.sum(np.prod(eigs, axis=-1)) * grid.cell_volume),
         min_eigenvalue=min_eig,
         clamp_history=clamp_history,
+        krylov_iterations=krylov_iterations,
         residual_history=history,
     )
 
@@ -411,6 +437,7 @@ class ComparisonReport:
     mass_error: float
     residual_sup: float
     iterations: int
+    krylov_iterations: list = None
     error: str = None
 
     def to_dict(self):
@@ -426,7 +453,8 @@ class ComparisonReport:
             "argmax_in_sublevel": self.argmax_in_sublevel,
             "quantiles": self.quantiles,
             "mass_error": self.mass_error,
-            "residuals": {"solver_sup": self.residual_sup, "iterations": self.iterations},
+            "residuals": {"solver_sup": self.residual_sup, "iterations": self.iterations,
+                          "krylov_iterations": self.krylov_iterations},
             "error": self.error,
         }
 
@@ -440,7 +468,8 @@ class ComparisonReport:
 
 
 def check_comparison(w, psi, eps, chart, c_disc=10.0, sublevel=None, s=None, k=None,
-                     mass=None, mass_error=None, residual_sup=None, iterations=None):
+                     mass=None, mass_error=None, residual_sup=None, iterations=None,
+                     krylov_iterations=None):
     """Measure the worst violation of -w <= eps * (-psi)^(n/(n+1)) on the ball.
 
     Evaluates the test function Phi = -eps * (-psi)^(n/(n+1)) - w over the
@@ -479,6 +508,7 @@ def check_comparison(w, psi, eps, chart, c_disc=10.0, sublevel=None, s=None, k=N
         mass_error=mass_error,
         residual_sup=residual_sup,
         iterations=iterations,
+        krylov_iterations=krylov_iterations,
     )
 
 
@@ -546,6 +576,7 @@ def run_localization(solution, problem, s_fractions=(0.25, 0.5, 0.75),
                     w, aux.psi, eps, chart, c_disc=c_disc, sublevel=sublevel,
                     s=s, k=k, mass=mass, mass_error=abs(aux.mass - 1.0),
                     residual_sup=aux.residual_sup, iterations=aux.iterations,
+                    krylov_iterations=aux.krylov_iterations,
                 ))
             except (DegeneracyError, InconsistentInputError, NonConvergenceError, ValueError) as exc:
                 reports.append(ComparisonReport.from_failure(s, k, str(exc)))

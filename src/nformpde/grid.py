@@ -162,6 +162,28 @@ def hessian_symbol(T, grid):
     return out
 
 
+def frozen_hessian_inverse(T, grid):
+    """Exact torus inverse of u -> tr(T H(u)) for one constant Hermitian
+    positive definite (n, n) T, through the symbol of hessian_symbol.
+
+    Returns solve(f, mean): the field u with tr(T H(u)) = f - mean(f) and
+    mean(u) = mean.  The zero mode of f is dropped; the caller sets the zero
+    mode of u.  Each call is one rfftn, a division by the symbol and one
+    irfftn.
+    """
+    shape = grid.shape
+    axes = tuple(range(len(shape)))
+    symbol = hessian_symbol(T, grid)
+    symbol.flat[0] = 1.0  # no 0/0: solve overwrites the zero mode
+
+    def solve(f, mean):
+        modes = np.fft.rfftn(f, s=shape, axes=axes) / symbol
+        modes.flat[0] = mean * grid.num_points
+        return np.fft.irfftn(modes, s=shape, axes=axes)
+
+    return solve
+
+
 def stencil_offsets(n):
     """Every nonzero index offset over the 2n real axes read by complex_hessian:
     the nonzero taps of the Hessian entries of a centered 3^(2n) impulse."""
@@ -210,11 +232,20 @@ def volume_density(g):
 
 
 def integrate(field, density, grid):
-    """Riemann sum of field against a volume density."""
+    """Riemann sum of field against a volume density.
+
+    The sum is scaled by the cell volume once at the end; only when that
+    unscaled sum overflows is each term scaled first, so an integral that
+    fits a float is finite and every other result keeps its bytes.
+    """
     field = np.asarray(field)
     if field.shape != grid.shape:
         raise ValueError("field shape does not match the grid")
-    return float(np.sum(field * density) * grid.cell_volume)
+    with np.errstate(over="ignore"):
+        total = np.sum(field * density)
+    if np.isfinite(total):
+        return float(total * grid.cell_volume)
+    return float(np.sum(field * (density * grid.cell_volume)))
 
 
 def entropy_integrand(F, p, slope=False):

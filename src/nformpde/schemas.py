@@ -62,7 +62,17 @@ COMPARISON_REPORT_SCHEMA = {
         "argmax_in_sublevel": {"type": ["boolean", "null"]},
         "quantiles": {"type": ["object", "null"]},
         "mass_error": _NUMBER_OR_NULL,
-        "residuals": {"type": ["object", "null"]},
+        "residuals": {
+            "type": "object",
+            "additionalProperties": False,
+            "required": ["solver_sup", "iterations", "krylov_iterations"],
+            "properties": {
+                "solver_sup": _NUMBER_OR_NULL,
+                "iterations": {"type": ["integer", "null"]},
+                "krylov_iterations": {"type": ["array", "null"],
+                                      "items": {"type": "integer", "minimum": 1}},
+            },
+        },
         "error": {"type": ["string", "null"]},
     },
 }

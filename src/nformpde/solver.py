@@ -10,8 +10,9 @@ solves an elliptic variable-coefficient problem; the constant mode is fixed
 by a zero-mean constraint and b absorbs the compatibility defect (bordered
 system, matrix-free Krylov).  T is positive definite, so the operator is
 uniformly elliptic; frozen at its grid mean it has constant coefficients,
-np.fft diagonalizes it on the torus, and its exact inverse preconditions
-the Krylov solve.
+np.fft diagonalizes it on the torus, and its exact inverse
+(grid.frozen_hessian_inverse, which the chart solve of auxiliary also
+uses) preconditions the Krylov solve.
 """
 
 from __future__ import annotations
@@ -123,9 +124,9 @@ def _newton_step(problem, coeff, r, krylov_rtol):
     """Solve the bordered system tr(coeff H(dphi)) - db = -r, mean(dphi) = 0.
 
     The preconditioner is the exact inverse of the bordered system with
-    coeff frozen at its grid mean Tbar: db = -mean(top), the zero mode of
-    dphi is the bordered entry, and every other Fourier mode of top is
-    divided by the symbol of tr(Tbar H(.)) (grid.hessian_symbol).
+    coeff frozen at its grid mean Tbar: db = -mean(top), the mean of dphi
+    is the bordered entry, and the mean-free part of top goes through the
+    torus inverse of tr(Tbar H(.)) (grid.frozen_hessian_inverse).
 
     Returns ((dphi, db), info, matvecs) with info the lgmres exit flag and
     matvecs the number of operator applications.
@@ -133,7 +134,6 @@ def _newton_step(problem, coeff, r, krylov_rtol):
     g = problem.grid
     m = g.num_points
     shape = g.shape
-    axes = tuple(range(len(shape)))
     matvecs = 0
 
     def matvec(u):
@@ -145,14 +145,11 @@ def _newton_step(problem, coeff, r, krylov_rtol):
         bottom = np.array([dphi.mean()])
         return np.concatenate([top.reshape(-1), bottom])
 
-    symbol = gridmod.hessian_symbol(coeff.mean(axis=axes), g)
-    symbol.flat[0] = 1.0  # the zero mode is set from the bordered entry
+    frozen = gridmod.frozen_hessian_inverse(coeff.mean(axis=tuple(range(coeff.ndim - 2))), g)
 
     def precond(u):
         top = u[:m].reshape(shape)
-        modes = np.fft.rfftn(top, s=shape, axes=axes) / symbol
-        modes.flat[0] = u[m] * m
-        dphi = np.fft.irfftn(modes, s=shape, axes=axes)
+        dphi = frozen(top, u[m])
         return np.concatenate([dphi.reshape(-1), np.array([-top.mean()])])
 
     op = LinearOperator((m + 1, m + 1), matvec=matvec, dtype=float)

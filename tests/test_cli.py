@@ -233,6 +233,9 @@ def test_localize_round_trip(tmp_path):
     cell = payload["reports"][0]
     assert cell["pass"] and cell["error"] is None
     assert cell["max_phi"] <= cell["tolerance"]
+    # one matvec count per chart Newton step
+    residuals = cell["residuals"]
+    assert len(residuals["krylov_iterations"]) == residuals["iterations"] > 0
     lines = read(out / "comparisons.csv").decode().strip().splitlines()
     assert lines[0] == "s,k,mass,epsilon,max_phi,tolerance,pass"
     assert len(lines) == 2

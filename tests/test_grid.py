@@ -9,7 +9,9 @@ import pytest
 from nformpde.grid import (
     TorusGrid,
     complex_hessian,
+    entropy_integrand,
     entropy_norm,
+    frozen_hessian_inverse,
     hessian_symbol,
     identity_metric,
     integrate,
@@ -167,6 +169,22 @@ def test_entropy_constant_forcing():
         entropy_norm(np.zeros(grid.shape), g, grid, 2)
 
 
+def test_entropy_norm_of_a_large_finite_integral_is_finite():
+    # every integrand value (at most 5.5e307) and the integral fit a float,
+    # but their unscaled sum (about 2.8e310) does not
+    grid = TorusGrid(n=2, N=8, L=1.0)
+    g = identity_metric(grid)
+    F = 25.0 * (1.0 + np.cos(2.0 * math.pi * grid.axis_coordinates(0)))
+    values = entropy_integrand(F + 639.0, 3)
+    assert np.all(np.isfinite(values))
+    expected = math.fsum((values * grid.cell_volume).ravel())
+    assert 1e306 < expected < 1e307
+    assert entropy_norm(F + 639.0, g, grid, 3) == pytest.approx(expected, rel=1e-13)
+    # a sum that does not overflow keeps its bytes: summed, then scaled
+    values = entropy_integrand(F + 600.0, 3)
+    assert entropy_norm(F + 600.0, g, grid, 3) == float(np.sum(values) * grid.cell_volume)
+
+
 def test_normalize_sup():
     rng = np.random.default_rng(6)
     phi = rng.normal(size=(5, 5))
@@ -220,3 +238,22 @@ def test_hessian_symbol_diagonalizes_the_frozen_operator(n, N):
     # is invertible off the constants
     assert symbol.flat[0] == 0.0
     assert symbol.reshape(-1)[1:].max() < 0.0
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("N", [8, 9])
+def test_frozen_hessian_inverse_is_exact_on_mean_free_fields(n, N):
+    grid = TorusGrid(n=n, N=N, L=1.3)
+    rng = np.random.default_rng(100 + 10 * n + N)
+    T = random_hermitian_pd(n, rng)
+    solve = frozen_hessian_inverse(T, grid)
+    f = rng.normal(size=grid.shape)
+    f -= f.mean()
+    for mean in (0.0, 0.7):
+        u = solve(f, mean)
+        back = apply_trace_reversed_hessian(np.broadcast_to(T, grid.shape + (n, n)), u, grid)
+        assert np.abs(back - f).max() <= 1e-12 * np.abs(f).max()
+        assert u.mean() == pytest.approx(mean, abs=1e-12)
+    # the zero mode of the right-hand side is dropped
+    u = solve(f, 0.0)
+    assert np.abs(solve(f + 2.0, 0.0) - u).max() <= 1e-12 * np.abs(u).max()
