@@ -11,7 +11,7 @@ smoothing indices.
 """
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -43,6 +43,9 @@ EIG_FLOOR = 1e-8
 PULLBACK = 2.5
 
 MASS_TOL = 1e-10
+
+# Sup-norm residual at which the chart Newton solve stops.
+RESIDUAL_TOL = 1e-10
 
 
 @dataclass
@@ -250,10 +253,9 @@ def _chart_geometry(chart):
     offset = (idx - center + N // 2) % N - N // 2
     rp = grid.h * np.sqrt(np.sum(offset.astype(float) ** 2, axis=1))
 
+    # build_chart keeps R >= 2 * MIN_RADIUS_STEPS * h > PULLBACK * h, so rq > 0
     R = 2.0 * chart.r0
     rq = R - PULLBACK * grid.h
-    if rq <= 0.0:
-        raise ChartFailureError("chart ball too thin for boundary extrapolation")
 
     # fractional index of the pullback point on the ray toward the center
     u = center + offset.astype(float) * (rq / rp)[:, None]
@@ -300,14 +302,14 @@ class AuxiliarySolution:
     residual_history: list
 
 
-def solve_dirichlet_ma(chart, rhs_density, tolerance=1e-10, max_iterations=60):
+def solve_dirichlet_ma(chart, rhs_density, max_iterations=60):
     """Solve det of the complex Hessian of psi = rhs on the chart ball.
 
     Damped Newton iteration in log-determinant form on the interior values,
-    with ghost values tied to the interior by the radial zero-boundary
-    extrapolation of the chart geometry.  Hessian eigenvalues are clamped
-    at EIG_FLOOR during the iteration; a clamp still active at convergence
-    raises DegeneracyError.
+    to a sup residual of RESIDUAL_TOL, with ghost values tied to the interior
+    by the radial zero-boundary extrapolation of the chart geometry.
+    Hessian eigenvalues are clamped at EIG_FLOOR during the iteration; a
+    clamp still active at convergence raises DegeneracyError.
 
     Each Newton step solves tr(inv H(d)) = -r on the ball, inv the clamped
     inverse Hessian, by LGMRES preconditioned with the exact torus inverse
@@ -386,7 +388,7 @@ def solve_dirichlet_ma(chart, rhs_density, tolerance=1e-10, max_iterations=60):
     psi, sup, (eigs, _), iterations, history = damped_newton(
         evaluate_at(cbar ** (1.0 / n) * (chart.dist_sq[mask] - R * R)),
         lambda values, direction, t: evaluate_at(values + t * direction),
-        step, tolerance, max_iterations,
+        step, RESIDUAL_TOL, max_iterations,
     )
     clamp_history.append(int(np.count_nonzero(eigs < EIG_FLOOR)))
     min_eig = float(eigs.min())
@@ -422,11 +424,14 @@ def comparison_scale(mass, gamma, n):
 
 @dataclass
 class ComparisonReport:
-    """Outcome of one comparison check, JSON-serializable via to_dict."""
+    """Outcome of one comparison check, JSON-serializable via to_dict.
 
-    s: float
-    k: int
-    mass: float
+    check_comparison fills the verdict; run_localization attaches the cell's
+    tilt depth s, smoothing index k, hinge mass, and its chart solve's mass
+    error, residual and iteration counts.  A failed cell holds only s, k and
+    the error.
+    """
+
     epsilon: float
     max_phi: float
     location: tuple
@@ -434,9 +439,12 @@ class ComparisonReport:
     passed: bool
     argmax_in_sublevel: bool
     quantiles: dict
-    mass_error: float
-    residual_sup: float
-    iterations: int
+    s: float = None
+    k: int = None
+    mass: float = None
+    mass_error: float = None
+    residual_sup: float = None
+    iterations: int = None
     krylov_iterations: list = None
     error: str = None
 
@@ -461,20 +469,19 @@ class ComparisonReport:
     @classmethod
     def from_failure(cls, s, k, message):
         return cls(
-            s=s, k=k, mass=None, epsilon=None, max_phi=None, location=None,
-            tolerance=None, passed=False, argmax_in_sublevel=None, quantiles=None,
-            mass_error=None, residual_sup=None, iterations=None, error=message,
+            epsilon=None, max_phi=None, location=None, tolerance=None, passed=False,
+            argmax_in_sublevel=None, quantiles=None, s=s, k=k, error=message,
         )
 
 
-def check_comparison(w, psi, eps, chart, c_disc=10.0, sublevel=None, s=None, k=None,
-                     mass=None, mass_error=None, residual_sup=None, iterations=None,
-                     krylov_iterations=None):
+def check_comparison(w, psi, eps, chart, c_disc=10.0, sublevel=None):
     """Measure the worst violation of -w <= eps * (-psi)^(n/(n+1)) on the ball.
 
     Evaluates the test function Phi = -eps * (-psi)^(n/(n+1)) - w over the
-    chart mask and reports its maximum, the maximizer, the margin quantiles,
-    and pass/fail against the discretization budget c_disc * h**2.
+    chart mask and reports its maximum, the maximizer (and whether it lies
+    in sublevel, when given), the margin quantiles, and pass/fail against
+    the discretization budget c_disc * h**2.  The report's cell fields (s,
+    k, mass and the chart solve's figures) are left None.
     """
     grid = chart.grid
     mask = chart.mask
@@ -495,9 +502,6 @@ def check_comparison(w, psi, eps, chart, c_disc=10.0, sublevel=None, s=None, k=N
     in_sublevel = bool(sublevel.ravel()[flat]) if sublevel is not None else None
 
     return ComparisonReport(
-        s=s,
-        k=k,
-        mass=mass,
         epsilon=float(eps),
         max_phi=max_phi,
         location=location,
@@ -505,10 +509,6 @@ def check_comparison(w, psi, eps, chart, c_disc=10.0, sublevel=None, s=None, k=N
         passed=bool(max_phi <= tolerance),
         argmax_in_sublevel=in_sublevel,
         quantiles=quantiles,
-        mass_error=mass_error,
-        residual_sup=residual_sup,
-        iterations=iterations,
-        krylov_iterations=krylov_iterations,
     )
 
 
@@ -550,8 +550,10 @@ def run_localization(solution, problem, s_fractions=(0.25, 0.5, 0.75),
     Builds the chart at the argmin of the solved potential, then for every
     tilt depth (as a fraction of the chart depth cap) and smoothing index
     solves the auxiliary Dirichlet problem and checks the comparison bound.
-    Failures of individual (s, k) cells are captured in their reports; a
-    chart failure aborts the whole run.
+    Each cell's report gets its (s, k), its hinge mass and its chart
+    solve's mass error, residual and iteration counts here.  Failures of
+    individual (s, k) cells are captured in their reports; a chart failure
+    aborts the whole run.
     """
     from .grid import entropy_norm
 
@@ -572,9 +574,10 @@ def run_localization(solution, problem, s_fractions=(0.25, 0.5, 0.75),
                 rhs[chart.mask] = density / mass
                 aux = solve_dirichlet_ma(chart, rhs)
                 eps = comparison_scale(mass, problem.spec.gamma, n)
-                reports.append(check_comparison(
-                    w, aux.psi, eps, chart, c_disc=c_disc, sublevel=sublevel,
-                    s=s, k=k, mass=mass, mass_error=abs(aux.mass - 1.0),
+                report = check_comparison(w, aux.psi, eps, chart, c_disc=c_disc,
+                                          sublevel=sublevel)
+                reports.append(replace(
+                    report, s=s, k=k, mass=mass, mass_error=abs(aux.mass - 1.0),
                     residual_sup=aux.residual_sup, iterations=aux.iterations,
                     krylov_iterations=aux.krylov_iterations,
                 ))
@@ -605,23 +608,22 @@ class TightFixture:
     alpha: float
 
 
-def tight_comparison_fixture(spec, grid, k=10, tightness=0.9):
+def tight_comparison_fixture(spec, grid):
     """Build a synthetic comparison instance with a controlled margin.
 
     Solves the constant-rhs Dirichlet problem on the flat chart, then sets
-    the tilted field to -alpha * (-psi)^(n/(n+1)) with alpha chosen as a
-    fraction of the fixed point where the comparison scale computed from
-    the field's own hinge mass equals alpha.  At tightness below 1 the
-    comparison holds with margin (alpha - eps) * max(-psi)^(n/(n+1)); any
-    rescaling of eps below alpha's fixed-point share makes it fail.
+    the tilted field to -alpha * (-psi)^(n/(n+1)) with alpha 0.9 times the
+    fixed point where the comparison scale computed from the field's own
+    hinge mass at smoothing index 10 equals alpha.  The comparison then
+    holds with margin (alpha - eps) * max(-psi)^(n/(n+1)); any rescaling of
+    eps below alpha's fixed-point share makes it fail.
     """
-    if not 0.0 < tightness < 1.0:
-        raise ValueError("tightness must lie in (0, 1)")
     from scipy.optimize import brentq
 
     from .grid import identity_metric
 
     n = grid.n
+    k = 10
     g = identity_metric(grid)
     chart = build_chart(np.zeros(grid.shape), g, g, grid)
     count = chart.num_interior
@@ -638,7 +640,7 @@ def tight_comparison_fixture(spec, grid, k=10, tightness=0.9):
         return alpha - comparison_scale(alpha * shape_mass + tail, spec.gamma, n)
 
     fixed_point = brentq(residual, 1e-9, 1e9, xtol=1e-14, rtol=1e-14)
-    alpha = tightness * fixed_point
+    alpha = 0.9 * fixed_point
 
     w = np.zeros(grid.shape)
     w[chart.mask] = -alpha * depth

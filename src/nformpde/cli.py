@@ -326,8 +326,15 @@ def cmd_report(out_dir):
         path = os.path.join(out_dir, name)
         if not os.path.exists(path):
             continue
-        with open(path) as handle:
-            doc = json.load(handle)
+        try:
+            with open(path) as handle:
+                doc = json.load(handle)
+        except (OSError, ValueError) as exc:
+            print("unreadable artifact %s: %s" % (path, exc), file=sys.stderr)
+            return EXIT_USAGE
+        if not isinstance(doc, dict):
+            print("artifact %s is not a JSON object" % path, file=sys.stderr)
+            return EXIT_USAGE
         passed = bool(_ARTIFACT_FLAGS[name](doc))
         artifacts.append(name)
         rows.append([name, passed])
@@ -409,7 +416,10 @@ def main(argv=None):
     except (InconsistentInputError, OSError, ValueError) as exc:
         print("descriptor error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
-    os.makedirs(args.out, exist_ok=True)
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as exc:
+        parser.error("--out must name a directory: %s (%s)" % (args.out, exc.strerror))
     try:
         if args.command == "check-pointwise":
             return cmd_check_pointwise(descriptor, args.out)

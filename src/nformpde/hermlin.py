@@ -295,30 +295,31 @@ def verify_trace_reversal_identities(spec, g, g_h, gt, phi_h):
     return TraceReversalReport(residual_a, pd_margin, det_slack, chain_slack, trace_residual)
 
 
-def random_admissible_parts(spec, count, rng, metric_scale=0.2, hess_scale=0.25,
-                            margin_floor=0.05):
+def random_admissible_parts(spec, count, rng):
     """Sample admissible (g, g_h, phi_h, gt) batches for property suites.
 
-    Metrics are identity plus a small random Hermitian perturbation (kept
-    HPD by construction scale); tuples whose cone margin falls below
-    margin_floor are rejected, so the samples model the uniformly elliptic
-    regime where the determinant bound stays at bounded magnitude (near the
-    cone boundary the bound gamma/f^n blows up and its roundoff with it).
+    Metrics are identity plus a random Hermitian perturbation of scale 0.2
+    (kept HPD: a metric with an eigenvalue at most 0.05 is dropped), and
+    Hessians random Hermitian of scale 0.25; tuples whose interior cone
+    margin is at most 0.05 are rejected, so the samples model the uniformly
+    elliptic regime where the determinant bound stays at bounded magnitude
+    (near the cone boundary the bound gamma/f^n blows up and its roundoff
+    with it).
     """
     n = spec.dim
     out = []
     have = 0
     while have < count:
         m = max(2 * (count - have), 32)
-        g = np.eye(n) + _random_hermitian(m, n, rng, metric_scale)
-        g_h = np.eye(n) + _random_hermitian(m, n, rng, metric_scale)
-        phi_h = _random_hermitian(m, n, rng, hess_scale)
+        g = np.eye(n) + _random_hermitian(m, n, rng, 0.2)
+        g_h = np.eye(n) + _random_hermitian(m, n, rng, 0.2)
+        phi_h = _random_hermitian(m, n, rng, 0.25)
         ok = np.linalg.eigvalsh(g)[..., 0] > 0.05
         ok &= np.linalg.eigvalsh(g_h)[..., 0] > 0.05
         g, g_h, phi_h = g[ok], g_h[ok], phi_h[ok]
         gt = twisted_from_hessian(phi_h, g, g_h)
         lam = endomorphism_eigs(g, gt)
-        keep = symfun.interior_margin(lam, spec.cone) > margin_floor
+        keep = symfun.interior_margin(lam, spec.cone) > 0.05
         g, g_h, phi_h, gt = g[keep], g_h[keep], phi_h[keep], gt[keep]
         take = min(len(g), count - have)
         out.append((g[:take], g_h[:take], phi_h[:take], gt[:take]))

@@ -78,16 +78,15 @@ def forcing_from_hessian(spec, g, g_h, phi_h, b=0.0):
     return np.log(symfun.evaluate(spec, lam)) - b
 
 
-def radial_profile(rhs_of_t, T, n, nodes=10001):
+def radial_profile(rhs_of_t, T, n):
     """Radial reduction of the constant-boundary Dirichlet problem.
 
-    Returns (t_nodes, v, v_prime) for det H(psi) = rhs(|z|^2) on |z|^2 <= T
-    with psi = 0 at the boundary; rhs_of_t maps t >= 0 to a positive value.
+    Returns (t_nodes, v, v_prime) on 10001 uniform nodes of [0, T] for
+    det H(psi) = rhs(|z|^2) on |z|^2 <= T with psi = 0 at the boundary;
+    rhs_of_t maps t >= 0 to a positive value.
     """
-    if nodes < 101:
-        raise ValueError("use at least 101 radial nodes")
     from scipy.integrate import cumulative_simpson
-    t = np.linspace(0.0, T, nodes)
+    t = np.linspace(0.0, T, 10001)
     rho = np.asarray(rhs_of_t(t), dtype=float)
     if np.any(rho < 0):
         raise ValueError("radial rhs must be nonnegative")

@@ -42,7 +42,7 @@ DESCRIPTOR_SCHEMA = {
             },
         },
         "samples": {"type": "integer", "minimum": 1},
-        "seed": {"type": "integer"},
+        "seed": {"type": "integer", "minimum": 0},
     },
 }
 

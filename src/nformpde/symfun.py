@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -160,9 +160,10 @@ def _intersect_cones(cones):
 class OperatorSpec:
     """A symmetric, degree-1 homogeneous operator on an admissible cone.
 
-    gamma is a lower bound for the product of the first derivatives over the
-    open cone; gamma_certified says whether it comes from a closed form or
-    from ray sampling (degree-0 homogeneous product, so rays suffice).
+    gamma, a lower bound for the product of the first derivatives over the
+    open cone, and gamma_certified, whether it comes from a closed form or
+    from ray sampling (degree-0 homogeneous product, so rays suffice), are
+    set from gamma_lower_bound when the spec is built.
     """
 
     family: str
@@ -172,57 +173,34 @@ class OperatorSpec:
     members: tuple = ()
     weights: tuple = ()
     cone: object = None
-    gamma: float = 0.0
-    gamma_certified: bool = False
+    gamma: float = field(init=False)
+    gamma_certified: bool = field(init=False)
 
     def __post_init__(self):
         if self.dim < 2:
             raise ValueError("dim must be >= 2")
-        if self.gamma <= 0.0:
-            raise ValueError("gamma must be positive")
+        bound = gamma_lower_bound(self)
+        object.__setattr__(self, "gamma", bound.value)
+        object.__setattr__(self, "gamma_certified", bound.certified)
 
 
 def monge_ampere(n):
     """Geometric mean of the eigenvalues on the positive-orthant cone."""
-    return OperatorSpec(
-        family="monge-ampere",
-        dim=n,
-        cone=GammaK(n),
-        gamma=float(n) ** (-n),
-        gamma_certified=True,
-    )
+    return OperatorSpec(family="monge-ampere", dim=n, cone=GammaK(n))
 
 
-def hessian(n, k, gamma_samples=_GAMMA_SAMPLES, seed=_GAMMA_SEED):
+def hessian(n, k):
     """Normalized k-th root of sigma_k on GammaK(k).
 
-    k = 1 and k = n admit the closed-form product bound n**-n; intermediate
-    k fall back to the sampled infimum.
+    k = 1 and k = n have a closed-form product bound; intermediate k fall
+    back to the sampled infimum.
     """
     if not 1 <= k <= n:
         raise ValueError(f"k={k} outside 1..{n}")
-    spec = OperatorSpec(
-        family="hessian",
-        dim=n,
-        k=k,
-        cone=GammaK(k),
-        gamma=float(n) ** (-n),
-        gamma_certified=True,
-    )
-    if k in (1, n):
-        return spec
-    bound = gamma_lower_bound(spec, gamma_samples, seed=seed)
-    return OperatorSpec(
-        family="hessian",
-        dim=n,
-        k=k,
-        cone=GammaK(k),
-        gamma=bound.value,
-        gamma_certified=False,
-    )
+    return OperatorSpec(family="hessian", dim=n, k=k, cone=GammaK(k))
 
 
-def p_monge_ampere(n, p, gamma_samples=_GAMMA_SAMPLES, seed=_GAMMA_SEED):
+def p_monge_ampere(n, p):
     """Geometric mean of all p-index eigenvalue sums on the p-index cone.
 
     Degree-1 homogeneous with f(1,...,1) = p; the product bound has no
@@ -232,31 +210,14 @@ def p_monge_ampere(n, p, gamma_samples=_GAMMA_SAMPLES, seed=_GAMMA_SEED):
         raise ValueError(f"p={p} outside 1..{n}")
     if p == 1:
         return monge_ampere(n)
-    probe = OperatorSpec(
-        family="p-monge-ampere",
-        dim=n,
-        p=p,
-        cone=PIndexCone(p),
-        gamma=1.0,
-        gamma_certified=False,
-    )
-    bound = gamma_lower_bound(probe, gamma_samples, seed=seed)
-    return OperatorSpec(
-        family="p-monge-ampere",
-        dim=n,
-        p=p,
-        cone=PIndexCone(p),
-        gamma=bound.value,
-        gamma_certified=False,
-    )
+    return OperatorSpec(family="p-monge-ampere", dim=n, p=p, cone=PIndexCone(p))
 
 
 def combine(specs, weights):
     """Positive-weight sum of operators on the intersection cone.
 
-    The product bound max_i(w_i**n * gamma_i) is inherited: each factor of
-    the combined gradient product dominates the corresponding weighted
-    member factor.
+    Its product bound, the best weighted member bound, comes from
+    gamma_lower_bound like every other family's.
     """
     specs = tuple(specs)
     weights = tuple(float(w) for w in weights)
@@ -267,21 +228,12 @@ def combine(specs, weights):
     dims = {s.dim for s in specs}
     if len(dims) != 1:
         raise ValueError("members must share the dimension")
-    n = dims.pop()
-    # the bound only leans on the member attaining the max, so it is
-    # certified exactly when that member's bound is
-    gamma, certified = max(
-        ((w**n * s.gamma, s.gamma_certified) for w, s in zip(weights, specs)),
-        key=lambda pair: pair[0],
-    )
     return OperatorSpec(
         family="combination",
-        dim=n,
+        dim=dims.pop(),
         members=specs,
         weights=weights,
         cone=_intersect_cones([s.cone for s in specs]),
-        gamma=gamma,
-        gamma_certified=certified,
     )
 
 
@@ -362,11 +314,7 @@ def _gradient_unchecked(spec, lam):
         sk = sigma_j(lam, k)
         out = np.empty_like(lam)
         for j in range(n):
-            reduced = np.delete(lam, j, axis=-1)
-            if k == 1:
-                out[..., j] = 1.0
-            else:
-                out[..., j] = _elementary_all(reduced)[..., k - 1]
+            out[..., j] = _elementary_all(np.delete(lam, j, axis=-1))[..., k - 1]
         return f[..., None] * out / (k * sk)[..., None]
     if spec.family == "p-monge-ampere":
         p = spec.p
@@ -396,20 +344,19 @@ class GammaBound:
 
     value: float
     certified: bool
-    method: str
-    samples: int = 0
 
 
-def sample_cone(cone, n, count, rng, center=1.0, scale=0.5, max_tries=200):
+def sample_cone(cone, n, count, rng):
     """Rejection-sample tuples from the open cone.
 
-    Gaussian proposals centered at (center,...,center) with the given scale.
+    Gaussian proposals centered at (1,...,1) with standard deviation 1/2,
+    in at most 200 rounds.
     """
     out = np.empty((count, n))
     have = 0
-    for _ in range(max_tries):
+    for _ in range(200):
         need = count - have
-        cand = center + scale * rng.standard_normal((max(2 * need, 16), n))
+        cand = 1.0 + 0.5 * rng.standard_normal((max(2 * need, 16), n))
         good = cand[in_cone(cand, cone)]
         take = min(len(good), need)
         out[have : have + take] = good[:take]
@@ -422,19 +369,25 @@ def sample_cone(cone, n, count, rng, center=1.0, scale=0.5, max_tries=200):
 def gamma_lower_bound(spec, sample_count=_GAMMA_SAMPLES, seed=_GAMMA_SEED):
     """Structural bound on prod_j df/dlam_j over the cone.
 
-    Closed forms where they exist; otherwise the sampled infimum over random
-    rays (the product is homogeneous of degree zero, so rays are enough).
-    Sampled values are flagged and should be read as regression baselines.
+    Closed forms where they exist; for a combination the best weighted
+    member bound max_i(w_i**n * gamma_i); otherwise the sampled infimum over
+    random rays (the product is homogeneous of degree zero, so rays are
+    enough).  Sampled values are flagged and should be read as regression
+    baselines.
     """
     n = spec.dim
-    if spec.family == "monge-ampere":
-        # prod_j f/(n lam_j) = f**n / (n**n prod lam) = n**-n identically
-        return GammaBound(float(n) ** (-n), True, "closed-form")
-    if spec.family == "hessian" and spec.k in (1, n):
-        return GammaBound(float(n) ** (-n), True, "closed-form")
+    if spec.family == "monge-ampere" or (spec.family == "hessian" and spec.k in (1, n)):
+        # Monge-Ampere (hessian k = n): prod_j f/(n lam_j) = f**n / (n**n prod lam);
+        # hessian k = 1: every derivative is 1/n
+        return GammaBound(float(n) ** (-n), True)
     if spec.family == "combination":
-        # combine() already took the best weighted member bound
-        return GammaBound(spec.gamma, spec.gamma_certified, "member-bound")
+        # each factor of the combined gradient product dominates the weighted
+        # member factor; the bound only leans on the member attaining the max,
+        # so it is certified exactly when that member's bound is
+        return GammaBound(*max(
+            ((w**n * m.gamma, m.gamma_certified) for w, m in zip(spec.weights, spec.members)),
+            key=lambda pair: pair[0],
+        ))
     if sample_count < 1:
         raise ValueError("sample_count must be >= 1")
     rng = np.random.default_rng(seed)
@@ -445,7 +398,7 @@ def gamma_lower_bound(spec, sample_count=_GAMMA_SAMPLES, seed=_GAMMA_SEED):
     prod = np.prod(grads, axis=-1)
     best = int(np.argmin(prod))
     value = _polish_ray_minimum(spec, lam[best], float(prod[best]))
-    return GammaBound(value, False, "ray-sampling", samples=len(lam))
+    return GammaBound(value, False)
 
 
 def _polish_ray_minimum(spec, lam0, f0):

@@ -305,7 +305,7 @@ def test_criterion_08_comparison_and_sharpness(capsys, solved_16):
     worst = max(r.max_phi for r in localization.reports)
     # the manufactured instance sits deep inside the bound, so the halved
     # scale is probed on a fixture tuned to a thin margin instead
-    fixture = tight_comparison_fixture(monge_ampere(2), grid, k=10, tightness=0.9)
+    fixture = tight_comparison_fixture(monge_ampere(2), grid)
     full = check_comparison(fixture.w, fixture.psi, fixture.epsilon, fixture.chart)
     halved = check_comparison(fixture.w, fixture.psi, 0.5 * fixture.epsilon, fixture.chart)
     sharp_ok = full.passed and not halved.passed

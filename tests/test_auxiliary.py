@@ -311,7 +311,7 @@ def test_check_comparison_sign_structure():
 
 def test_tight_fixture_margins():
     grid = TorusGrid(n=2, N=16, L=1.0)
-    fixture = tight_comparison_fixture(monge_ampere(2), grid, k=10, tightness=0.9)
+    fixture = tight_comparison_fixture(monge_ampere(2), grid)
     assert fixture.alpha == pytest.approx(0.5003, abs=2e-3)
     assert fixture.epsilon == pytest.approx(0.5445, abs=2e-3)
     assert fixture.epsilon > fixture.alpha

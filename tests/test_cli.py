@@ -186,6 +186,30 @@ def test_usage_errors_exit_two(tmp_path, capsys):
         assert exc.value.code == EXIT_USAGE
 
 
+def test_negative_seed_unusable_out_and_bad_artifacts_exit_two(tmp_path, capsys):
+    # a negative seed is a descriptor error, in the descriptor or from --seed
+    config = write_config(tmp_path / "negative.json", seed=-1)
+    assert main(["solve", "--config", config, "--out", str(tmp_path / "o")]) == EXIT_USAGE
+    assert "descriptor error" in capsys.readouterr().err
+    assert main(["check-pointwise", "--seed", "-3", "--out", str(tmp_path / "o")]) == EXIT_USAGE
+    assert "descriptor error" in capsys.readouterr().err
+    # --out naming a regular file is a usage error that names it
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--out", str(taken)])
+    assert exc.value.code == EXIT_USAGE
+    assert str(taken) in capsys.readouterr().err
+    # report names an artifact that is not JSON, or not a JSON object
+    for i, text in enumerate(("{not json", "[1]")):
+        out = tmp_path / ("artifacts%d" % i)
+        out.mkdir()
+        (out / "sweep.json").write_text(text)
+        assert main(["report", "--out", str(out)]) == EXIT_USAGE
+        assert str(out / "sweep.json") in capsys.readouterr().err
+        assert not os.path.exists(out / "report.json")
+
+
 def test_solver_budget_failure_writes_diagnostic(tmp_path):
     config = write_config(
         tmp_path / "desc.json",

@@ -7,6 +7,7 @@ from nformpde.errors import ConeViolationError, DegeneratePointError
 from nformpde.symfun import (
     ConeIntersection,
     GammaK,
+    OperatorSpec,
     PIndexCone,
     combine,
     cone_margin,
@@ -139,6 +140,19 @@ def test_gamma_lower_bound_report():
     empirical = gamma_lower_bound(hessian(3, 2), sample_count=4000, seed=3)
     assert not empirical.certified
     assert empirical.value <= 1.0 / 27.0 + 1e-12
+
+
+def test_every_spec_takes_gamma_from_gamma_lower_bound():
+    # the member attaining max(w**n * gamma) is the sampled one
+    sampled_combo = combine([monge_ampere(3), hessian(3, 2)], [0.5, 1.5])
+    assert not sampled_combo.gamma_certified
+    for spec in FAMILIES + [hessian(3, 3), p_monge_ampere(2, 2), sampled_combo]:
+        bound = gamma_lower_bound(spec)
+        assert spec.gamma == bound.value
+        assert spec.gamma_certified == bound.certified
+    # gamma is decided there, never passed in
+    with pytest.raises(TypeError):
+        OperatorSpec(family="monge-ampere", dim=2, cone=GammaK(2), gamma=1.0)
 
 
 def test_gamma_is_sampled_floor():
