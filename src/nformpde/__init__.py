@@ -8,9 +8,7 @@ the solved potential.
 
 from .auxiliary import (
     AuxiliarySolution,
-    ComparisonReport,
     LocalChart,
-    LocalizationReport,
     build_chart,
     check_comparison,
     comparison_scale,

@@ -11,7 +11,7 @@ smoothing indices.
 """
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -24,7 +24,13 @@ from .errors import (
     MetricDegeneracyError,
     NonConvergenceError,
 )
-from .grid import complex_hessian, frozen_hessian_inverse, stencil_offsets, volume_density
+from .grid import (
+    complex_hessian,
+    entropy_norm,
+    frozen_hessian_inverse,
+    stencil_offsets,
+    volume_density,
+)
 from .hermlin import endomorphism_eigs
 from .solver import damped_newton
 
@@ -254,7 +260,7 @@ def _chart_geometry(chart):
     rp = grid.h * np.sqrt(np.sum(offset.astype(float) ** 2, axis=1))
 
     # build_chart keeps R >= 2 * MIN_RADIUS_STEPS * h > PULLBACK * h, so rq > 0
-    R = 2.0 * chart.r0
+    R = chart.radius
     rq = R - PULLBACK * grid.h
 
     # fractional index of the pullback point on the ray toward the center
@@ -383,7 +389,7 @@ def solve_dirichlet_ma(chart, rhs_density, max_iterations=60):
         krylov_iterations.append(matvecs)
         return result
 
-    R = 2.0 * chart.r0
+    R = chart.radius
     cbar = float(np.mean(rho))
     psi, sup, (eigs, _), iterations, history = damped_newton(
         evaluate_at(cbar ** (1.0 / n) * (chart.dist_sq[mask] - R * R)),
@@ -422,66 +428,15 @@ def comparison_scale(mass, gamma, n):
     return float(value ** (1.0 / (n + 1.0)))
 
 
-@dataclass
-class ComparisonReport:
-    """Outcome of one comparison check, JSON-serializable via to_dict.
-
-    check_comparison fills the verdict; run_localization attaches the cell's
-    tilt depth s, smoothing index k, hinge mass, and its chart solve's mass
-    error, residual and iteration counts.  A failed cell holds only s, k and
-    the error.
-    """
-
-    epsilon: float
-    max_phi: float
-    location: tuple
-    tolerance: float
-    passed: bool
-    argmax_in_sublevel: bool
-    quantiles: dict
-    s: float = None
-    k: int = None
-    mass: float = None
-    mass_error: float = None
-    residual_sup: float = None
-    iterations: int = None
-    krylov_iterations: list = None
-    error: str = None
-
-    def to_dict(self):
-        return {
-            "s": self.s,
-            "k": self.k,
-            "mass": self.mass,
-            "epsilon": self.epsilon,
-            "max_phi": self.max_phi,
-            "location": list(self.location) if self.location is not None else None,
-            "tolerance": self.tolerance,
-            "pass": self.passed,
-            "argmax_in_sublevel": self.argmax_in_sublevel,
-            "quantiles": self.quantiles,
-            "mass_error": self.mass_error,
-            "residuals": {"solver_sup": self.residual_sup, "iterations": self.iterations,
-                          "krylov_iterations": self.krylov_iterations},
-            "error": self.error,
-        }
-
-    @classmethod
-    def from_failure(cls, s, k, message):
-        return cls(
-            epsilon=None, max_phi=None, location=None, tolerance=None, passed=False,
-            argmax_in_sublevel=None, quantiles=None, s=s, k=k, error=message,
-        )
-
-
 def check_comparison(w, psi, eps, chart, c_disc=10.0, sublevel=None):
     """Measure the worst violation of -w <= eps * (-psi)^(n/(n+1)) on the ball.
 
     Evaluates the test function Phi = -eps * (-psi)^(n/(n+1)) - w over the
-    chart mask and reports its maximum, the maximizer (and whether it lies
-    in sublevel, when given), the margin quantiles, and pass/fail against
-    the discretization budget c_disc * h**2.  The report's cell fields (s,
-    k, mass and the chart solve's figures) are left None.
+    chart mask.  Returns the verdict keys of a ``localization.json`` cell:
+    ``max_phi`` and its grid index ``location`` (whether that lies in
+    sublevel, when given, as ``argmax_in_sublevel``), the margin
+    ``quantiles``, ``epsilon``, and ``pass`` against the discretization
+    budget ``tolerance`` = c_disc * h**2.
     """
     grid = chart.grid
     mask = chart.mask
@@ -493,54 +448,25 @@ def check_comparison(w, psi, eps, chart, c_disc=10.0, sublevel=None):
 
     arg = int(np.argmax(phi_test))
     flat = np.flatnonzero(mask.ravel())[arg]
-    location = tuple(int(c) for c in np.unravel_index(flat, grid.shape))
     tolerance = c_disc * grid.h ** 2
     max_phi = float(phi_test[arg])
     qs = np.percentile(phi_test, [0.0, 25.0, 50.0, 75.0, 100.0])
-    quantiles = {"min": float(qs[0]), "q25": float(qs[1]), "median": float(qs[2]),
-                 "q75": float(qs[3]), "max": float(qs[4])}
-    in_sublevel = bool(sublevel.ravel()[flat]) if sublevel is not None else None
-
-    return ComparisonReport(
-        epsilon=float(eps),
-        max_phi=max_phi,
-        location=location,
-        tolerance=float(tolerance),
-        passed=bool(max_phi <= tolerance),
-        argmax_in_sublevel=in_sublevel,
-        quantiles=quantiles,
-    )
+    return {
+        "epsilon": float(eps),
+        "max_phi": max_phi,
+        # a list, not a tuple: the schema's "array" type rejects tuples
+        "location": [int(c) for c in np.unravel_index(flat, grid.shape)],
+        "tolerance": float(tolerance),
+        "pass": bool(max_phi <= tolerance),
+        "argmax_in_sublevel": bool(sublevel.ravel()[flat]) if sublevel is not None else None,
+        "quantiles": {"min": float(qs[0]), "q25": float(qs[1]), "median": float(qs[2]),
+                      "q75": float(qs[3]), "max": float(qs[4])},
+    }
 
 
-@dataclass
-class LocalizationReport:
-    """Aggregated comparison results for one solved instance."""
-
-    depth: float
-    entropy: float
-    center_index: tuple
-    r0: float
-    positivity_fraction: float
-    depth_cap: float
-    estimate_trivial: bool
-    reports: list
-
-    @property
-    def all_passed(self):
-        return all(r.passed for r in self.reports)
-
-    def to_dict(self):
-        return {
-            "depth": self.depth,
-            "entropy": self.entropy,
-            "center": list(self.center_index),
-            "r0": self.r0,
-            "positivity_fraction": self.positivity_fraction,
-            "depth_cap": self.depth_cap,
-            "estimate_trivial": self.estimate_trivial,
-            "all_passed": self.all_passed,
-            "reports": [r.to_dict() for r in self.reports],
-        }
+# the keys a failed cell holds as null
+_UNMEASURED = ("mass", "epsilon", "max_phi", "location", "tolerance", "argmax_in_sublevel",
+               "quantiles", "mass_error")
 
 
 def run_localization(solution, problem, s_fractions=(0.25, 0.5, 0.75),
@@ -550,20 +476,19 @@ def run_localization(solution, problem, s_fractions=(0.25, 0.5, 0.75),
     Builds the chart at the argmin of the solved potential, then for every
     tilt depth (as a fraction of the chart depth cap) and smoothing index
     solves the auxiliary Dirichlet problem and checks the comparison bound.
-    Each cell's report gets its (s, k), its hinge mass and its chart
-    solve's mass error, residual and iteration counts here.  Failures of
-    individual (s, k) cells are captured in their reports; a chart failure
-    aborts the whole run.
+    Returns the ``localization.json`` object: the chart's figures and one
+    cell per (s, k), the ``check_comparison`` verdict with the hinge mass
+    and the chart solve's mass error, residual and iteration counts.  A
+    cell that fails holds its (s, k) and ``error``, ``pass`` false and null
+    figures; a chart failure aborts the whole run.
     """
-    from .grid import entropy_norm
-
     grid = problem.grid
     n = grid.n
     chart = build_chart(solution.phi, problem.g, problem.g_h, grid)
     exponent = n + 1 if entropy_exponent is None else entropy_exponent
     entropy = entropy_norm(problem.F, problem.g, grid, exponent)
 
-    reports = []
+    cells = []
     for fraction in s_fractions:
         s = fraction * chart.depth_cap
         for k in k_list:
@@ -574,26 +499,28 @@ def run_localization(solution, problem, s_fractions=(0.25, 0.5, 0.75),
                 rhs[chart.mask] = density / mass
                 aux = solve_dirichlet_ma(chart, rhs)
                 eps = comparison_scale(mass, problem.spec.gamma, n)
-                report = check_comparison(w, aux.psi, eps, chart, c_disc=c_disc,
-                                          sublevel=sublevel)
-                reports.append(replace(
-                    report, s=s, k=k, mass=mass, mass_error=abs(aux.mass - 1.0),
-                    residual_sup=aux.residual_sup, iterations=aux.iterations,
-                    krylov_iterations=aux.krylov_iterations,
-                ))
+                cell = check_comparison(w, aux.psi, eps, chart, c_disc=c_disc,
+                                        sublevel=sublevel)
+                cell.update(mass=mass, mass_error=abs(aux.mass - 1.0), error=None, residuals={
+                    "solver_sup": aux.residual_sup, "iterations": aux.iterations,
+                    "krylov_iterations": aux.krylov_iterations})
             except (DegeneracyError, InconsistentInputError, NonConvergenceError, ValueError) as exc:
-                reports.append(ComparisonReport.from_failure(s, k, str(exc)))
+                cell = dict.fromkeys(_UNMEASURED)
+                cell.update({"pass": False, "error": str(exc), "residuals": dict.fromkeys(
+                    ("solver_sup", "iterations", "krylov_iterations"))})
+            cells.append({"s": s, "k": k, **cell})
 
-    return LocalizationReport(
-        depth=float(-solution.phi.min()),
-        entropy=float(entropy),
-        center_index=chart.center_index,
-        r0=chart.r0,
-        positivity_fraction=chart.positivity_fraction,
-        depth_cap=chart.depth_cap,
-        estimate_trivial=chart.estimate_trivial,
-        reports=reports,
-    )
+    return {
+        "depth": float(-solution.phi.min()),
+        "entropy": float(entropy),
+        "center": list(chart.center_index),
+        "r0": chart.r0,
+        "positivity_fraction": chart.positivity_fraction,
+        "depth_cap": chart.depth_cap,
+        "estimate_trivial": chart.estimate_trivial,
+        "all_passed": all(cell["pass"] for cell in cells),
+        "reports": cells,
+    }
 
 
 @dataclass

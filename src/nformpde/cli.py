@@ -8,6 +8,7 @@ Outputs carry no timestamps so a fixed seed reproduces them byte for byte.
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -15,6 +16,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
+from jsonschema import ValidationError
 
 from . import schemas
 from .auxiliary import run_localization
@@ -38,6 +40,24 @@ def _write_json(path, payload):
     with open(path, "w") as handle:
         json.dump(payload, handle, sort_keys=True, indent=2)
         handle.write("\n")
+
+
+# each JSON artifact: the schema it is published under and its verdict
+_ARTIFACTS = {
+    "check.json": (schemas.POINTWISE_REPORT_SCHEMA, lambda doc: doc["all_passed"]),
+    "solve_meta.json": (schemas.SOLVE_META_SCHEMA, lambda doc: doc["l1_bound"]["passed"]),
+    "localization.json": (schemas.LOCALIZATION_REPORT_SCHEMA, lambda doc: doc["all_passed"]),
+    "sweep.json": (schemas.SWEEP_REPORT_SCHEMA,
+                   lambda doc: doc["all_converged"] and doc["band_ok"]),
+}
+
+
+def _write_artifact(out_dir, name, payload):
+    """Validate payload against the artifact's schema, write it, return its verdict."""
+    schema, verdict = _ARTIFACTS[name]
+    schemas.validate(payload, schema)
+    _write_json(os.path.join(out_dir, name), payload)
+    return verdict(payload)
 
 
 def _write_csv(path, header, rows):
@@ -100,9 +120,7 @@ def cmd_check_pointwise(descriptor, out_dir):
         "suites": suites,
         "all_passed": all(s["passed"] for s in suites.values()),
     }
-    schemas.validate(payload, schemas.POINTWISE_REPORT_SCHEMA)
-    _write_json(os.path.join(out_dir, "check.json"), payload)
-    return EXIT_PASS if payload["all_passed"] else EXIT_CHECK_FAILURE
+    return EXIT_PASS if _write_artifact(out_dir, "check.json", payload) else EXIT_CHECK_FAILURE
 
 
 # ---------------------------------------------------------------------------
@@ -122,8 +140,8 @@ def _build_problem(descriptor, forcing_params=None, tolerance=None):
 def _solve_artifacts(problem, out_dir, descriptor):
     """Solve and write phi.bin, solve_meta.json and residuals.csv.
 
-    Returns (solution, meta), or None after writing solve_error.json when
-    the solve raises any NFormError.
+    Returns (solution, whether the L1 bound check passed), or None after
+    writing solve_error.json when the solve raises any NFormError.
     """
     try:
         solution = solve_primary(problem)
@@ -144,23 +162,16 @@ def _solve_artifacts(problem, out_dir, descriptor):
         "residual_sup": solution.residual_sup,
         "iterations": solution.iterations,
         "krylov_iterations": solution.krylov_iterations,
-        "l1_bound": {
-            "c_prime": bound.c_prime,
-            "laplacian_margin": bound.laplacian_margin,
-            "rescaled_trace_min": bound.rescaled_trace_min,
-            "l1": bound.l1,
-            "passed": bool(bound.passed),
-        },
+        "l1_bound": {**dataclasses.asdict(bound), "passed": bool(bound.passed)},
         "field_file": field_file,
     }
-    schemas.validate(meta, schemas.SOLVE_META_SCHEMA)
-    _write_json(os.path.join(out_dir, "solve_meta.json"), meta)
+    passed = _write_artifact(out_dir, "solve_meta.json", meta)
     _write_csv(
         os.path.join(out_dir, "residuals.csv"),
         ["iteration", "residual_sup"],
         list(enumerate(solution.residual_history)),
     )
-    return solution, meta
+    return solution, passed
 
 
 def cmd_solve(descriptor, out_dir, tolerance=None):
@@ -168,7 +179,7 @@ def cmd_solve(descriptor, out_dir, tolerance=None):
                               descriptor)
     if result is None:
         return EXIT_SOLVER
-    return EXIT_PASS if result[1]["l1_bound"]["passed"] else EXIT_CHECK_FAILURE
+    return EXIT_PASS if result[1] else EXIT_CHECK_FAILURE
 
 
 def cmd_localize(descriptor, out_dir, tolerance=None):
@@ -178,7 +189,7 @@ def cmd_localize(descriptor, out_dir, tolerance=None):
         return EXIT_SOLVER
     solution = result[0]
     try:
-        report = run_localization(
+        payload = run_localization(
             solution, problem,
             s_fractions=descriptor.s_fractions,
             k_list=[int(k) for k in descriptor.k_list],
@@ -188,16 +199,14 @@ def cmd_localize(descriptor, out_dir, tolerance=None):
     except NFormError as exc:
         _write_json(os.path.join(out_dir, "localize_error.json"), {"error": str(exc)})
         return EXIT_CHECK_FAILURE
-    payload = report.to_dict()
-    schemas.validate(payload, schemas.LOCALIZATION_REPORT_SCHEMA)
-    _write_json(os.path.join(out_dir, "localization.json"), payload)
+    passed = _write_artifact(out_dir, "localization.json", payload)
+    columns = ("s", "k", "mass", "epsilon", "max_phi", "tolerance", "pass")
     _write_csv(
         os.path.join(out_dir, "comparisons.csv"),
-        ["s", "k", "mass", "epsilon", "max_phi", "tolerance", "pass"],
-        [[r.s, r.k, r.mass, r.epsilon, r.max_phi, r.tolerance, r.passed]
-         for r in report.reports],
+        columns,
+        [[cell[key] for key in columns] for cell in payload["reports"]],
     )
-    return EXIT_PASS if report.all_passed else EXIT_CHECK_FAILURE
+    return EXIT_PASS if passed else EXIT_CHECK_FAILURE
 
 
 # ---------------------------------------------------------------------------
@@ -293,8 +302,7 @@ def cmd_sweep(descriptor, out_dir, tolerance=None, workers=1):
         "band_ok": bool(ratio is None or ratio <= band),
         "all_converged": all(row["converged"] for row in rows),
     }
-    schemas.validate(payload, schemas.SWEEP_REPORT_SCHEMA)
-    _write_json(os.path.join(out_dir, "sweep.json"), payload)
+    passed = _write_artifact(out_dir, "sweep.json", payload)
     _write_csv(
         os.path.join(out_dir, "sweep.csv"),
         _SWEEP_COLUMNS,
@@ -302,47 +310,35 @@ def cmd_sweep(descriptor, out_dir, tolerance=None, workers=1):
     )
     if not payload["all_converged"]:
         return EXIT_SOLVER
-    if not payload["band_ok"]:
-        return EXIT_CHECK_FAILURE
-    return EXIT_PASS
+    return EXIT_PASS if passed else EXIT_CHECK_FAILURE
 
 
 # ---------------------------------------------------------------------------
 # consolidated report
 
-_ARTIFACT_FLAGS = {
-    "check.json": lambda doc: doc.get("all_passed", False),
-    "solve_meta.json": lambda doc: doc.get("l1_bound", {}).get("passed", False),
-    "localization.json": lambda doc: doc.get("all_passed", False),
-    "sweep.json": lambda doc: doc.get("all_converged", False) and doc.get("band_ok", False),
-}
-
-
 def cmd_report(out_dir):
-    artifacts = []
+    """Consolidate the artifacts in out_dir, each checked against its schema."""
     rows = []
-    ok = True
-    for name in sorted(_ARTIFACT_FLAGS):
+    for name, (schema, verdict) in sorted(_ARTIFACTS.items()):
         path = os.path.join(out_dir, name)
         if not os.path.exists(path):
             continue
         try:
             with open(path) as handle:
-                doc = json.load(handle)
+                doc = schemas.validate(json.load(handle), schema)
         except (OSError, ValueError) as exc:
             print("unreadable artifact %s: %s" % (path, exc), file=sys.stderr)
             return EXIT_USAGE
-        if not isinstance(doc, dict):
-            print("artifact %s is not a JSON object" % path, file=sys.stderr)
+        except ValidationError as exc:
+            print("artifact %s breaks its schema at %s: %s" % (path, exc.json_path, exc.message),
+                  file=sys.stderr)
             return EXIT_USAGE
-        passed = bool(_ARTIFACT_FLAGS[name](doc))
-        artifacts.append(name)
-        rows.append([name, passed])
-        ok = ok and passed
-    if not artifacts:
+        rows.append([name, verdict(doc)])
+    if not rows:
         print("no artifacts found in %s" % out_dir, file=sys.stderr)
         return EXIT_USAGE
-    payload = {"artifacts": artifacts, "all_passed": ok}
+    ok = all(passed for _, passed in rows)
+    payload = {"artifacts": [name for name, _ in rows], "all_passed": ok}
     schemas.validate(payload, schemas.REPORT_SUMMARY_SCHEMA)
     _write_json(os.path.join(out_dir, "report.json"), payload)
     _write_csv(os.path.join(out_dir, "report.csv"), ["artifact", "pass"], rows)

@@ -116,7 +116,17 @@ SOLVE_META_SCHEMA = {
         "residual_sup": {"type": "number"},
         "iterations": {"type": "integer"},
         "krylov_iterations": {"type": "array", "items": {"type": "integer", "minimum": 1}},
-        "l1_bound": {"type": "object"},
+        "l1_bound": {
+            "type": "object",
+            "required": ["c_prime", "laplacian_margin", "rescaled_trace_min", "l1", "passed"],
+            "properties": {
+                "c_prime": {"type": "number"},
+                "laplacian_margin": {"type": "number"},
+                "rescaled_trace_min": {"type": "number"},
+                "l1": {"type": "number"},
+                "passed": {"type": "boolean"},
+            },
+        },
         "field_file": {"type": "string"},
     },
 }

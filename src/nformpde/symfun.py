@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -162,8 +163,8 @@ class OperatorSpec:
 
     gamma, a lower bound for the product of the first derivatives over the
     open cone, and gamma_certified, whether it comes from a closed form or
-    from ray sampling (degree-0 homogeneous product, so rays suffice), are
-    set from gamma_lower_bound when the spec is built.
+    from ray sampling (degree-0 homogeneous product, so rays suffice), come
+    from one gamma_lower_bound call, made the first time either is read.
     """
 
     family: str
@@ -173,15 +174,22 @@ class OperatorSpec:
     members: tuple = ()
     weights: tuple = ()
     cone: object = None
-    gamma: float = field(init=False)
-    gamma_certified: bool = field(init=False)
 
     def __post_init__(self):
         if self.dim < 2:
             raise ValueError("dim must be >= 2")
-        bound = gamma_lower_bound(self)
-        object.__setattr__(self, "gamma", bound.value)
-        object.__setattr__(self, "gamma_certified", bound.certified)
+
+    @cached_property
+    def _gamma_bound(self):
+        return gamma_lower_bound(self)
+
+    @property
+    def gamma(self):
+        return self._gamma_bound.value
+
+    @property
+    def gamma_certified(self):
+        return self._gamma_bound.certified
 
 
 def monge_ampere(n):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from nformpde import schemas
 from nformpde.auxiliary import (
     build_chart,
     check_comparison,
@@ -296,17 +297,17 @@ def test_check_comparison_sign_structure():
     chart, grid = flat_chart()
     w = chart.positivity_fraction * chart.dist_sq + 0.01
     psi = -(chart.radius**2 - chart.dist_sq)
-    report = check_comparison(w, psi, 0.5, chart, sublevel=np.zeros(grid.shape, bool))
+    verdict = check_comparison(w, psi, 0.5, chart, sublevel=np.zeros(grid.shape, bool))
     # nonnegative w makes the test function nonpositive everywhere
-    assert report.max_phi <= 0.0
-    assert report.passed
-    assert chart.mask[report.location]
-    assert report.argmax_in_sublevel is False
-    assert set(report.quantiles) == {"min", "q25", "median", "q75", "max"}
-    assert report.quantiles["min"] <= report.quantiles["median"] <= report.max_phi
-    payload = report.to_dict()
-    assert payload["pass"] is True
-    assert payload["residuals"]["solver_sup"] is None
+    assert verdict["max_phi"] <= 0.0
+    assert verdict["pass"] is True
+    assert chart.mask[tuple(verdict["location"])]
+    assert verdict["argmax_in_sublevel"] is False
+    assert set(verdict["quantiles"]) == {"min", "q25", "median", "q75", "max"}
+    assert verdict["quantiles"]["min"] <= verdict["quantiles"]["median"] <= verdict["max_phi"]
+    # the verdict keys of a localization.json cell, and only those
+    assert set(verdict) == {"epsilon", "max_phi", "location", "tolerance", "pass",
+                            "argmax_in_sublevel", "quantiles"}
 
 
 def test_tight_fixture_margins():
@@ -316,11 +317,11 @@ def test_tight_fixture_margins():
     assert fixture.epsilon == pytest.approx(0.5445, abs=2e-3)
     assert fixture.epsilon > fixture.alpha
     full = check_comparison(fixture.w, fixture.psi, fixture.epsilon, fixture.chart)
-    assert full.passed
-    assert full.max_phi <= 0.0
+    assert full["pass"]
+    assert full["max_phi"] <= 0.0
     halved = check_comparison(fixture.w, fixture.psi, 0.5 * fixture.epsilon, fixture.chart)
-    assert not halved.passed
-    assert halved.max_phi > 0.1
+    assert not halved["pass"]
+    assert halved["max_phi"] > 0.1
 
 
 def test_run_localization_trivial_instance():
@@ -330,19 +331,16 @@ def test_run_localization_trivial_instance():
         spec=monge_ampere(2), g=g, g_h=g, F=np.zeros(grid.shape), grid=grid
     )
     solution = solve_primary(problem)
-    report = run_localization(solution, problem, s_fractions=(0.5,), k_list=(10,))
-    assert report.depth == 0.0
-    assert report.estimate_trivial
-    assert report.all_passed
-    assert len(report.reports) == 1
-    cell = report.reports[0]
-    assert cell.passed and cell.error is None
-    assert cell.mass_error <= 1e-8
-    assert abs(cell.epsilon - comparison_scale(cell.mass, 0.25, 2)) <= 1e-13
-    payload = report.to_dict()
+    payload = run_localization(solution, problem, s_fractions=(0.5,), k_list=(10,))
+    schemas.validate(payload, schemas.LOCALIZATION_REPORT_SCHEMA)
     assert payload["depth"] == 0.0
-    assert len(payload["reports"]) == 1
+    assert payload["estimate_trivial"]
     assert payload["all_passed"] is True
+    assert len(payload["reports"]) == 1
+    cell = payload["reports"][0]
+    assert cell["pass"] and cell["error"] is None
+    assert cell["mass_error"] <= 1e-8
+    assert abs(cell["epsilon"] - comparison_scale(cell["mass"], 0.25, 2)) <= 1e-13
 
 
 def test_run_localization_captures_cell_errors():
@@ -352,11 +350,14 @@ def test_run_localization_captures_cell_errors():
         spec=monge_ampere(2), g=g, g_h=g, F=np.zeros(grid.shape), grid=grid
     )
     solution = solve_primary(problem)
-    report = run_localization(solution, problem, s_fractions=(0.5,), k_list=(7.5,))
-    assert not report.all_passed
-    cell = report.reports[0]
-    assert not cell.passed
-    assert "smoothing index" in cell.error
+    payload = run_localization(solution, problem, s_fractions=(0.5,), k_list=(7.5,))
+    assert not payload["all_passed"]
+    cell = payload["reports"][0]
+    assert cell["pass"] is False
+    assert "smoothing index" in cell["error"]
+    assert cell["k"] == 7.5 and cell["max_phi"] is None
+    assert cell["residuals"] == {"solver_sup": None, "iterations": None,
+                                 "krylov_iterations": None}
 
 
 def test_dirichlet_solve_checks_the_last_allowed_step():

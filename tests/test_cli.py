@@ -41,6 +41,9 @@ def test_check_pointwise_writes_passing_report(tmp_path):
     assert payload["seed"] == 7
     assert set(payload["suites"]) == {"operator", "identities"}
     assert payload["suites"]["operator"]["gradient_min"] > 0.0
+    assert main(["report", "--out", str(out)]) == EXIT_PASS
+    summary = json.loads(read(out / "report.json"))
+    assert summary == {"artifacts": ["check.json"], "all_passed": True}
 
 
 def test_check_pointwise_is_deterministic(tmp_path):
@@ -200,13 +203,17 @@ def test_negative_seed_unusable_out_and_bad_artifacts_exit_two(tmp_path, capsys)
         main(["solve", "--out", str(taken)])
     assert exc.value.code == EXIT_USAGE
     assert str(taken) in capsys.readouterr().err
-    # report names an artifact that is not JSON, or not a JSON object
-    for i, text in enumerate(("{not json", "[1]")):
+    # report names an artifact that is not JSON, not a JSON object, or an
+    # object that breaks its published schema
+    bad = [("sweep.json", "{not json"), ("sweep.json", "[1]"),
+           ("solve_meta.json", '{"l1_bound": 1}'), ("check.json", '{"all_passed": "yes"}'),
+           ("sweep.json", '{"all_converged": true}')]
+    for i, (name, text) in enumerate(bad):
         out = tmp_path / ("artifacts%d" % i)
         out.mkdir()
-        (out / "sweep.json").write_text(text)
+        (out / name).write_text(text)
         assert main(["report", "--out", str(out)]) == EXIT_USAGE
-        assert str(out / "sweep.json") in capsys.readouterr().err
+        assert str(out / name) in capsys.readouterr().err
         assert not os.path.exists(out / "report.json")
 
 
@@ -264,6 +271,10 @@ def test_localize_round_trip(tmp_path):
     assert lines[0] == "s,k,mass,epsilon,max_phi,tolerance,pass"
     assert len(lines) == 2
     assert os.path.exists(out / "phi.bin")
+    assert main(["report", "--out", str(out)]) == EXIT_PASS
+    summary = json.loads(read(out / "report.json"))
+    assert summary == {"artifacts": ["localization.json", "solve_meta.json"],
+                       "all_passed": True}
 
 
 def test_localize_chart_failure_exits_one(tmp_path):

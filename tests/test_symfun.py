@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from nformpde import symfun
 from nformpde.errors import ConeViolationError, DegeneratePointError
 from nformpde.symfun import (
     ConeIntersection,
@@ -153,6 +154,21 @@ def test_every_spec_takes_gamma_from_gamma_lower_bound():
     # gamma is decided there, never passed in
     with pytest.raises(TypeError):
         OperatorSpec(family="monge-ampere", dim=2, cone=GammaK(2), gamma=1.0)
+
+
+def test_gamma_is_computed_once_when_first_read(monkeypatch):
+    calls = []
+
+    def counted(spec, *args, **kwargs):
+        calls.append(spec.family)
+        return gamma_lower_bound(spec, *args, **kwargs)
+
+    monkeypatch.setattr(symfun, "gamma_lower_bound", counted)
+    spec = hessian(3, 2)
+    assert calls == []
+    assert spec.gamma > 0.0
+    assert not spec.gamma_certified
+    assert calls == ["hessian"]
 
 
 def test_gamma_is_sampled_floor():
