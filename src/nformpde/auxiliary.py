@@ -469,8 +469,8 @@ _UNMEASURED = ("mass", "epsilon", "max_phi", "location", "tolerance", "argmax_in
                "quantiles", "mass_error")
 
 
-def run_localization(solution, problem, s_fractions=(0.25, 0.5, 0.75),
-                     k_list=(10, 100), c_disc=10.0, entropy_exponent=None):
+def run_localization(solution, problem, s_fractions, k_list, c_disc=10.0,
+                     entropy_exponent=None):
     """Run the full comparison loop on a solved primary instance.
 
     Builds the chart at the argmin of the solved potential, then for every

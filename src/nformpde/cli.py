@@ -126,15 +126,13 @@ def cmd_check_pointwise(descriptor, out_dir):
 # ---------------------------------------------------------------------------
 # solves
 
-def _build_problem(descriptor, forcing_params=None, tolerance=None):
+def _build_problem(descriptor, forcing_params=None):
     grid = descriptor.make_grid()
-    spec = descriptor.make_operator()
     g, g_h = descriptor.make_backgrounds(grid)
     F = descriptor.make_forcing(grid, forcing_params)
-    tol = descriptor.tolerances.get("solver", 1e-9) if tolerance is None else tolerance
-    budget = int(descriptor.tolerances.get("max_iterations", 40))
-    return PrimaryProblem(spec=spec, g=g, g_h=g_h, F=F, grid=grid, tolerance=tol,
-                          max_iterations=budget)
+    return PrimaryProblem(spec=descriptor.make_operator(), g=g, g_h=g_h, F=F, grid=grid,
+                          tolerance=descriptor.tolerances["solver"],
+                          max_iterations=int(descriptor.tolerances["max_iterations"]))
 
 
 def _solve_artifacts(problem, out_dir, descriptor):
@@ -174,16 +172,15 @@ def _solve_artifacts(problem, out_dir, descriptor):
     return solution, passed
 
 
-def cmd_solve(descriptor, out_dir, tolerance=None):
-    result = _solve_artifacts(_build_problem(descriptor, tolerance=tolerance), out_dir,
-                              descriptor)
+def cmd_solve(descriptor, out_dir):
+    result = _solve_artifacts(_build_problem(descriptor), out_dir, descriptor)
     if result is None:
         return EXIT_SOLVER
     return EXIT_PASS if result[1] else EXIT_CHECK_FAILURE
 
 
-def cmd_localize(descriptor, out_dir, tolerance=None):
-    problem = _build_problem(descriptor, tolerance=tolerance)
+def cmd_localize(descriptor, out_dir):
+    problem = _build_problem(descriptor)
     result = _solve_artifacts(problem, out_dir, descriptor)
     if result is None:
         return EXIT_SOLVER
@@ -193,7 +190,7 @@ def cmd_localize(descriptor, out_dir, tolerance=None):
             solution, problem,
             s_fractions=descriptor.s_fractions,
             k_list=[int(k) for k in descriptor.k_list],
-            c_disc=descriptor.tolerances.get("c_disc", 10.0),
+            c_disc=descriptor.tolerances["c_disc"],
             entropy_exponent=descriptor.entropy_exponent,
         )
     except NFormError as exc:
@@ -245,8 +242,8 @@ _SWEEP_COLUMNS = ("parameter", "entropy", "sup_norm", "b", "residual_sup",
                  "laplacian_margin", "converged")
 
 
-def _sweep_member(descriptor, parameter, p, target, tolerance=None):
-    problem = _build_problem(descriptor, {"sigma": parameter}, tolerance)
+def _sweep_member(descriptor, parameter, p, target):
+    problem = _build_problem(descriptor, {"sigma": parameter})
     problem.F = problem.F + _entropy_shift(problem.F, problem.g, problem.grid, p, target)
     solution = solve_primary(problem)
     bound = l1_bound_check(solution.phi, problem.g, problem.g_h, problem.grid,
@@ -262,8 +259,8 @@ def _sweep_member(descriptor, parameter, p, target, tolerance=None):
     }
 
 
-def cmd_sweep(descriptor, out_dir, tolerance=None, workers=1):
-    concentrations = descriptor.concentrations or [0.18, 0.16, 0.14, 0.12, 0.1]
+def cmd_sweep(descriptor, out_dir, workers=1):
+    concentrations = descriptor.concentrations
     # every member's forcing must read the swept sigma and accept its value
     for value in concentrations:
         descriptor.forcing_params({"sigma": value})
@@ -278,7 +275,7 @@ def cmd_sweep(descriptor, out_dir, tolerance=None, workers=1):
 
     def member(value):
         try:
-            return _sweep_member(descriptor, value, p, target, tolerance)
+            return _sweep_member(descriptor, value, p, target)
         except NFormError as exc:
             return dict(dict.fromkeys(_SWEEP_COLUMNS), parameter=float(value),
                         converged=False, error=str(exc))
@@ -293,7 +290,7 @@ def cmd_sweep(descriptor, out_dir, tolerance=None, workers=1):
     ratio = None
     if sup_norms and min(sup_norms) > 0.0:
         ratio = float(max(sup_norms) / min(sup_norms))
-    band = float(descriptor.tolerances.get("sweep_ratio", 3.0))
+    band = float(descriptor.tolerances["sweep_ratio"])
     payload = {
         "entropy_target": target,
         "rows": rows,
@@ -349,18 +346,19 @@ def cmd_report(out_dir):
 # argument handling
 
 def _load_descriptor(args):
-    """The descriptor with --seed and --grid applied, validated once."""
+    """The descriptor with --seed, --grid and --tol applied, checked once."""
     data = {}
     if args.config is not None:
         with open(args.config) as handle:
             data = parse_json(handle.read())
-    # an override lands only in an object; any other value fails validation
+    # an override lands only in an object; any other value fails the check
     if isinstance(data, dict):
         if args.seed is not None:
             data["seed"] = args.seed
-        grid = data.setdefault("grid", ExperimentDescriptor().grid)
-        if args.grid is not None and isinstance(grid, dict):
-            grid["N"] = args.grid
+        for key, sub, value in (("grid", "N", getattr(args, "grid", None)),
+                                ("tolerances", "solver", getattr(args, "tol", None))):
+            if value is not None and isinstance(data.setdefault(key, {}), dict):
+                data[key][sub] = value
     return ExperimentDescriptor.from_dict(data)
 
 
@@ -388,15 +386,15 @@ def _parser():
     common.add_argument("--config", default=None, help="experiment descriptor (JSON)")
     common.add_argument("--out", default="out", help="output directory")
     common.add_argument("--seed", type=int, default=None, help="override descriptor seed")
-    common.add_argument("--grid", type=int, default=None, help="override grid size N")
-    common.add_argument("--tol", type=_tolerance, default=None,
-                        help="override solver tolerance (solve, localize, sweep)")
-    common.add_argument("--workers", type=_workers, default=1,
-                        help="sweep members run concurrently on threads")
+    solving = argparse.ArgumentParser(add_help=False, parents=[common])
+    solving.add_argument("--grid", type=int, default=None, help="override grid size N")
+    solving.add_argument("--tol", type=_tolerance, default=None,
+                         help="override solver tolerance")
     sub.add_parser("check-pointwise", parents=[common])
-    sub.add_parser("solve", parents=[common])
-    sub.add_parser("localize", parents=[common])
-    sub.add_parser("sweep", parents=[common])
+    sub.add_parser("solve", parents=[solving])
+    sub.add_parser("localize", parents=[solving])
+    sub.add_parser("sweep", parents=[solving]).add_argument(
+        "--workers", type=_workers, default=1, help="sweep members run concurrently on threads")
     report = sub.add_parser("report")
     report.add_argument("--out", default="out", help="directory holding artifacts")
     return parser
@@ -420,10 +418,10 @@ def main(argv=None):
         if args.command == "check-pointwise":
             return cmd_check_pointwise(descriptor, args.out)
         if args.command == "solve":
-            return cmd_solve(descriptor, args.out, tolerance=args.tol)
+            return cmd_solve(descriptor, args.out)
         if args.command == "localize":
-            return cmd_localize(descriptor, args.out, tolerance=args.tol)
-        return cmd_sweep(descriptor, args.out, tolerance=args.tol, workers=args.workers)
+            return cmd_localize(descriptor, args.out)
+        return cmd_sweep(descriptor, args.out, workers=args.workers)
     except InconsistentInputError as exc:
         # what depends on the realized grid (a gaussian center's length) and the
         # sweep's sigma overrides are checked here; every solve-time error is

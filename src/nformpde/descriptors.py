@@ -244,23 +244,42 @@ def parse_json(text):
         raise InconsistentInputError("descriptor is not valid JSON: %s" % exc) from None
 
 
+_GRID_DEFAULTS = {"n": 2, "N": 16, "L": 1.0}
+_TOLERANCE_DEFAULTS = {"solver": 1e-9, "c_disc": 10.0, "sweep_ratio": 3.0, "max_iterations": 40}
+
+
 @dataclass
 class ExperimentDescriptor:
-    """Declarative description of one experiment run."""
+    """Declarative description of one experiment run, checked once, when built."""
 
     operator: dict = field(default_factory=lambda: {"family": "monge-ampere", "dim": 2})
-    grid: dict = field(default_factory=lambda: {"n": 2, "N": 16, "L": 1.0})
+    grid: dict = field(default_factory=dict)
     background_g: dict = field(default_factory=lambda: {"name": "identity", "params": {}})
     background_gh: dict = field(default_factory=lambda: {"name": "identity", "params": {}})
     forcing: dict = field(default_factory=lambda: {"name": "constant", "params": {"value": 0.0}})
     s_fractions: list = field(default_factory=lambda: [0.25, 0.5, 0.75])
     k_list: list = field(default_factory=lambda: [10, 100])
     entropy_exponent: float = None
-    concentrations: list = field(default_factory=list)
+    concentrations: list = field(default_factory=lambda: [0.18, 0.16, 0.14, 0.12, 0.1])
     entropy_target: float = None
-    tolerances: dict = field(default_factory=lambda: {"solver": 1e-9, "c_disc": 10.0})
+    tolerances: dict = field(default_factory=dict)
     samples: int = 10000
     seed: int = 0
+
+    def __post_init__(self):
+        """DESCRIPTOR_SCHEMA, grid and tolerances merged over their defaults, each
+        operator and generator object against its table, the rules that span fields."""
+        _check(vars(self), schemas.DESCRIPTOR_SCHEMA, "descriptor")
+        self.grid = {**_GRID_DEFAULTS, **self.grid}
+        self.tolerances = {**_TOLERANCE_DEFAULTS, **self.tolerances}
+        _check_operator(self.operator)
+        if self.make_operator().dim != self.grid["n"]:
+            raise InconsistentInputError("operator dimension does not match the grid")
+        _entry(self.background_g, _BACKGROUNDS, "name", "background_g")
+        _entry(self.background_gh, _BACKGROUNDS, "name", "background_gh")
+        _entry(self.forcing, _FORCINGS, "name", "forcing")
+        if self.entropy_exponent is not None and self.entropy_exponent <= self.grid["n"]:
+            raise InconsistentInputError("entropy exponent must exceed the complex dimension")
 
     def to_dict(self):
         return asdict(self)
@@ -270,49 +289,32 @@ class ExperimentDescriptor:
 
     @classmethod
     def from_dict(cls, data):
-        """A descriptor from plain data, checked once before any field is
-        realized: DESCRIPTOR_SCHEMA first, then validate()."""
+        """A descriptor from plain data, schema-checked before it is unpacked."""
         _check(data, schemas.DESCRIPTOR_SCHEMA, "descriptor")
-        return cls(**data).validate()
+        return cls(**data)
 
     @classmethod
     def from_json(cls, text):
         return cls.from_dict(parse_json(text))
 
-    def validate(self):
-        """The rules that span fields, and each operator and generator object
-        against its table; the fields already satisfy DESCRIPTOR_SCHEMA."""
-        n = self.grid.get("n", 2)
-        if self.make_operator().dim != n:
-            raise InconsistentInputError("operator dimension does not match the grid")
-        _entry(self.background_g, _BACKGROUNDS, "name", "background_g")
-        _entry(self.background_gh, _BACKGROUNDS, "name", "background_gh")
-        _entry(self.forcing, _FORCINGS, "name", "forcing")
-        if self.entropy_exponent is not None and self.entropy_exponent <= n:
-            raise InconsistentInputError("entropy exponent must exceed the complex dimension")
-        return self
-
-    # ---- realized objects ----
+    # ---- realized objects: the fields were checked when the descriptor was built ----
 
     def make_grid(self):
-        return TorusGrid(n=int(self.grid.get("n", 2)), N=int(self.grid.get("N", 16)),
-                         L=float(self.grid.get("L", 1.0)))
+        return TorusGrid(n=int(self.grid["n"]), N=int(self.grid["N"]), L=float(self.grid["L"]))
 
     def make_operator(self):
-        _check_operator(self.operator)
         return _operator_from_config(self.operator)
 
     def make_backgrounds(self, grid):
-        generate_g = _entry(self.background_g, _BACKGROUNDS, "name", "background_g")[0]
-        generate_gh = _entry(self.background_gh, _BACKGROUNDS, "name", "background_gh")[0]
-        return (generate_g(grid, self.background_g.get("params", {})),
-                generate_gh(grid, self.background_gh.get("params", {})))
+        return tuple(_BACKGROUNDS[config["name"]][0](grid, config.get("params", {}))
+                     for config in (self.background_g, self.background_gh))
 
     def forcing_params(self, overrides=None):
-        """The forcing's params with `overrides` merged in, checked against
-        its generator's rule."""
+        """The forcing's params with `overrides` merged in; overrides are
+        checked against the generator's rule."""
         params = {**self.forcing.get("params", {}), **(overrides or {})}
-        _entry(dict(self.forcing, params=params), _FORCINGS, "name", "forcing")
+        if overrides:
+            _entry(dict(self.forcing, params=params), _FORCINGS, "name", "forcing")
         return params
 
     def make_forcing(self, grid, params=None):
@@ -321,4 +323,3 @@ class ExperimentDescriptor:
 
     def entropy_exponent_or_default(self, n):
         return n + 1 if self.entropy_exponent is None else self.entropy_exponent
-

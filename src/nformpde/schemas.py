@@ -25,11 +25,12 @@ DESCRIPTOR_SCHEMA = {
         "forcing": {"type": "object"},
         "s_fractions": {
             "type": "array",
+            "minItems": 1,
             "items": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
         },
-        "k_list": {"type": "array", "items": {"type": "integer", "minimum": 1}},
+        "k_list": {"type": "array", "minItems": 1, "items": {"type": "integer", "minimum": 1}},
         "entropy_exponent": _NUMBER_OR_NULL,
-        "concentrations": {"type": "array", "items": {"type": "number"}},
+        "concentrations": {"type": "array", "minItems": 1, "items": {"type": "number"}},
         "entropy_target": {"type": ["number", "null"], "exclusiveMinimum": 0},
         "tolerances": {
             "type": "object",

@@ -144,6 +144,10 @@ def test_usage_errors_exit_two(tmp_path, capsys):
                    {"samples": "x"},
                    {"s_fractions": 0.5},
                    {"s_fractions": ["a"]},
+                   # an empty list would run no comparison or no sweep member
+                   {"s_fractions": []},
+                   {"k_list": []},
+                   {"concentrations": []},
                    {"entropy_exponent": "x"}):
         config = write_config(tmp_path / "keys.json", **fields)
         assert main(["solve", "--config", config, "--out", str(tmp_path / "o")]) == EXIT_USAGE
@@ -186,6 +190,13 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     for workers in ("0", "-1", "abc"):
         with pytest.raises(SystemExit) as exc:
             main(["sweep", "--out", str(tmp_path / "o"), "--workers", workers])
+        assert exc.value.code == EXIT_USAGE
+    # a flag is rejected by every subcommand that would ignore it
+    for argv in (["solve", "--workers", "4"], ["localize", "--workers", "2"],
+                 ["check-pointwise", "--tol", "1e-3"], ["check-pointwise", "--grid", "12"],
+                 ["check-pointwise", "--workers", "3"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(tmp_path / "o")])
         assert exc.value.code == EXIT_USAGE
 
 
@@ -246,7 +257,7 @@ def test_any_solve_error_writes_diagnostic(tmp_path, monkeypatch, command):
     assert not os.path.exists(out / "solve_meta.json")
 
 
-def test_localize_round_trip(tmp_path):
+def test_localize_round_trip(tmp_path, monkeypatch):
     config = write_config(
         tmp_path / "desc.json",
         grid={"n": 2, "N": 16, "L": 1.0},
@@ -255,7 +266,20 @@ def test_localize_round_trip(tmp_path):
         k_list=[10],
     )
     out = tmp_path / "out"
+    checked = []
+    validate, load_descriptor = schemas.validate, cli._load_descriptor
+
+    def load_then_count(args):
+        descriptor = load_descriptor(args)
+        checked.clear()
+        return descriptor
+
+    monkeypatch.setattr(schemas, "validate",
+                        lambda instance, schema: checked.append(schema) or validate(instance, schema))
+    monkeypatch.setattr(cli, "_load_descriptor", load_then_count)
     assert main(["localize", "--config", config, "--out", str(out)]) == EXIT_PASS
+    # a loaded descriptor is not checked again: one check per JSON artifact
+    assert checked == [schemas.SOLVE_META_SCHEMA, schemas.LOCALIZATION_REPORT_SCHEMA]
     payload = json.loads(read(out / "localization.json"))
     schemas.validate(payload, schemas.LOCALIZATION_REPORT_SCHEMA)
     assert payload["all_passed"]

@@ -72,6 +72,22 @@ def test_validation_failures():
             ExperimentDescriptor.from_dict(data)
 
 
+def test_direct_construction_is_checked_and_completed():
+    # a descriptor built in code is checked as a loaded one is, when it is built
+    for fields in ({"grid": {"N": 4}},
+                   {"background_g": {"name": "banded", "params": {"amplitude": 0.6}}},
+                   {"operator": {"family": "hessian", "dim": 2}},
+                   {"concentrations": []}):
+        with pytest.raises(InconsistentInputError):
+            ExperimentDescriptor(**fields)
+    # grid and tolerances keep the keys given and take every other default
+    desc = ExperimentDescriptor(grid={"N": 12}, tolerances={"solver": 1e-6})
+    assert desc.grid == {"n": 2, "N": 12, "L": 1.0}
+    assert desc.tolerances == {"solver": 1e-6, "c_disc": 10.0, "sweep_ratio": 3.0,
+                               "max_iterations": 40}
+    assert ExperimentDescriptor.from_json(desc.to_json()) == desc
+
+
 def test_p_monge_ampere_index_bound():
     # the pair index is confined to 1..n
     data = ExperimentDescriptor().to_dict()
@@ -127,10 +143,6 @@ def test_banded_background_has_offdiagonal_content():
     _, g_h = desc.make_backgrounds(grid)
     assert np.abs(g_h[..., 0, 1]).max() > 0.1
     assert np.abs(g_h[..., 0, 1].imag).max() > 0.05
-    with pytest.raises(InconsistentInputError):
-        ExperimentDescriptor(
-            background_g={"name": "banded", "params": {"amplitude": 0.6}}
-        ).make_backgrounds(grid)
 
 
 def test_forcing_constant_and_seeded_determinism():
