@@ -45,7 +45,6 @@ from .grid import (
     volume_density,
 )
 from .hermlin import (
-    TraceReversalReport,
     endomorphism_eigs,
     g_orthonormal_eigenframe,
     linearization,

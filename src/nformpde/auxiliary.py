@@ -167,9 +167,8 @@ def tilted_potential(phi, chart, s):
     """Tilt phi by the chart quadratic and drop it by depth s.
 
     Returns the tilted field w = phi - phi(center) + positivity_fraction *
-    dist_sq - s on the whole grid together with the mask of its negative
-    sublevel set inside the chart ball.  Requires 0 < s < chart.depth_cap;
-    that cap makes w positive near the chart boundary.
+    dist_sq - s on the whole grid.  Requires 0 < s < chart.depth_cap; that
+    cap makes w positive near the chart boundary.
     """
     if not 0.0 < s < chart.depth_cap:
         raise ValueError(
@@ -177,9 +176,7 @@ def tilted_potential(phi, chart, s):
         )
     phi = np.asarray(phi, dtype=float)
     center_value = phi[chart.center_index]
-    w = phi - center_value + chart.positivity_fraction * chart.dist_sq - s
-    sublevel = chart.mask & (w < 0.0)
-    return w, sublevel
+    return phi - center_value + chart.positivity_fraction * chart.dist_sq - s
 
 
 def smooth_hinge(x, k):
@@ -428,23 +425,23 @@ def comparison_scale(mass, gamma, n):
     return float(value ** (1.0 / (n + 1.0)))
 
 
-def check_comparison(w, psi, eps, chart, c_disc=10.0, sublevel=None):
+def check_comparison(w, psi, eps, chart, c_disc):
     """Measure the worst violation of -w <= eps * (-psi)^(n/(n+1)) on the ball.
 
     Evaluates the test function Phi = -eps * (-psi)^(n/(n+1)) - w over the
     chart mask.  Returns the verdict keys of a ``localization.json`` cell:
-    ``max_phi`` and its grid index ``location`` (whether that lies in
-    sublevel, when given, as ``argmax_in_sublevel``), the margin
-    ``quantiles``, ``epsilon``, and ``pass`` against the discretization
-    budget ``tolerance`` = c_disc * h**2.
+    ``max_phi`` and its grid index ``location`` (whether w < 0 there, that
+    is whether it lies in the sublevel set, as ``argmax_in_sublevel``), the
+    margin ``quantiles``, ``epsilon``, and ``pass`` against the
+    discretization budget ``tolerance`` = c_disc * h**2.
     """
     grid = chart.grid
     mask = chart.mask
     n = grid.n
-    w = np.asarray(w, dtype=float)
+    w = np.asarray(w, dtype=float)[mask]
     psi = np.asarray(psi, dtype=float)
     depth = np.maximum(-psi[mask], 0.0)
-    phi_test = -eps * depth ** (n / (n + 1.0)) - w[mask]
+    phi_test = -eps * depth ** (n / (n + 1.0)) - w
 
     arg = int(np.argmax(phi_test))
     flat = np.flatnonzero(mask.ravel())[arg]
@@ -458,7 +455,7 @@ def check_comparison(w, psi, eps, chart, c_disc=10.0, sublevel=None):
         "location": [int(c) for c in np.unravel_index(flat, grid.shape)],
         "tolerance": float(tolerance),
         "pass": bool(max_phi <= tolerance),
-        "argmax_in_sublevel": bool(sublevel.ravel()[flat]) if sublevel is not None else None,
+        "argmax_in_sublevel": bool(w[arg] < 0.0),
         "quantiles": {"min": float(qs[0]), "q25": float(qs[1]), "median": float(qs[2]),
                       "q75": float(qs[3]), "max": float(qs[4])},
     }
@@ -469,8 +466,7 @@ _UNMEASURED = ("mass", "epsilon", "max_phi", "location", "tolerance", "argmax_in
                "quantiles", "mass_error")
 
 
-def run_localization(solution, problem, s_fractions, k_list, c_disc=10.0,
-                     entropy_exponent=None):
+def run_localization(solution, problem, s_fractions, k_list, c_disc, entropy_exponent):
     """Run the full comparison loop on a solved primary instance.
 
     Builds the chart at the argmin of the solved potential, then for every
@@ -485,22 +481,20 @@ def run_localization(solution, problem, s_fractions, k_list, c_disc=10.0,
     grid = problem.grid
     n = grid.n
     chart = build_chart(solution.phi, problem.g, problem.g_h, grid)
-    exponent = n + 1 if entropy_exponent is None else entropy_exponent
-    entropy = entropy_norm(problem.F, problem.g, grid, exponent)
+    entropy = entropy_norm(problem.F, problem.g, grid, entropy_exponent)
 
     cells = []
     for fraction in s_fractions:
         s = fraction * chart.depth_cap
         for k in k_list:
             try:
-                w, sublevel = tilted_potential(solution.phi, chart, s)
+                w = tilted_potential(solution.phi, chart, s)
                 density, mass = _hinge_density(w, problem.F, k, chart)
                 rhs = np.zeros(grid.shape)
                 rhs[chart.mask] = density / mass
                 aux = solve_dirichlet_ma(chart, rhs)
                 eps = comparison_scale(mass, problem.spec.gamma, n)
-                cell = check_comparison(w, aux.psi, eps, chart, c_disc=c_disc,
-                                        sublevel=sublevel)
+                cell = check_comparison(w, aux.psi, eps, chart, c_disc)
                 cell.update(mass=mass, mass_error=abs(aux.mass - 1.0), error=None, residuals={
                     "solver_sup": aux.residual_sup, "iterations": aux.iterations,
                     "krylov_iterations": aux.krylov_iterations})

@@ -94,26 +94,13 @@ def _symfun_suite(spec, samples, rng):
     }
 
 
-def _hermlin_suite(spec, samples, rng):
-    g, g_h, phi_h, gt = random_admissible_parts(spec, samples, rng)
-    report = verify_trace_reversal_identities(spec, g, g_h, gt, phi_h)
-    return {
-        "identity_residual": report.residual_a,
-        "trace_residual": report.trace_residual,
-        "pd_margin": report.pd_margin,
-        "det_slack": report.det_slack,
-        "chain_slack": report.chain_slack,
-        "passed": bool(report.passed),
-    }
-
-
 def cmd_check_pointwise(descriptor, out_dir):
     rng = np.random.default_rng(descriptor.seed)
     spec = descriptor.make_operator()
-    suites = {
-        "operator": _symfun_suite(spec, descriptor.samples, rng),
-        "identities": _hermlin_suite(spec, descriptor.samples, rng),
-    }
+    operator = _symfun_suite(spec, descriptor.samples, rng)
+    g, g_h, phi_h, _ = random_admissible_parts(spec, descriptor.samples, rng)
+    suites = {"operator": operator,
+              "identities": verify_trace_reversal_identities(spec, g, g_h, phi_h)}
     payload = {
         "samples": descriptor.samples,
         "seed": descriptor.seed,
@@ -132,7 +119,7 @@ def _build_problem(descriptor, forcing_params=None):
     F = descriptor.make_forcing(grid, forcing_params)
     return PrimaryProblem(spec=descriptor.make_operator(), g=g, g_h=g_h, F=F, grid=grid,
                           tolerance=descriptor.tolerances["solver"],
-                          max_iterations=int(descriptor.tolerances["max_iterations"]))
+                          max_iterations=descriptor.tolerances["max_iterations"])
 
 
 def _solve_artifacts(problem, out_dir, descriptor):
@@ -189,9 +176,9 @@ def cmd_localize(descriptor, out_dir):
         payload = run_localization(
             solution, problem,
             s_fractions=descriptor.s_fractions,
-            k_list=[int(k) for k in descriptor.k_list],
+            k_list=descriptor.k_list,
             c_disc=descriptor.tolerances["c_disc"],
-            entropy_exponent=descriptor.entropy_exponent,
+            entropy_exponent=descriptor.entropy_exponent_or_default(problem.grid.n),
         )
     except NFormError as exc:
         _write_json(os.path.join(out_dir, "localize_error.json"), {"error": str(exc)})

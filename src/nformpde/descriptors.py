@@ -15,6 +15,7 @@ from jsonschema import ValidationError
 from . import schemas
 from .errors import InconsistentInputError
 from .grid import TorusGrid, identity_metric
+from .solver import PrimaryProblem
 from .symfun import combine, hessian, monge_ampere, p_monge_ampere
 
 
@@ -60,9 +61,9 @@ def _combination(config, n):
 # family -> (builder from a checked config and its dim, rule of the config)
 _OPERATORS = {
     "monge-ampere": _operator(lambda config, n: monge_ampere(n)),
-    "hessian": _operator(lambda config, n: hessian(n, int(config["k"])), ("k",),
+    "hessian": _operator(lambda config, n: hessian(n, config["k"]), ("k",),
                          k={"type": "integer"}),
-    "p-monge-ampere": _operator(lambda config, n: p_monge_ampere(n, int(config["p"])), ("p",),
+    "p-monge-ampere": _operator(lambda config, n: p_monge_ampere(n, config["p"]), ("p",),
                                 p={"type": "integer"}),
     "combination": _operator(_combination, ("members", "weights"),
                              members={"type": "array"},
@@ -78,24 +79,7 @@ def _check_operator(config, what="operator"):
 
 def _operator_from_config(config):
     """The operator spec of a config that _check_operator accepted."""
-    return _OPERATORS[config["family"]][0](config, int(config.get("dim", 2)))
-
-
-def operator_config(spec):
-    """Serializable configuration for an operator spec."""
-    if spec.family == "combination":
-        return {
-            "family": spec.family,
-            "dim": spec.dim,
-            "members": [operator_config(m) for m in spec.members],
-            "weights": list(spec.weights),
-        }
-    config = {"family": spec.family, "dim": spec.dim}
-    if spec.family == "hessian":
-        config["k"] = spec.k
-    if spec.family == "p-monge-ampere":
-        config["p"] = spec.p
-    return config
+    return _OPERATORS[config["family"]][0](config, config.get("dim", 2))
 
 
 def _generator(generate, **params):
@@ -178,7 +162,7 @@ def _forcing_gaussian(grid, params, rng):
 def _forcing_bumps(grid, params, rng):
     amp = params.get("amplitude", 1.0)
     sigma = params.get("sigma", 0.12) * grid.L
-    count = int(params.get("count", 3))
+    count = params.get("count", 3)
     field_sum = np.zeros(grid.shape)
     centers = rng.uniform(0.0, 1.0, size=(count, 2 * grid.n))
     signs = rng.choice([-1.0, 1.0], size=count)
@@ -189,7 +173,7 @@ def _forcing_bumps(grid, params, rng):
 
 def _forcing_bandlimited(grid, params, rng):
     amp = params.get("amplitude", 0.5)
-    max_mode = int(params.get("max_mode", 2))
+    max_mode = params.get("max_mode", 2)
     m = 2 * grid.n
     mesh = [grid.axis_coordinates(a) for a in range(m)]
     out = np.zeros(grid.shape)
@@ -245,7 +229,9 @@ def parse_json(text):
 
 
 _GRID_DEFAULTS = {"n": 2, "N": 16, "L": 1.0}
-_TOLERANCE_DEFAULTS = {"solver": 1e-9, "c_disc": 10.0, "sweep_ratio": 3.0, "max_iterations": 40}
+# the solver tolerance and step budget are PrimaryProblem's field defaults
+_TOLERANCE_DEFAULTS = {"solver": PrimaryProblem.tolerance, "c_disc": 10.0, "sweep_ratio": 3.0,
+                       "max_iterations": PrimaryProblem.max_iterations}
 
 
 @dataclass
@@ -300,7 +286,7 @@ class ExperimentDescriptor:
     # ---- realized objects: the fields were checked when the descriptor was built ----
 
     def make_grid(self):
-        return TorusGrid(n=int(self.grid["n"]), N=int(self.grid["N"]), L=float(self.grid["L"]))
+        return TorusGrid(**self.grid)
 
     def make_operator(self):
         return _operator_from_config(self.operator)

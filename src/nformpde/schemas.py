@@ -1,7 +1,8 @@
 """Published JSON schemas for descriptors and emitted reports."""
 
+from jsonschema import Draft202012Validator
 from jsonschema.exceptions import best_match
-from jsonschema.validators import validator_for
+from jsonschema.validators import extend
 
 _NUMBER_OR_NULL = {"type": ["number", "null"]}
 _POSITIVE = {"type": "number", "exclusiveMinimum": 0}
@@ -91,9 +92,16 @@ LOCALIZATION_REPORT_SCHEMA = {
         "depth_cap": {"type": "number"},
         "estimate_trivial": {"type": "boolean"},
         "all_passed": {"type": "boolean"},
-        "reports": {"type": "array", "items": COMPARISON_REPORT_SCHEMA},
+        "reports": {"type": "array", "minItems": 1, "items": COMPARISON_REPORT_SCHEMA},
     },
 }
+
+
+def _suite(*numbers, **properties):
+    """A check.json suite: these numbers, the other properties and its verdict."""
+    properties.update(dict.fromkeys(numbers, {"type": "number"}), passed={"type": "boolean"})
+    return {"type": "object", "required": list(properties), "properties": properties}
+
 
 POINTWISE_REPORT_SCHEMA = {
     "type": "object",
@@ -101,7 +109,18 @@ POINTWISE_REPORT_SCHEMA = {
     "properties": {
         "samples": {"type": "integer"},
         "seed": {"type": "integer"},
-        "suites": {"type": "object"},
+        "suites": {
+            "type": "object",
+            "additionalProperties": False,
+            "required": ["operator", "identities"],
+            "properties": {
+                "operator": _suite("euler_rel", "homogeneity_rel", "gradient_min",
+                                   "gradient_product_min", "gamma",
+                                   gamma_certified={"type": "boolean"}),
+                "identities": _suite("identity_residual", "trace_residual", "pd_margin",
+                                     "det_slack", "chain_slack"),
+            },
+        },
         "all_passed": {"type": "boolean"},
     },
 }
@@ -140,6 +159,7 @@ SWEEP_REPORT_SCHEMA = {
         "entropy_target": {"type": "number"},
         "rows": {
             "type": "array",
+            "minItems": 1,
             "items": {
                 "type": "object",
                 "required": ["parameter", "entropy", "sup_norm", "b", "converged"],
@@ -162,15 +182,24 @@ REPORT_SUMMARY_SCHEMA = {
 }
 
 
+def _is_integer(checker, instance):
+    return isinstance(instance, int) and not isinstance(instance, bool)
+
+
+# Draft 2020-12 with "integer" meaning a Python int: 8.0 is a number, not an integer
+Validator = extend(Draft202012Validator,
+                   type_checker=Draft202012Validator.TYPE_CHECKER.redefine("integer", _is_integer))
+
+
 def validate(instance, schema):
     """Raise jsonschema.ValidationError when instance violates schema.
 
-    The error is the one jsonschema.validate would raise, but the schema
-    itself is not checked against its metaschema on every call: every
-    schema the toolkit validates with is a constant that the tests check
-    once.
+    The error is the one jsonschema.validate would raise under Validator,
+    but the schema itself is not checked against its metaschema on every
+    call: every schema the toolkit validates with is a constant that the
+    tests check once.
     """
-    error = best_match(validator_for(schema)(schema).iter_errors(instance))
+    error = best_match(Validator(schema).iter_errors(instance))
     if error is not None:
         raise error
     return instance

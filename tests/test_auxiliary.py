@@ -99,7 +99,8 @@ def test_tilted_potential_structure():
     chart, grid = flat_chart()
     phi = 0.01 * grid.distance_sq(CENTER)
     s = 0.5 * chart.depth_cap
-    w, sublevel = tilted_potential(phi, chart, s)
+    w = tilted_potential(phi, chart, s)
+    sublevel = chart.mask & (w < 0.0)
     assert w[chart.center_index] == pytest.approx(-s, abs=1e-15)
     assert sublevel.sum() > 0
     assert np.all(chart.mask[sublevel])
@@ -297,7 +298,7 @@ def test_check_comparison_sign_structure():
     chart, grid = flat_chart()
     w = chart.positivity_fraction * chart.dist_sq + 0.01
     psi = -(chart.radius**2 - chart.dist_sq)
-    verdict = check_comparison(w, psi, 0.5, chart, sublevel=np.zeros(grid.shape, bool))
+    verdict = check_comparison(w, psi, 0.5, chart, 10.0)
     # nonnegative w makes the test function nonpositive everywhere
     assert verdict["max_phi"] <= 0.0
     assert verdict["pass"] is True
@@ -310,16 +311,27 @@ def test_check_comparison_sign_structure():
                             "argmax_in_sublevel", "quantiles"}
 
 
+def test_check_comparison_reads_the_sublevel_from_w():
+    chart, grid = flat_chart()
+    w = tilted_potential(np.zeros(grid.shape), chart, 0.5 * chart.depth_cap)
+    psi = -(chart.radius**2 - chart.dist_sq)
+    verdict = check_comparison(w, psi, 0.0, chart, 10.0)
+    # at eps = 0 the test function is -w, largest at the center, where w = -s < 0
+    assert tuple(verdict["location"]) == chart.center_index
+    assert w[chart.center_index] < 0.0
+    assert verdict["argmax_in_sublevel"] is True
+
+
 def test_tight_fixture_margins():
     grid = TorusGrid(n=2, N=16, L=1.0)
     fixture = tight_comparison_fixture(monge_ampere(2), grid)
     assert fixture.alpha == pytest.approx(0.5003, abs=2e-3)
     assert fixture.epsilon == pytest.approx(0.5445, abs=2e-3)
     assert fixture.epsilon > fixture.alpha
-    full = check_comparison(fixture.w, fixture.psi, fixture.epsilon, fixture.chart)
+    full = check_comparison(fixture.w, fixture.psi, fixture.epsilon, fixture.chart, 10.0)
     assert full["pass"]
     assert full["max_phi"] <= 0.0
-    halved = check_comparison(fixture.w, fixture.psi, 0.5 * fixture.epsilon, fixture.chart)
+    halved = check_comparison(fixture.w, fixture.psi, 0.5 * fixture.epsilon, fixture.chart, 10.0)
     assert not halved["pass"]
     assert halved["max_phi"] > 0.1
 
@@ -331,7 +343,8 @@ def test_run_localization_trivial_instance():
         spec=monge_ampere(2), g=g, g_h=g, F=np.zeros(grid.shape), grid=grid
     )
     solution = solve_primary(problem)
-    payload = run_localization(solution, problem, s_fractions=(0.5,), k_list=(10,))
+    payload = run_localization(solution, problem, s_fractions=(0.5,), k_list=(10,), c_disc=10.0,
+                               entropy_exponent=3)
     schemas.validate(payload, schemas.LOCALIZATION_REPORT_SCHEMA)
     assert payload["depth"] == 0.0
     assert payload["estimate_trivial"]
@@ -350,7 +363,8 @@ def test_run_localization_captures_cell_errors():
         spec=monge_ampere(2), g=g, g_h=g, F=np.zeros(grid.shape), grid=grid
     )
     solution = solve_primary(problem)
-    payload = run_localization(solution, problem, s_fractions=(0.5,), k_list=(7.5,))
+    payload = run_localization(solution, problem, s_fractions=(0.5,), k_list=(7.5,), c_disc=10.0,
+                               entropy_exponent=3)
     assert not payload["all_passed"]
     cell = payload["reports"][0]
     assert cell["pass"] is False

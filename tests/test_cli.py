@@ -152,6 +152,12 @@ def test_usage_errors_exit_two(tmp_path, capsys):
         config = write_config(tmp_path / "keys.json", **fields)
         assert main(["solve", "--config", config, "--out", str(tmp_path / "o")]) == EXIT_USAGE
         assert "descriptor error" in capsys.readouterr().err
+    # a whole number written as a float is not an integer, wherever it is read
+    for command, fields in (("solve", {"seed": 1.0}), ("check-pointwise", {"samples": 50.0}),
+                            ("solve", {"grid": {"n": 2, "N": 8.0, "L": 1.0}})):
+        config = write_config(tmp_path / "floats.json", **fields)
+        assert main([command, "--config", config, "--out", str(tmp_path / "o")]) == EXIT_USAGE
+        assert "descriptor error" in capsys.readouterr().err
     # a malformed generator parameter is rejected before any field is realized
     coarse = {"n": 2, "N": 8, "L": 1.0}
     for fields in ({"forcing": {"name": "gaussian", "params": {"amplitude": "x"}}},
@@ -215,10 +221,17 @@ def test_negative_seed_unusable_out_and_bad_artifacts_exit_two(tmp_path, capsys)
     assert exc.value.code == EXIT_USAGE
     assert str(taken) in capsys.readouterr().err
     # report names an artifact that is not JSON, not a JSON object, or an
-    # object that breaks its published schema
+    # object that breaks its published schema, such as one that checked nothing
+    localization = {"depth": 0.0, "entropy": 1.0, "center": [0, 0, 0, 0], "r0": 0.25,
+                    "positivity_fraction": 0.125, "depth_cap": 0.03, "estimate_trivial": True,
+                    "all_passed": True, "reports": []}
+    sweep = {"entropy_target": 1.0, "rows": [], "max_over_min": None, "band": 3.0,
+             "band_ok": True, "all_converged": True}
     bad = [("sweep.json", "{not json"), ("sweep.json", "[1]"),
            ("solve_meta.json", '{"l1_bound": 1}'), ("check.json", '{"all_passed": "yes"}'),
-           ("sweep.json", '{"all_converged": true}')]
+           ("sweep.json", '{"all_converged": true}'),
+           ("check.json", '{"samples": 1, "seed": 0, "suites": {}, "all_passed": true}'),
+           ("localization.json", json.dumps(localization)), ("sweep.json", json.dumps(sweep))]
     for i, (name, text) in enumerate(bad):
         out = tmp_path / ("artifacts%d" % i)
         out.mkdir()

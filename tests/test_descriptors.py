@@ -1,14 +1,10 @@
 """Experiment descriptors: JSON round trips, validation, field generators."""
 
-import json
-
 import numpy as np
 import pytest
 
-from jsonschema.validators import validator_for
-
 from nformpde import descriptors, schemas
-from nformpde.descriptors import ExperimentDescriptor, operator_config
+from nformpde.descriptors import ExperimentDescriptor
 from nformpde.errors import InconsistentInputError
 from nformpde.grid import TorusGrid, integrate, volume_density
 from nformpde.symfun import combine, hessian, monge_ampere, p_monge_ampere
@@ -101,23 +97,22 @@ def test_p_monge_ampere_index_bound():
 
 
 def test_operator_config_round_trip():
-    specs = [
-        monge_ampere(2),
-        hessian(3, 2),
-        p_monge_ampere(3, 2),
-        combine([monge_ampere(2), hessian(2, 1)], [0.7, 0.3]),
+    # each family from a literal config, through JSON, to the operator it names
+    ma = {"family": "monge-ampere", "dim": 2}
+    cases = [
+        (ma, monge_ampere(2)),
+        ({"family": "hessian", "dim": 3, "k": 2}, hessian(3, 2)),
+        ({"family": "p-monge-ampere", "dim": 3, "p": 2}, p_monge_ampere(3, 2)),
+        ({"family": "combination", "dim": 2, "weights": [0.7, 0.3],
+          "members": [ma, {"family": "hessian", "dim": 2, "k": 1}]},
+         combine([monge_ampere(2), hessian(2, 1)], [0.7, 0.3])),
     ]
-    for spec in specs:
-        data = ExperimentDescriptor(
-            operator=operator_config(spec),
-            grid={"n": spec.dim, "N": 16, "L": 1.0},
-        )
-        rebuilt = data.make_operator()
+    for config, spec in cases:
+        data = ExperimentDescriptor(operator=config, grid={"n": spec.dim, "N": 16, "L": 1.0})
+        rebuilt = ExperimentDescriptor.from_json(data.to_json()).make_operator()
         assert rebuilt.family == spec.family
         assert rebuilt.dim == spec.dim
         assert rebuilt.gamma == pytest.approx(spec.gamma, rel=1e-12)
-        # serialized form survives a JSON round trip unchanged
-        assert json.loads(json.dumps(operator_config(spec))) == operator_config(spec)
 
 
 def test_background_generators_produce_pinched_metrics():
@@ -199,10 +194,11 @@ def test_entropy_exponent_default():
 
 
 def test_every_schema_and_rule_is_a_valid_schema():
-    # schemas.validate does not check its schema on each call
+    # schemas.validate does not check its schema on each call; each is
+    # checked here with the validator class it is used with
     published = [value for name, value in vars(schemas).items() if name.endswith("_SCHEMA")]
     tables = (descriptors._OPERATORS, descriptors._BACKGROUNDS, descriptors._FORCINGS)
     rules = [rule for table in tables for _, rule in table.values()]
     assert len(published) == 7 and len(rules) == 11
     for schema in published + rules:
-        validator_for(schema).check_schema(schema)
+        schemas.Validator.check_schema(schema)
