@@ -11,7 +11,7 @@ smoothing indices.
 """
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -50,8 +50,9 @@ PULLBACK = 2.5
 
 MASS_TOL = 1e-10
 
-# Sup-norm residual at which the chart Newton solve stops.
+# Sup-norm residual at which the chart Newton solve stops, and its step budget.
 RESIDUAL_TOL = 1e-10
+MAX_ITERATIONS = 60
 
 
 @dataclass
@@ -63,7 +64,8 @@ class LocalChart:
     half and twice the identity.  ``positivity_fraction`` is half the
     largest constant c with g_h >= (2c/(n-1)) (tr_g g_h) g on the ball,
     and ``depth_cap`` = 4 * positivity_fraction * r0**2 bounds the
-    admissible tilt depths.
+    admissible tilt depths.  ``mask_flat``, ``ghost_flat`` and ``extend``
+    are the ball's ghost geometry (``_chart_geometry``).
     """
 
     grid: object
@@ -77,7 +79,9 @@ class LocalChart:
     vol_density: np.ndarray
     metric_margin: float
     estimate_trivial: bool
-    _geometry: object = field(default=None, repr=False, compare=False)
+    mask_flat: np.ndarray
+    ghost_flat: np.ndarray
+    extend: object
 
     @property
     def radius(self):
@@ -86,12 +90,7 @@ class LocalChart:
 
     @property
     def num_interior(self):
-        return int(np.count_nonzero(self.mask))
-
-
-def _metric_eig_range(g):
-    eigs = np.linalg.eigvalsh(g)
-    return eigs[..., 0].real, eigs[..., -1].real
+        return self.mask_flat.size
 
 
 def build_chart(phi, g, g_h, grid):
@@ -115,7 +114,8 @@ def build_chart(phi, g, g_h, grid):
     center = tuple(int(c) for c in np.unravel_index(center_flat, grid.shape))
     dist_sq = grid.distance_sq(center)
 
-    emin, emax = _metric_eig_range(g)
+    eigs = np.linalg.eigvalsh(g)
+    emin, emax = eigs[..., 0].real, eigs[..., -1].real
     jmax = min(grid.N // 4, int(np.floor(grid.L / 4.0 / grid.h + 1e-12)))
     chosen = None
     for j in range(jmax, MIN_RADIUS_STEPS - 1, -1):
@@ -147,6 +147,7 @@ def build_chart(phi, g, g_h, grid):
         raise MetricDegeneracyError("reference form is not positive definite on the chart ball")
     maximal = 0.5 * (grid.n - 1) * float(np.min(lam_min / trace))
     positivity_fraction = 0.5 * maximal
+    mask_flat, ghost_flat, extend = _chart_geometry(mask, center, 2.0 * r0, grid)
 
     return LocalChart(
         grid=grid,
@@ -160,6 +161,9 @@ def build_chart(phi, g, g_h, grid):
         vol_density=volume_density(g),
         metric_margin=float(min(lo - METRIC_LOWER, METRIC_UPPER - hi)),
         estimate_trivial=bool(-phi.min() < 2.0),
+        mask_flat=mask_flat,
+        ghost_flat=ghost_flat,
+        extend=extend,
     )
 
 
@@ -217,28 +221,19 @@ def hinge_mass(w, F, k, chart):
     return _hinge_density(w, F, k, chart)[1]
 
 
-@dataclass
-class _ChartGeometry:
-    mask_flat: np.ndarray
-    ghost_flat: np.ndarray
-    extend: object
+def _chart_geometry(mask, center_index, R, grid):
+    """Ghost-value machinery for Dirichlet problems on a ball of radius R.
 
-
-def _chart_geometry(chart):
-    """Ghost-value machinery for Dirichlet problems on the chart ball.
-
-    Grid points outside the ball but read by the Hessian stencil get values
-    extrapolated along the ray from the chart center: the interior value is
+    Returns (mask_flat, ghost_flat, extend): the flat indices of the ball
+    and of the grid points outside it that the Hessian stencil reads, and
+    the sparse map from ball values to ghost values.  A ghost value is
+    extrapolated along the ray from the center: the interior value is
     sampled by multilinear interpolation on the sphere of radius
     R - PULLBACK*h and scaled linearly in squared radius so that the
     extension vanishes exactly on the sphere of radius R.
     """
-    if chart._geometry is not None:
-        return chart._geometry
-    grid = chart.grid
     m = 2 * grid.n
     N = grid.N
-    mask = chart.mask
 
     dilated = mask.copy()
     axes = tuple(range(m))
@@ -251,13 +246,12 @@ def _chart_geometry(chart):
     inverse = np.full(grid.num_points, -1, dtype=np.int64)
     inverse[mask_flat] = np.arange(mask_flat.size)
 
-    center = np.array(chart.center_index, dtype=np.int64)
+    center = np.array(center_index, dtype=np.int64)
     idx = np.array(np.unravel_index(ghost_flat, grid.shape)).T
     offset = (idx - center + N // 2) % N - N // 2
     rp = grid.h * np.sqrt(np.sum(offset.astype(float) ** 2, axis=1))
 
     # build_chart keeps R >= 2 * MIN_RADIUS_STEPS * h > PULLBACK * h, so rq > 0
-    R = chart.radius
     rq = R - PULLBACK * grid.h
 
     # fractional index of the pullback point on the ray toward the center
@@ -278,14 +272,7 @@ def _chart_geometry(chart):
     rows = np.repeat(np.arange(ghost_flat.size), bits.shape[0])
     data = (weights * factor[:, None]).ravel()
     extend = csr_matrix((data, (rows, cols.ravel())), shape=(ghost_flat.size, mask_flat.size))
-
-    geometry = _ChartGeometry(
-        mask_flat=mask_flat,
-        ghost_flat=ghost_flat,
-        extend=extend,
-    )
-    chart._geometry = geometry
-    return geometry
+    return mask_flat, ghost_flat, extend
 
 
 @dataclass
@@ -305,12 +292,13 @@ class AuxiliarySolution:
     residual_history: list
 
 
-def solve_dirichlet_ma(chart, rhs_density, max_iterations=60):
+def solve_dirichlet_ma(chart, rhs_density):
     """Solve det of the complex Hessian of psi = rhs on the chart ball.
 
     Damped Newton iteration in log-determinant form on the interior values,
-    to a sup residual of RESIDUAL_TOL, with ghost values tied to the interior
-    by the radial zero-boundary extrapolation of the chart geometry.
+    to a sup residual of RESIDUAL_TOL in at most MAX_ITERATIONS steps, with
+    ghost values tied to the interior by the chart's radial zero-boundary
+    extrapolation (``extend``).
     Hessian eigenvalues are clamped at EIG_FLOOR during the iteration; a
     clamp still active at convergence raises DegeneracyError.
 
@@ -329,11 +317,10 @@ def solve_dirichlet_ma(chart, rhs_density, max_iterations=60):
         discrete unit mass over the mask to MASS_TOL.
     """
     grid = chart.grid
-    geo = _chart_geometry(chart)
     rhs_density = np.asarray(rhs_density, dtype=float)
     if rhs_density.shape != grid.shape:
         raise InconsistentInputError("rhs density shape does not match the grid")
-    rho = rhs_density.ravel()[geo.mask_flat]
+    rho = rhs_density.ravel()[chart.mask_flat]
     if rho.min() <= 0.0:
         raise InconsistentInputError("rhs density must be positive on the chart ball")
     mass_defect = abs(float(np.sum(rho) * grid.cell_volume) - 1.0)
@@ -347,8 +334,8 @@ def solve_dirichlet_ma(chart, rhs_density, max_iterations=60):
     full = np.zeros(grid.num_points)  # fill and the preconditioner write only here
 
     def fill(values):
-        full[geo.mask_flat] = values
-        full[geo.ghost_flat] = geo.extend @ values
+        full[chart.mask_flat] = values
+        full[chart.ghost_flat] = chart.extend @ values
         return full.reshape(grid.shape)
 
     def evaluate_at(values):
@@ -375,9 +362,9 @@ def solve_dirichlet_ma(chart, rhs_density, max_iterations=60):
         frozen = frozen_hessian_inverse(inv.mean(axis=0), grid)
 
         def precond(u):
-            full[geo.mask_flat] = u
-            full[geo.ghost_flat] = 0.0
-            return frozen(full.reshape(grid.shape), 0.0).reshape(-1)[geo.mask_flat]
+            full[chart.mask_flat] = u
+            full[chart.ghost_flat] = 0.0
+            return frozen(full.reshape(grid.shape), 0.0).reshape(-1)[chart.mask_flat]
 
         op = LinearOperator((rho.size, rho.size), matvec=matvec, dtype=float)
         M = LinearOperator((rho.size, rho.size), matvec=precond, dtype=float)
@@ -391,7 +378,7 @@ def solve_dirichlet_ma(chart, rhs_density, max_iterations=60):
     psi, sup, (eigs, _), iterations, history = damped_newton(
         evaluate_at(cbar ** (1.0 / n) * (chart.dist_sq[mask] - R * R)),
         lambda values, direction, t: evaluate_at(values + t * direction),
-        step, RESIDUAL_TOL, max_iterations,
+        step, RESIDUAL_TOL, MAX_ITERATIONS,
     )
     clamp_history.append(int(np.count_nonzero(eigs < EIG_FLOOR)))
     min_eig = float(eigs.min())

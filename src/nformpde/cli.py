@@ -98,7 +98,7 @@ def cmd_check_pointwise(descriptor, out_dir):
     rng = np.random.default_rng(descriptor.seed)
     spec = descriptor.make_operator()
     operator = _symfun_suite(spec, descriptor.samples, rng)
-    g, g_h, phi_h, _ = random_admissible_parts(spec, descriptor.samples, rng)
+    g, g_h, phi_h = random_admissible_parts(spec, descriptor.samples, rng)
     suites = {"operator": operator,
               "identities": verify_trace_reversal_identities(spec, g, g_h, phi_h)}
     payload = {
@@ -410,9 +410,9 @@ def main(argv=None):
             return cmd_localize(descriptor, args.out)
         return cmd_sweep(descriptor, args.out, workers=args.workers)
     except InconsistentInputError as exc:
-        # what depends on the realized grid (a gaussian center's length) and the
-        # sweep's sigma overrides are checked here; every solve-time error is
-        # mapped inside the commands
+        # two descriptor errors show only after the descriptor is built: a sweep
+        # sigma the forcing rejects and a forcing that overflows on the grid;
+        # every solve-time error is mapped inside the commands
         print("descriptor error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
 

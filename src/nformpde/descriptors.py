@@ -7,6 +7,7 @@ dictionaries so descriptors serialize losslessly.
 """
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -107,8 +108,6 @@ def _background_conformal(grid, params):
 def _background_banded(grid, params):
     """Identity plus a smooth off-diagonal Hermitian band."""
     amp = params.get("amplitude", 0.1)
-    if grid.n < 2:
-        raise InconsistentInputError("banded background needs at least two complex directions")
     k = 2.0 * np.pi / grid.L
     x = grid.axis_coordinates(0)
     y = grid.axis_coordinates(3)
@@ -154,8 +153,6 @@ def _forcing_gaussian(grid, params, rng):
     amp = params.get("amplitude", 1.0)
     sigma = params.get("sigma", 0.15) * grid.L
     center = params.get("center", [0.5] * (2 * grid.n))
-    if len(center) != 2 * grid.n:
-        raise InconsistentInputError("gaussian center must have one entry per real axis")
     return amp * _periodized_gaussian(grid, center, sigma)
 
 
@@ -205,25 +202,20 @@ _FORCINGS = {
 }
 
 
-def _not_json(constant):
-    raise InconsistentInputError("descriptor is not valid JSON: %s is not a JSON number" % constant)
-
-
-def _json_int(text):
-    """A JSON integer, rejected when no float can hold it."""
-    try:
-        float(int(text))
-    except (OverflowError, ValueError):
-        raise InconsistentInputError("descriptor integer %s... is too large for a float"
-                                     % text[:12]) from None
-    return int(text)
+def _finite_number(text):
+    """The value of a JSON number token, or of NaN and Infinity, which are not
+    JSON: rejected unless a float holds it as a finite number."""
+    if not math.isfinite(float(text)):
+        raise InconsistentInputError("descriptor number %s is not finite as a float"
+                                     % (text if len(text) <= 12 else text[:12] + "..."))
+    return int(text) if text.lstrip("-").isdigit() else float(text)
 
 
 def parse_json(text):
-    """Plain data of a descriptor's JSON text (NaN and Infinity are not JSON,
-    and every number must fit a float)."""
+    """Plain data of a descriptor's JSON text, every number finite as a float."""
     try:
-        return json.loads(text, parse_constant=_not_json, parse_int=_json_int)
+        return json.loads(text, parse_constant=_finite_number, parse_int=_finite_number,
+                          parse_float=_finite_number)
     except json.JSONDecodeError as exc:
         raise InconsistentInputError("descriptor is not valid JSON: %s" % exc) from None
 
@@ -264,6 +256,10 @@ class ExperimentDescriptor:
         _entry(self.background_g, _BACKGROUNDS, "name", "background_g")
         _entry(self.background_gh, _BACKGROUNDS, "name", "background_gh")
         _entry(self.forcing, _FORCINGS, "name", "forcing")
+        center = self.forcing.get("params", {}).get("center")  # only gaussian takes one
+        if center is not None and len(center) != 2 * self.grid["n"]:
+            raise InconsistentInputError("forcing.params.center: a gaussian center needs one "
+                                         "entry per real axis, 2n = %d" % (2 * self.grid["n"]))
         if self.entropy_exponent is not None and self.entropy_exponent <= self.grid["n"]:
             raise InconsistentInputError("entropy exponent must exceed the complex dimension")
 
@@ -304,8 +300,14 @@ class ExperimentDescriptor:
         return params
 
     def make_forcing(self, grid, params=None):
+        """The forcing field on grid; InconsistentInputError if it overflows a float."""
         generate = _FORCINGS[self.forcing["name"]][0]
-        return generate(grid, self.forcing_params(params), np.random.default_rng(self.seed))
+        with np.errstate(over="ignore", invalid="ignore"):
+            F = generate(grid, self.forcing_params(params), np.random.default_rng(self.seed))
+        if not np.all(np.isfinite(F)):
+            raise InconsistentInputError("forcing %s is not finite on the grid"
+                                         % self.forcing["name"])
+        return F
 
     def entropy_exponent_or_default(self, n):
         return n + 1 if self.entropy_exponent is None else self.entropy_exponent

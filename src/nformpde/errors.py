@@ -14,14 +14,9 @@ class NFormError(Exception):
 class ConeViolationError(NFormError):
     """An eigenvalue tuple left the admissible cone.
 
-    Carries the failing cone functional value and, for gridded input, the
-    flat index of the first offending point.
+    The message names the failing cone functional value and the flat index
+    of the first offending tuple.
     """
-
-    def __init__(self, message, margin=None, index=None):
-        super().__init__(message)
-        self.margin = margin
-        self.index = index
 
 
 class DegeneratePointError(NFormError):

@@ -27,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import symfun
-from .errors import MetricDegeneracyError, UnsupportedDimensionError
+from .errors import InconsistentInputError, MetricDegeneracyError, UnsupportedDimensionError
 from .grid import twisted_from_hessian
 
 TRACE_TOL = 1e-10        # |tr(G gt) - 1|
@@ -269,7 +269,7 @@ def verify_trace_reversal_identities(spec, g, g_h, phi_h):
 
 
 def random_admissible_parts(spec, count, rng):
-    """Sample admissible (g, g_h, phi_h, gt) batches for property suites.
+    """Sample admissible (g, g_h, phi_h) batches for property suites.
 
     Metrics are identity plus a random Hermitian perturbation of scale 0.2
     (kept HPD: a metric with an eigenvalue at most 0.05 is dropped), and
@@ -277,32 +277,32 @@ def random_admissible_parts(spec, count, rng):
     margin is at most 0.05 are rejected, so the samples model the uniformly
     elliptic regime where the determinant bound stays at bounded magnitude
     (near the cone boundary the bound gamma/f^n blows up and its roundoff
-    with it).
+    with it).  Raises InconsistentInputError when 200 rounds fall short of
+    count, as in high dimension, where few perturbed metrics stay HPD.
     """
     n = spec.dim
     out = []
     have = 0
-    while have < count:
+    for _ in range(200):
         m = max(2 * (count - have), 32)
         g = np.eye(n) + _random_hermitian(m, n, rng, 0.2)
         g_h = np.eye(n) + _random_hermitian(m, n, rng, 0.2)
         phi_h = _random_hermitian(m, n, rng, 0.25)
         ok = np.linalg.eigvalsh(g)[..., 0] > 0.05
         ok &= np.linalg.eigvalsh(g_h)[..., 0] > 0.05
+        if not np.any(ok):
+            continue
         g, g_h, phi_h = g[ok], g_h[ok], phi_h[ok]
-        gt = twisted_from_hessian(phi_h, g, g_h)
-        lam = endomorphism_eigs(g, gt)
+        lam = endomorphism_eigs(g, twisted_from_hessian(phi_h, g, g_h))
         keep = symfun.interior_margin(lam, spec.cone) > 0.05
-        g, g_h, phi_h, gt = g[keep], g_h[keep], phi_h[keep], gt[keep]
-        take = min(len(g), count - have)
-        out.append((g[:take], g_h[:take], phi_h[:take], gt[:take]))
+        take = min(int(np.count_nonzero(keep)), count - have)
+        out.append((g[keep][:take], g_h[keep][:take], phi_h[keep][:take]))
         have += take
-    gs, ghs, phs, gts = zip(*out)
-    return (
-        np.concatenate(gs),
-        np.concatenate(ghs),
-        np.concatenate(phs),
-        np.concatenate(gts),
+        if have == count:
+            return tuple(np.concatenate(parts) for parts in zip(*out))
+    raise InconsistentInputError(
+        f"dimension {n}: fewer than {count} admissible samples after 200 rounds "
+        f"of random metric perturbations"
     )
 
 

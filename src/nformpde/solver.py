@@ -18,6 +18,7 @@ uses) preconditions the Krylov solve.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, lgmres
@@ -56,11 +57,9 @@ class PrimaryProblem:
         if not self.tolerance > 0:
             raise ValueError("tolerance must be positive")
 
-    @property
+    @cached_property
     def g_inv(self):
-        if not hasattr(self, "_g_inv"):
-            self._g_inv = np.linalg.inv(self.g)
-        return self._g_inv
+        return np.linalg.inv(self.g)
 
 
 @dataclass
@@ -107,11 +106,6 @@ def _evaluate_iterate(problem, phi):
     if not np.all(margin > 0.0):
         return None, margin
     return np.log(symfun.evaluate(problem.spec, lam)), margin
-
-
-def _coefficient_field(problem, gt):
-    G = hermlin.linearization(problem.spec, problem.g, gt)
-    return hermlin.trace_reversal(G, problem.g, g_inv=problem.g_inv)
 
 
 def apply_trace_reversed_hessian(coeff, dphi, grid):
@@ -258,8 +252,10 @@ def solve_primary(problem, initial=None):
 
     def step(phi, r, krylov_rtol):
         gt, _ = _eigs_of_twisted(problem, phi)
-        direction, info, matvecs = _newton_step(
-            problem, _coefficient_field(problem, gt), r, krylov_rtol)
+        # nested, so the linearization is freed before the Krylov solve
+        coeff = hermlin.trace_reversal(hermlin.linearization(problem.spec, problem.g, gt),
+                                       problem.g, g_inv=problem.g_inv)
+        direction, info, matvecs = _newton_step(problem, coeff, r, krylov_rtol)
         krylov_iterations.append(matvecs)
         return direction, info
 

@@ -169,8 +169,6 @@ class OperatorSpec:
 
     family: str
     dim: int
-    k: int | None = None
-    p: int | None = None
     members: tuple = ()
     weights: tuple = ()
     cone: object = None
@@ -205,7 +203,7 @@ def hessian(n, k):
     """
     if not 1 <= k <= n:
         raise ValueError(f"k={k} outside 1..{n}")
-    return OperatorSpec(family="hessian", dim=n, k=k, cone=GammaK(k))
+    return OperatorSpec(family="hessian", dim=n, cone=GammaK(k))
 
 
 def p_monge_ampere(n, p):
@@ -218,7 +216,7 @@ def p_monge_ampere(n, p):
         raise ValueError(f"p={p} outside 1..{n}")
     if p == 1:
         return monge_ampere(n)
-    return OperatorSpec(family="p-monge-ampere", dim=n, p=p, cone=PIndexCone(p))
+    return OperatorSpec(family="p-monge-ampere", dim=n, cone=PIndexCone(p))
 
 
 def combine(specs, weights):
@@ -260,9 +258,8 @@ def _require_in_cone(spec, lam):
     if np.any(bad):
         idx = int(np.argmax(bad.reshape(-1)))
         raise ConeViolationError(
-            f"{spec.family}: tuple outside the admissible cone",
-            margin=float(margin.reshape(-1)[idx]),
-            index=idx,
+            f"{spec.family}: tuple outside the admissible cone (margin "
+            f"{float(margin.reshape(-1)[idx]):.3e} at flat index {idx})"
         )
 
 
@@ -279,10 +276,10 @@ def _evaluate_unchecked(spec, lam):
     if spec.family == "monge-ampere":
         return np.prod(lam, axis=-1) ** (1.0 / n)
     if spec.family == "hessian":
-        k = spec.k
+        k = spec.cone.k
         return (sigma_j(lam, k) / math.comb(n, k)) ** (1.0 / k)
     if spec.family == "p-monge-ampere":
-        p = spec.p
+        p = spec.cone.p
         m = math.comb(n, p)
         prod = np.ones(lam.shape[:-1])
         for idx in itertools.combinations(range(n), p):
@@ -317,7 +314,7 @@ def _gradient_unchecked(spec, lam):
         f = _evaluate_unchecked(spec, lam)
         return f[..., None] / (n * lam)
     if spec.family == "hessian":
-        k = spec.k
+        k = spec.cone.k
         f = _evaluate_unchecked(spec, lam)
         sk = sigma_j(lam, k)
         out = np.empty_like(lam)
@@ -325,7 +322,7 @@ def _gradient_unchecked(spec, lam):
             out[..., j] = _elementary_all(np.delete(lam, j, axis=-1))[..., k - 1]
         return f[..., None] * out / (k * sk)[..., None]
     if spec.family == "p-monge-ampere":
-        p = spec.p
+        p = spec.cone.p
         m = math.comb(n, p)
         f = _evaluate_unchecked(spec, lam)
         acc = np.zeros_like(lam)
@@ -374,17 +371,17 @@ def sample_cone(cone, n, count, rng):
     raise RuntimeError("cone sampler failed to reach the requested count")
 
 
-def gamma_lower_bound(spec, sample_count=_GAMMA_SAMPLES, seed=_GAMMA_SEED):
+def gamma_lower_bound(spec):
     """Structural bound on prod_j df/dlam_j over the cone.
 
     Closed forms where they exist; for a combination the best weighted
     member bound max_i(w_i**n * gamma_i); otherwise the sampled infimum over
     random rays (the product is homogeneous of degree zero, so rays are
-    enough).  Sampled values are flagged and should be read as regression
-    baselines.
+    enough: _GAMMA_SAMPLES of them, drawn with the fixed _GAMMA_SEED).
+    Sampled values are flagged and should be read as regression baselines.
     """
     n = spec.dim
-    if spec.family == "monge-ampere" or (spec.family == "hessian" and spec.k in (1, n)):
+    if spec.family == "monge-ampere" or (spec.family == "hessian" and spec.cone.k in (1, n)):
         # Monge-Ampere (hessian k = n): prod_j f/(n lam_j) = f**n / (n**n prod lam);
         # hessian k = 1: every derivative is 1/n
         return GammaBound(float(n) ** (-n), True)
@@ -396,10 +393,8 @@ def gamma_lower_bound(spec, sample_count=_GAMMA_SAMPLES, seed=_GAMMA_SEED):
             ((w**n * m.gamma, m.gamma_certified) for w, m in zip(spec.weights, spec.members)),
             key=lambda pair: pair[0],
         ))
-    if sample_count < 1:
-        raise ValueError("sample_count must be >= 1")
-    rng = np.random.default_rng(seed)
-    lam = sample_cone(spec.cone, n, sample_count, rng)
+    rng = np.random.default_rng(_GAMMA_SEED)
+    lam = sample_cone(spec.cone, n, _GAMMA_SAMPLES, rng)
     # keep strictly interior points; the product degenerates at the boundary
     lam = lam[interior_margin(lam, spec.cone) > 0.0]
     grads = _gradient_unchecked(spec, lam)

@@ -172,7 +172,7 @@ def test_criterion_03_pointwise_identity_suite(capsys):
     worst_trace = 0.0
     for n in (2, 3):
         spec = monge_ampere(n)
-        g, g_h, phi_h, _ = random_admissible_parts(spec, SAMPLES, rng)
+        g, g_h, phi_h = random_admissible_parts(spec, SAMPLES, rng)
         report = verify_trace_reversal_identities(spec, g, g_h, phi_h)
         worst_a = max(worst_a, report["identity_residual"])
         worst_slack = min(worst_slack, report["det_slack"])

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from nformpde import schemas
+from nformpde import auxiliary, schemas
 from nformpde.auxiliary import (
     build_chart,
     check_comparison,
@@ -374,15 +374,16 @@ def test_run_localization_captures_cell_errors():
                                  "krylov_iterations": None}
 
 
-def test_dirichlet_solve_checks_the_last_allowed_step():
+def test_dirichlet_solve_checks_the_last_allowed_step(monkeypatch):
     # the flat constant-rhs solve converges in three steps, so a budget of
     # three steps must return it rather than report non-convergence
+    monkeypatch.setattr(auxiliary, "MAX_ITERATIONS", 3)
     grid = TorusGrid(n=2, N=16, L=1.0)
     g = identity_metric(grid)
     chart = build_chart(np.zeros(grid.shape), g, g, grid)
     rhs = np.zeros(grid.shape)
     rhs[chart.mask] = 1.0 / (chart.num_interior * grid.cell_volume)
-    sol = solve_dirichlet_ma(chart, rhs, max_iterations=3)
+    sol = solve_dirichlet_ma(chart, rhs)
     assert sol.iterations == 3
     assert sol.residual_sup <= 1e-10
     assert len(sol.residual_history) == len(sol.clamp_history) == 4

@@ -46,6 +46,20 @@ def test_check_pointwise_writes_passing_report(tmp_path):
     assert summary == {"artifacts": ["check.json"], "all_passed": True}
 
 
+def test_check_pointwise_in_high_dimension(tmp_path, capsys):
+    # at n = 11 most sampled metrics are not positive definite, and a round
+    # may keep none of them; at n = 16 no round keeps enough
+    config = write_config(tmp_path / "desc.json", operator={"family": "monge-ampere", "dim": 11},
+                          grid={"n": 11}, samples=20)
+    out = tmp_path / "out"
+    assert main(["check-pointwise", "--config", config, "--out", str(out)]) == EXIT_PASS
+    assert json.loads(read(out / "check.json"))["all_passed"]
+    config = write_config(tmp_path / "desc.json", operator={"family": "monge-ampere", "dim": 16},
+                          grid={"n": 16}, samples=20)
+    assert main(["check-pointwise", "--config", config, "--out", str(out)]) == EXIT_USAGE
+    assert "descriptor error: dimension 16" in capsys.readouterr().err
+
+
 def test_check_pointwise_is_deterministic(tmp_path):
     config = write_config(tmp_path / "desc.json", samples=300)
     a, b = tmp_path / "a", tmp_path / "b"
@@ -174,6 +188,24 @@ def test_usage_errors_exit_two(tmp_path, capsys):
         config = write_config(tmp_path / "params.json", **{"grid": coarse, **fields})
         assert main(["solve", "--config", config, "--out", str(tmp_path / "o")]) == EXIT_USAGE
         assert "descriptor error" in capsys.readouterr().err
+    # a number no float holds finitely; json.dump cannot write 1e400, so the
+    # descriptors are raw JSON text
+    raw = tmp_path / "raw.json"
+    for command, text in (
+            ("localize", '{"tolerances": {"c_disc": 1e400}}'),
+            ("solve", '{"grid": {"N": 8}, "forcing": {"name": "gaussian", "params": {}}, '
+                      '"tolerances": {"solver": 1e400}}'),
+            ("solve", '{"grid": {"L": 1e400}}'),
+            ("solve", '{"forcing": {"name": "constant", "params": {"value": 1e400}}}')):
+        raw.write_text(text)
+        assert main([command, "--config", str(raw), "--out", str(tmp_path / "o")]) == EXIT_USAGE
+        assert "descriptor error" in capsys.readouterr().err
+    # a gaussian center needs 2n entries, checked before any field is realized
+    for command in ("solve", "check-pointwise"):
+        config = write_config(tmp_path / "center.json", forcing={
+            "name": "gaussian", "params": {"center": [0.5, 0.5, 0.5]}})
+        assert main([command, "--config", config, "--out", str(tmp_path / "o")]) == EXIT_USAGE
+        assert "descriptor error: forcing.params.center" in capsys.readouterr().err
     # a sweep needs a forcing that reads sigma, and every swept value must be
     # a valid sigma; no member runs otherwise
     # and an entropy target it can reach: the entropy integral is positive
@@ -204,6 +236,29 @@ def test_usage_errors_exit_two(tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             main(argv + ["--out", str(tmp_path / "o")])
         assert exc.value.code == EXIT_USAGE
+
+
+def test_forcing_that_overflows_on_the_grid(tmp_path, capsys):
+    # amplitude 1.7e308 is a float, but five periodic images of a wide
+    # gaussian overflow it: a descriptor error before any solve
+    coarse = {"n": 2, "N": 8, "L": 1.0}
+    wide = {"name": "gaussian", "params": {"amplitude": 1.7e308, "sigma": 10}}
+    config = write_config(tmp_path / "wide.json", grid=coarse, forcing=wide,
+                          concentrations=[10, 0.1])
+    for command in ("solve", "localize", "sweep"):
+        out = tmp_path / command
+        assert main([command, "--config", config, "--out", str(out)]) == EXIT_USAGE
+        assert "descriptor error: forcing gaussian is not finite" in capsys.readouterr().err
+        assert os.listdir(out) == []
+    # a later sweep member that overflows fails its own row: at sigma 0.001
+    # the off-grid well underflows to zero, at sigma 10 it overflows
+    config = write_config(tmp_path / "sweep.json", grid=coarse, concentrations=[0.001, 10], forcing={
+        "name": "gaussian", "params": {"amplitude": 1e306, "center": [0.53] * 4}})
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", config, "--out", str(out)]) == EXIT_SOLVER
+    rows = json.loads(read(out / "sweep.json"))["rows"]
+    assert rows[0]["converged"] and not rows[1]["converged"]
+    assert rows[1]["error"] == "forcing gaussian is not finite on the grid"
 
 
 def test_negative_seed_unusable_out_and_bad_artifacts_exit_two(tmp_path, capsys):

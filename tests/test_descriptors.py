@@ -93,7 +93,7 @@ def test_p_monge_ampere_index_bound():
     data["operator"] = {"family": "p-monge-ampere", "dim": 3, "p": 2}
     data["grid"] = {"n": 3, "N": 16, "L": 1.0}
     back = ExperimentDescriptor.from_dict(data)
-    assert back.make_operator().p == 2
+    assert back.make_operator().cone.p == 2
 
 
 def test_operator_config_round_trip():

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nformpde.errors import MetricDegeneracyError
+from nformpde.grid import twisted_from_hessian
 from nformpde.hermlin import (
     _endomorphism_eigs_general,
     _linearization_general,
@@ -66,7 +67,8 @@ def test_trace_reversal_determinant_ties_linearization_n2():
     # in two dimensions the reversal permutes eigenvalues, dets agree exactly
     rng = np.random.default_rng(7)
     spec = monge_ampere(2)
-    g, g_h, phi_h, gt = random_admissible_parts(spec, 200, rng)
+    g, g_h, phi_h = random_admissible_parts(spec, 200, rng)
+    gt = twisted_from_hessian(phi_h, g, g_h)
     G = linearization(spec, g, gt)
     T = trace_reversal(G, g)
     det_G = np.linalg.det(to_orthonormal_frame(g, G)).real
@@ -84,7 +86,7 @@ def test_identity_suite_batches():
         p_monge_ampere(3, 2),
     ]
     for spec in specs:
-        g, g_h, phi_h, _ = random_admissible_parts(spec, 800, rng)
+        g, g_h, phi_h = random_admissible_parts(spec, 800, rng)
         report = verify_trace_reversal_identities(spec, g, g_h, phi_h)
         assert report["passed"] is True, (spec.family, report)
         assert report["identity_residual"] <= 1e-9
@@ -100,7 +102,8 @@ def test_identity_suite_batches():
 def test_twisted_from_hessian_matches_definition():
     rng = np.random.default_rng(3)
     spec = monge_ampere(3)
-    g, g_h, phi_h, gt = random_admissible_parts(spec, 50, rng)
+    g, g_h, phi_h = random_admissible_parts(spec, 50, rng)
+    gt = twisted_from_hessian(phi_h, g, g_h)
     lap = np.einsum("...ij,...ji->...", np.linalg.inv(g), phi_h).real
     manual = g_h + (lap[..., None, None] * g - phi_h) / 2.0
     assert np.allclose(gt, manual, atol=1e-13)
@@ -109,7 +112,7 @@ def test_twisted_from_hessian_matches_definition():
 def test_non_hermitian_hessian_rejected():
     rng = np.random.default_rng(13)
     spec = monge_ampere(2)
-    g, g_h, phi_h, _ = random_admissible_parts(spec, 5, rng)
+    g, g_h, phi_h = random_admissible_parts(spec, 5, rng)
     phi_bad = phi_h.copy()
     phi_bad[0, 0, 1] += 0.5
     with pytest.raises(ValueError):

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nformpde import solver
+from nformpde.descriptors import ExperimentDescriptor
 from nformpde.errors import InfeasibleStartError, NonConvergenceError
 from nformpde.grid import (
     TorusGrid,
@@ -261,3 +263,27 @@ def test_newton_step_meets_rtol_on_perturbed_coefficients(seed, amplitude, rtol)
     step, info, matvecs = _newton_step(step_problem(), coeff, r, rtol)
     assert info == 0 and matvecs >= 1
     assert bordered_residual(coeff, r, step) <= rtol
+
+
+def test_line_search_rejects_trials_that_leave_the_cone(monkeypatch):
+    # a deep gaussian well sends full Newton steps out of the cone: the line
+    # search must reject those trials, halve the step and still converge
+    desc = ExperimentDescriptor(
+        grid={"N": 12}, forcing={"name": "gaussian", "params": {"amplitude": -3.0, "sigma": 0.1}})
+    grid = desc.make_grid()
+    g, g_h = desc.make_backgrounds(grid)
+    problem = PrimaryProblem(spec=desc.make_operator(), g=g, g_h=g_h,
+                             F=desc.make_forcing(grid), grid=grid)
+    outside = []
+    evaluate_iterate = solver._evaluate_iterate
+
+    def counting(problem, phi):
+        log_f, margin = evaluate_iterate(problem, phi)
+        outside.append(log_f is None)
+        return log_f, margin
+
+    monkeypatch.setattr(solver, "_evaluate_iterate", counting)
+    sol = solve_primary(problem)
+    assert sum(outside) == 3
+    assert sol.iterations == 6
+    assert sol.residual_sup <= problem.tolerance

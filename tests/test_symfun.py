@@ -138,7 +138,7 @@ def test_gamma_empirical_values():
 def test_gamma_lower_bound_report():
     bound = gamma_lower_bound(monge_ampere(2))
     assert bound.certified and bound.value == pytest.approx(0.25, abs=1e-15)
-    empirical = gamma_lower_bound(hessian(3, 2), sample_count=4000, seed=3)
+    empirical = gamma_lower_bound(hessian(3, 2))
     assert not empirical.certified
     assert empirical.value <= 1.0 / 27.0 + 1e-12
 
