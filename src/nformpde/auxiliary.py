@@ -28,7 +28,7 @@ from .grid import (
     complex_hessian,
     entropy_norm,
     frozen_hessian_inverse,
-    stencil_offsets,
+    neighbour_table,
     volume_density,
 )
 from .hermlin import endomorphism_eigs
@@ -64,8 +64,8 @@ class LocalChart:
     half and twice the identity.  ``positivity_fraction`` is half the
     largest constant c with g_h >= (2c/(n-1)) (tr_g g_h) g on the ball,
     and ``depth_cap`` = 4 * positivity_fraction * r0**2 bounds the
-    admissible tilt depths.  ``mask_flat``, ``ghost_flat`` and ``extend``
-    are the ball's ghost geometry (``_chart_geometry``).
+    admissible tilt depths.  ``mask_flat``, ``taps``, ``ghost_flat`` and
+    ``extend`` are the ball's stencil and ghost geometry (``_chart_geometry``).
     """
 
     grid: object
@@ -80,6 +80,7 @@ class LocalChart:
     metric_margin: float
     estimate_trivial: bool
     mask_flat: np.ndarray
+    taps: dict
     ghost_flat: np.ndarray
     extend: object
 
@@ -147,7 +148,7 @@ def build_chart(phi, g, g_h, grid):
         raise MetricDegeneracyError("reference form is not positive definite on the chart ball")
     maximal = 0.5 * (grid.n - 1) * float(np.min(lam_min / trace))
     positivity_fraction = 0.5 * maximal
-    mask_flat, ghost_flat, extend = _chart_geometry(mask, center, 2.0 * r0, grid)
+    mask_flat, taps, ghost_flat, extend = _chart_geometry(mask, center, 2.0 * r0, grid)
 
     return LocalChart(
         grid=grid,
@@ -162,6 +163,7 @@ def build_chart(phi, g, g_h, grid):
         metric_margin=float(min(lo - METRIC_LOWER, METRIC_UPPER - hi)),
         estimate_trivial=bool(-phi.min() < 2.0),
         mask_flat=mask_flat,
+        taps=taps,
         ghost_flat=ghost_flat,
         extend=extend,
     )
@@ -224,25 +226,24 @@ def hinge_mass(w, F, k, chart):
 def _chart_geometry(mask, center_index, R, grid):
     """Ghost-value machinery for Dirichlet problems on a ball of radius R.
 
-    Returns (mask_flat, ghost_flat, extend): the flat indices of the ball
-    and of the grid points outside it that the Hessian stencil reads, and
-    the sparse map from ball values to ghost values.  A ghost value is
-    extrapolated along the ray from the center: the interior value is
-    sampled by multilinear interpolation on the sphere of radius
-    R - PULLBACK*h and scaled linearly in squared radius so that the
-    extension vanishes exactly on the sphere of radius R.
+    Returns (mask_flat, taps, ghost_flat, extend): the flat indices of the
+    ball, its neighbour_table, the flat indices of the grid points outside
+    the ball that the table reads, and the sparse map from ball values to
+    ghost values.  A ghost value is extrapolated along the ray from the
+    center: the interior value is sampled by multilinear interpolation on
+    the sphere of radius R - PULLBACK*h and scaled linearly in squared
+    radius so that the extension vanishes exactly on the sphere of radius R.
     """
     m = 2 * grid.n
     N = grid.N
 
-    dilated = mask.copy()
-    axes = tuple(range(m))
-    for off in stencil_offsets(grid.n):
-        dilated |= np.roll(mask, off, axis=axes)
-    ghost = dilated & ~mask
-
     mask_flat = np.flatnonzero(mask.ravel())
-    ghost_flat = np.flatnonzero(ghost.ravel())
+    taps = neighbour_table(mask_flat, grid)
+    read = np.zeros(grid.num_points, dtype=bool)
+    for index in taps.values():
+        read[index] = True
+    read[mask_flat] = False
+    ghost_flat = np.flatnonzero(read)
     inverse = np.full(grid.num_points, -1, dtype=np.int64)
     inverse[mask_flat] = np.arange(mask_flat.size)
 
@@ -272,7 +273,7 @@ def _chart_geometry(mask, center_index, R, grid):
     rows = np.repeat(np.arange(ghost_flat.size), bits.shape[0])
     data = (weights * factor[:, None]).ravel()
     extend = csr_matrix((data, (rows, cols.ravel())), shape=(ghost_flat.size, mask_flat.size))
-    return mask_flat, ghost_flat, extend
+    return mask_flat, taps, ghost_flat, extend
 
 
 @dataclass
@@ -339,7 +340,7 @@ def solve_dirichlet_ma(chart, rhs_density):
         return full.reshape(grid.shape)
 
     def evaluate_at(values):
-        eigs, frames = np.linalg.eigh(complex_hessian(fill(values), grid)[mask])
+        eigs, frames = np.linalg.eigh(complex_hessian(fill(values), grid, chart.taps))
         r = np.sum(np.log(np.maximum(eigs, EIG_FLOOR)), axis=-1) - log_rho
         return values, r, float(np.max(np.abs(r))), (eigs, frames)
 
@@ -356,7 +357,7 @@ def solve_dirichlet_ma(chart, rhs_density):
         def matvec(d):
             nonlocal matvecs
             matvecs += 1
-            dH = complex_hessian(fill(d), grid)[mask]
+            dH = complex_hessian(fill(d), grid, chart.taps)
             return np.einsum("pij,pji->p", inv, dH).real
 
         frozen = frozen_hessian_inverse(inv.mean(axis=0), grid)

@@ -258,7 +258,11 @@ def cmd_sweep(descriptor, out_dir, workers=1):
     else:
         g, _ = descriptor.make_backgrounds(grid)
         F0 = descriptor.make_forcing(grid, {"sigma": concentrations[0]})
-        target = float(entropy_norm(F0, g, grid, p))
+        with np.errstate(over="ignore"):
+            target = float(entropy_norm(F0, g, grid, p))
+        if not math.isfinite(target):
+            raise InconsistentInputError("entropy of the first sweep member is not finite "
+                                         "on the grid")
 
     def member(value):
         try:
@@ -410,9 +414,10 @@ def main(argv=None):
             return cmd_localize(descriptor, args.out)
         return cmd_sweep(descriptor, args.out, workers=args.workers)
     except InconsistentInputError as exc:
-        # two descriptor errors show only after the descriptor is built: a sweep
-        # sigma the forcing rejects and a forcing that overflows on the grid;
-        # every solve-time error is mapped inside the commands
+        # three descriptor errors show only after the descriptor is built: a
+        # sweep sigma the forcing rejects, a forcing that overflows on the grid
+        # and a sweep entropy target that does; every solve-time error is
+        # mapped inside the commands
         print("descriptor error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
 

@@ -11,6 +11,9 @@ The complex Hessian of a real field combines the real second differences
 
 with centered second-order stencils (the mixed terms use the symmetrized
 four-point cross), so H is exactly Hermitian and exact on local quadratics.
+A stencil reads the field through a tap source: on the whole grid, views of
+one periodic pad of the field; at chosen points, gathers through a table of
+flat neighbour indices.
 Integrals use the flat normalization: cell volume h^{2n}, metric volume
 density det(g).
 """
@@ -84,16 +87,67 @@ class TorusGrid:
         return total
 
 
-def second_difference(f, a, b, h):
-    """Periodic second-order d^2 f / dx_a dx_b: the three-point difference
-    when a == b, otherwise the symmetrized four-point cross."""
+def periodic_taps(f):
+    """Tap source of a whole periodic field: tap(*steps) is f at x + shift for
+    every grid point x, the shift summing the (axis, +-1) steps; each tap is
+    a view of one wrap-around pad of f."""
+    padded = np.pad(f, 1, mode="wrap")
+
+    def tap(*steps):
+        index = [slice(1, -1)] * f.ndim
+        for axis, step in steps:
+            index[axis] = slice(1 + step, f.shape[axis] + 1 + step)
+        return padded[tuple(index)]
+
+    return tap
+
+
+def neighbour_table(points, grid):
+    """Flat indices of x + shift for each of the flat grid points x, keyed by
+    the shift: the zero shift and every one of stencil_offsets, so
+    complex_hessian(phi, grid, table) reads phi at the points only through it.
+
+    The indices are int32, half the memory of intp (a grid of 2**31 points
+    would need 16 GB per field), and np.take gathers through them as fast.
+    """
+    m = 2 * grid.n
+    index = np.unravel_index(np.asarray(points), grid.shape)
+    return {shift: np.ravel_multi_index(
+                tuple((index[a] + shift[a]) % grid.N for a in range(m)), grid.shape
+            ).astype(np.int32)
+            for shift in [(0,) * m] + stencil_offsets(grid.n)}
+
+
+def _table_taps(f, table):
+    """Tap source at the points of a neighbour_table: gathers from f."""
+    flat = f.reshape(-1)
+
+    def tap(*steps):
+        shift = [0] * f.ndim
+        for axis, step in steps:
+            shift[axis] += step
+        return np.take(flat, table[tuple(shift)])
+
+    return tap
+
+
+def second_difference(tap, a, b, h):
+    """Periodic second-order d^2 f / dx_a dx_b from a tap source (tap(*steps)
+    is f shifted by the (axis, +-1) steps): the three-point difference when
+    a == b, otherwise the symmetrized four-point cross."""
+    # in place, with the operations of (f+ - 2 f + f-) / h^2 and
+    # (pp - pm - mp + mm) / (4 h^2) in that order, so the bytes are theirs
     if a == b:
-        return (np.roll(f, -1, a) - 2.0 * f + np.roll(f, 1, a)) / h**2
-    pp = np.roll(f, (-1, -1), (a, b))
-    pm = np.roll(f, (-1, 1), (a, b))
-    mp = np.roll(f, (1, -1), (a, b))
-    mm = np.roll(f, (1, 1), (a, b))
-    return (pp - pm - mp + mm) / (4.0 * h**2)
+        d = np.multiply(tap(), 2.0)
+        np.subtract(tap((a, 1)), d, out=d)
+        d += tap((a, -1))
+        d /= h**2
+        return d
+    d = np.subtract(tap((a, 1), (b, 1)), tap((a, 1), (b, -1)))
+    d -= tap((a, -1), (b, 1))
+    d += tap((a, -1), (b, -1))
+    d /= 4.0 * h**2
+    return d
 
 
 def _second_difference_multiplier(theta, a, b, h):
@@ -115,19 +169,34 @@ def _hessian_entries(D, n):
                    0.25 * (D(xi, yj) - D(yi, xj)))
 
 
-def complex_hessian(phi, grid):
-    """Discrete complex Hessian field, shape grid.shape + (n, n), Hermitian."""
+def complex_hessian(phi, grid, taps=None):
+    """Discrete complex Hessian field, Hermitian: shape grid.shape + (n, n),
+    or (K, n, n) at the K points of a neighbour_table ``taps``, the bytes of
+    the whole-grid Hessian at those points."""
     phi = np.asarray(phi, dtype=float)
     if phi.shape != grid.shape:
         raise ValueError("field shape does not match the grid")
     n, h = grid.n, grid.h
-    out = np.zeros(grid.shape + (n, n), dtype=complex)
-    for i, j, re, im in _hessian_entries(lambda a, b: second_difference(phi, a, b, h), n):
+    if taps is None:
+        tap, shape = periodic_taps(phi), grid.shape
+    else:
+        tap, shape = _table_taps(phi, taps), (taps[(0,) * phi.ndim].size,)
+    # Each part goes straight into its strided slot of the output: a second
+    # output-sized buffer to transpose from costs more in fresh memory pages
+    # than the strided writes save (except a little at n >= 3).  Diagonal
+    # imaginary parts stay zero; an off-diagonal pair keeps the bytes of
+    # re +- 1j * im, signed zeros included.
+    out = np.zeros(shape + (n, n), dtype=complex)
+    parts = out.view(float).reshape(shape + (n, n, 2))
+    for i, j, re, im in _hessian_entries(lambda a, b: second_difference(tap, a, b, h), n):
         if im is None:
-            out[..., i, i] = re
+            parts[..., i, i, 0] = re
         else:
-            out[..., i, j] = re + 1j * im
-            out[..., j, i] = re - 1j * im
+            zero = im * 0.0  # what re +- 1j * im adds to re: a zero with im's sign
+            np.add(re, zero, out=parts[..., i, j, 0])
+            np.subtract(re, zero, out=parts[..., j, i, 0])
+            np.add(im, 0.0, out=parts[..., i, j, 1])
+            np.subtract(0.0, parts[..., i, j, 1], out=parts[..., j, i, 1])
     return out
 
 
@@ -191,8 +260,8 @@ def stencil_offsets(n):
     kernel = np.zeros((3,) * (2 * n))
     kernel[center] = 1.0
     taps = np.zeros(kernel.shape, dtype=bool)
-    for _, _, re, im in _hessian_entries(
-            lambda a, b: second_difference(kernel, a, b, 1.0), n):
+    tap = periodic_taps(kernel)
+    for _, _, re, im in _hessian_entries(lambda a, b: second_difference(tap, a, b, 1.0), n):
         taps |= re != 0.0
         if im is not None:
             taps |= im != 0.0

@@ -23,7 +23,7 @@ from nformpde.errors import (
     InconsistentInputError,
     MetricDegeneracyError,
 )
-from nformpde.grid import TorusGrid, identity_metric
+from nformpde.grid import TorusGrid, complex_hessian, identity_metric, stencil_offsets
 from nformpde.manufactured import radial_field, radial_profile
 from nformpde.solver import PrimaryProblem, solve_primary
 from nformpde.symfun import monge_ampere
@@ -61,6 +61,24 @@ def test_chart_center_tie_takes_lowest_flat_index():
     g = identity_metric(grid)
     chart = build_chart(np.zeros(grid.shape), g, g, grid)
     assert chart.center_index == (0, 0, 0, 0)
+
+
+@pytest.mark.parametrize("center", [CENTER, (0, 0, 0, 0)])
+def test_chart_stencil_geometry(center):
+    # the ghost set is the ball's stencil dilation minus the ball
+    chart, grid = flat_chart(center=center)
+    assert chart.center_index == center
+    dilated = chart.mask.copy()
+    for off in stencil_offsets(grid.n):
+        dilated |= np.roll(chart.mask, off, axis=tuple(range(2 * grid.n)))
+    ghost = np.flatnonzero(dilated & ~chart.mask)
+    assert chart.ghost_flat.dtype == ghost.dtype and np.array_equal(chart.ghost_flat, ghost)
+    # the ball's Hessian read through its tap table is the grid Hessian
+    # restricted to the ball; centred at index 0 the ball wraps the torus
+    field = np.random.default_rng(7).normal(size=grid.shape)
+    at_ball = complex_hessian(field, grid, chart.taps)
+    restricted = complex_hessian(field, grid)[chart.mask]
+    assert np.array_equal(at_ball.view(np.uint8), restricted.view(np.uint8))
 
 
 def test_chart_failure_on_rough_metric():

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nformpde
 from nformpde import cli, schemas
 from nformpde.cli import EXIT_CHECK_FAILURE, EXIT_PASS, EXIT_SOLVER, EXIT_USAGE, main
 from nformpde.descriptors import ExperimentDescriptor
@@ -28,6 +29,11 @@ def write_config(path, **overrides):
 def read(path):
     with open(path, "rb") as handle:
         return handle.read()
+
+
+def package_env():
+    """This environment, with PYTHONPATH the directory holding the package under test."""
+    return dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(nformpde.__file__)))
 
 
 def test_check_pointwise_writes_passing_report(tmp_path):
@@ -259,6 +265,18 @@ def test_forcing_that_overflows_on_the_grid(tmp_path, capsys):
     rows = json.loads(read(out / "sweep.json"))["rows"]
     assert rows[0]["converged"] and not rows[1]["converged"]
     assert rows[1]["error"] == "forcing gaussian is not finite on the grid"
+
+
+def test_sweep_entropy_target_that_overflows(tmp_path, capsys):
+    # the first member's forcing (sigma 0.18) is finite on the grid, but the
+    # entropy integral of e^F that would become the sweep's target overflows
+    config = write_config(tmp_path / "hot.json", grid={"n": 2, "N": 8, "L": 1.0}, forcing={
+        "name": "gaussian", "params": {"amplitude": 1.7e308, "sigma": 10}})
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", config, "--out", str(out)]) == EXIT_USAGE
+    assert ("descriptor error: entropy of the first sweep member is not finite"
+            in capsys.readouterr().err)
+    assert os.listdir(out) == []
 
 
 def test_negative_seed_unusable_out_and_bad_artifacts_exit_two(tmp_path, capsys):
@@ -510,7 +528,8 @@ def test_cli_import_loads_no_optimize_or_integrate():
     # a fresh interpreter: this one has loaded scipy.optimize for other tests
     code = ("import sys, nformpde, nformpde.cli; "
             "print([m for m in sys.modules if m.startswith(('scipy.optimize', 'scipy.integrate'))])")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                          env=package_env())
     assert proc.stdout.strip() == "[]"
 
 
@@ -539,6 +558,7 @@ def test_console_entry_point_runs():
         [sys.executable, "-m", "nformpde.cli", "--help"],
         capture_output=True,
         text=True,
+        env=package_env(),
     )
     assert proc.returncode == 0
     for command in ("check-pointwise", "solve", "localize", "sweep", "report"):

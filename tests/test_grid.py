@@ -5,9 +5,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 from nformpde.grid import (
     TorusGrid,
+    _hessian_entries,
     complex_hessian,
     entropy_integrand,
     entropy_norm,
@@ -16,7 +19,9 @@ from nformpde.grid import (
     identity_metric,
     integrate,
     laplacian,
+    neighbour_table,
     normalize_sup,
+    periodic_taps,
     second_difference,
     stencil_offsets,
     twisted_metric,
@@ -65,7 +70,7 @@ def test_second_difference_converges_at_second_order(a, b):
         x = grid.axis_coordinates(0)
         y = grid.axis_coordinates(1)
         exact = -k * k * (f if a == b else np.cos(k * x) * np.sin(k * y))
-        errs.append(np.abs(second_difference(f, a, b, grid.h) - exact).max())
+        errs.append(np.abs(second_difference(periodic_taps(f), a, b, grid.h) - exact).max())
     ratio = errs[0] / errs[1]
     assert 3.5 <= ratio <= 4.5
 
@@ -257,3 +262,84 @@ def test_frozen_hessian_inverse_is_exact_on_mean_free_fields(n, N):
     # the zero mode of the right-hand side is dropped
     u = solve(f, 0.0)
     assert np.abs(solve(f + 2.0, 0.0) - u).max() <= 1e-12 * np.abs(u).max()
+
+
+def roll_second_difference(f, a, b, h):
+    """The np.roll form of second_difference on a whole field: the reference."""
+    if a == b:
+        return (np.roll(f, -1, a) - 2.0 * f + np.roll(f, 1, a)) / h**2
+    pp = np.roll(f, (-1, -1), (a, b))
+    pm = np.roll(f, (-1, 1), (a, b))
+    mp = np.roll(f, (1, -1), (a, b))
+    mm = np.roll(f, (1, 1), (a, b))
+    return (pp - pm - mp + mm) / (4.0 * h**2)
+
+
+def roll_complex_hessian(phi, grid):
+    """The np.roll complex Hessian, entries written as re +- 1j * im: the reference."""
+    n, h = grid.n, grid.h
+    out = np.zeros(grid.shape + (n, n), dtype=complex)
+    for i, j, re, im in _hessian_entries(lambda a, b: roll_second_difference(phi, a, b, h), n):
+        if im is None:
+            out[..., i, i] = re
+        else:
+            out[..., i, j] = re + 1j * im
+            out[..., j, i] = re - 1j * im
+    return out
+
+
+def differing_bytes(a, b):
+    """How many bytes of two arrays of one shape and dtype differ.  Asserting
+    on this count keeps pytest from printing the arrays, which at n = 3
+    takes longer than the test."""
+    assert a.shape == b.shape and a.dtype == b.dtype
+    return int(np.count_nonzero(a.view(np.uint8) != b.view(np.uint8)))
+
+
+def random_field(grid, seed, zeros):
+    """A normal field with a share ``zeros`` of its values set to +0.0 or -0.0,
+    so that exact and signed zeros reach the Hessian entries."""
+    rng = np.random.default_rng(seed)
+    phi = rng.normal(size=grid.shape)
+    hit = rng.random(grid.shape) < zeros
+    phi[hit] = np.copysign(0.0, rng.normal(size=int(hit.sum())))
+    return phi
+
+
+# n = 3 stops at N = 9: its N = 13 grid has 4.8e6 points, 0.7 GB of Hessian
+grids = st.one_of(
+    st.builds(TorusGrid, n=st.sampled_from([1, 2]), N=st.integers(8, 13),
+              L=st.floats(0.1, 10.0)),
+    st.builds(TorusGrid, n=st.just(3), N=st.integers(8, 9), L=st.floats(0.1, 10.0)))
+
+
+# no shrinking: a field is drawn from its seed, and a seed does not shrink
+@settings(max_examples=25, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
+@given(grid=grids, seed=st.integers(0, 2**32 - 1), zeros=st.sampled_from([0.0, 0.5, 1.0]))
+def test_complex_hessian_matches_the_roll_reference_byte_for_byte(grid, seed, zeros):
+    phi = random_field(grid, seed, zeros)
+    differ = differing_bytes(complex_hessian(phi, grid), roll_complex_hessian(phi, grid))
+    assert differ == 0
+
+
+@settings(max_examples=25, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
+@given(grid=grids.filter(lambda grid: grid.n < 3), seed=st.integers(0, 2**32 - 1),
+       share=st.floats(0.0, 1.0), zeros=st.sampled_from([0.0, 0.5]))
+def test_complex_hessian_at_table_points_is_the_grid_hessian_there(grid, seed, share, zeros):
+    phi = random_field(grid, seed, zeros)
+    mask = np.random.default_rng(seed + 1).random(grid.shape) < share
+    table = neighbour_table(np.flatnonzero(mask), grid)
+    at_points = complex_hessian(phi, grid, table)
+    assert at_points.shape == (int(mask.sum()), grid.n, grid.n)
+    differ = differing_bytes(at_points, complex_hessian(phi, grid)[mask])
+    assert differ == 0
+
+
+def test_neighbour_table_wraps_the_torus():
+    grid = TorusGrid(n=1, N=8, L=1.0)
+    table = neighbour_table([0, 63], grid)
+    assert set(table) == {(0, 0)} | set(stencil_offsets(1))
+    assert table[(0, 0)].tolist() == [0, 63]
+    # (0, 0) - e_0 is (7, 0) and (7, 7) + e_1 is (7, 0)
+    assert table[(-1, 0)].tolist() == [56, 55]
+    assert table[(0, 1)].tolist() == [1, 56]
