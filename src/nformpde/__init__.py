@@ -36,6 +36,7 @@ from .grid import (
     TorusGrid,
     complex_hessian,
     entropy_norm,
+    hermitian_inverse,
     identity_metric,
     integrate,
     laplacian,

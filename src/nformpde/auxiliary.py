@@ -12,6 +12,7 @@ smoothing indices.
 
 import itertools
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -28,11 +29,13 @@ from .grid import (
     complex_hessian,
     entropy_norm,
     frozen_hessian_inverse,
+    hermitian_inverse,
     neighbour_table,
     volume_density,
 )
 from .hermlin import endomorphism_eigs
 from .solver import damped_newton
+from .symfun import plane_sum
 
 # Metric comparability band required on the chart ball, with rounding slack.
 METRIC_LOWER = 0.5
@@ -143,7 +146,7 @@ def build_chart(phi, g, g_h, grid):
     g_m = np.asarray(g)[mask]
     gh_m = np.asarray(g_h)[mask]
     lam_min = endomorphism_eigs(g_m, gh_m)[..., 0].real
-    trace = np.einsum("pij,pji->p", np.linalg.inv(g_m), gh_m).real
+    trace = np.einsum("pij,pji->p", hermitian_inverse(g_m), gh_m).real
     if lam_min.min() <= 0.0 or trace.min() <= 0.0:
         raise MetricDegeneracyError("reference form is not positive definite on the chart ball")
     maximal = 0.5 * (grid.n - 1) * float(np.min(lam_min / trace))
@@ -341,7 +344,7 @@ def solve_dirichlet_ma(chart, rhs_density):
 
     def evaluate_at(values):
         eigs, frames = np.linalg.eigh(complex_hessian(fill(values), grid, chart.taps))
-        r = np.sum(np.log(np.maximum(eigs, EIG_FLOOR)), axis=-1) - log_rho
+        r = plane_sum([np.log(np.maximum(eigs[:, i], EIG_FLOOR)) for i in range(n)]) - log_rho
         return values, r, float(np.max(np.abs(r))), (eigs, frames)
 
     clamp_history = []
@@ -391,7 +394,8 @@ def solve_dirichlet_ma(chart, rhs_density):
         psi=fill(psi).copy(),
         residual_sup=sup,
         iterations=iterations,
-        mass=float(np.sum(np.prod(eigs, axis=-1)) * grid.cell_volume),
+        mass=float(np.sum(reduce(np.multiply, [eigs[:, i] for i in range(n)]))
+                   * grid.cell_volume),
         min_eigenvalue=min_eig,
         clamp_history=clamp_history,
         krylov_iterations=krylov_iterations,

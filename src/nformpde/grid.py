@@ -15,7 +15,8 @@ A stencil reads the field through a tap source: on the whole grid, views of
 one periodic pad of the field; at chosen points, gathers through a table of
 flat neighbour indices.
 Integrals use the flat normalization: cell volume h^{2n}, metric volume
-density det(g).
+density det(g).  For n = 2 the metric determinant and inverse take their
+closed forms.
 """
 
 from __future__ import annotations
@@ -272,7 +273,7 @@ def stencil_offsets(n):
 def laplacian(phi, g, grid, g_inv=None):
     """Metric trace of the complex Hessian, tr(g^-1 H(phi)); real field."""
     if g_inv is None:
-        g_inv = np.linalg.inv(g)
+        g_inv = hermitian_inverse(g)
     return np.einsum("...ij,...ji->...", g_inv, complex_hessian(phi, grid)).real
 
 
@@ -285,7 +286,7 @@ def twisted_from_hessian(phi_h, g, g_h, g_inv=None):
     if n < 2:
         raise UnsupportedDimensionError("twisted metric needs n >= 2")
     if g_inv is None:
-        g_inv = np.linalg.inv(g)
+        g_inv = hermitian_inverse(g)
     lap = np.einsum("...ij,...ji->...", g_inv, phi_h).real
     return g_h + (lap[..., None, None] * g - phi_h) / (n - 1)
 
@@ -295,9 +296,34 @@ def twisted_metric(phi, g, g_h, grid, g_inv=None):
     return twisted_from_hessian(complex_hessian(phi, grid), g, g_h, g_inv=g_inv)
 
 
+def hermitian_inverse(g):
+    """Inverse of a Hermitian positive definite field on its trailing (n, n)
+    axes.  For n = 2 the adjugate over volume_density, entry by entry, exactly
+    Hermitian (imaginary diagonal 0.0, each negation 0.0 - x, so a zero entry
+    stays +0.0 as in np.linalg.inv of the identity); np.linalg.inv otherwise."""
+    g = np.asarray(g)
+    if g.shape[-2:] != (2, 2):
+        return np.linalg.inv(g)
+    det = volume_density(g)
+    out = np.zeros(g.shape, dtype=complex)
+    parts = out.view(float).reshape(g.shape + (2,))
+    np.divide(g[..., 1, 1].real, det, out=parts[..., 0, 0, 0])
+    np.divide(g[..., 0, 0].real, det, out=parts[..., 1, 1, 0])
+    for i, j in ((0, 1), (1, 0)):
+        for part, value in ((0, g[..., i, j].real), (1, g[..., i, j].imag)):
+            np.subtract(0.0, value, out=parts[..., i, j, part])
+            parts[..., i, j, part] /= det
+    return out
+
+
 def volume_density(g):
-    """Metric volume density against the flat cell measure: det(g)."""
-    return np.linalg.det(g).real
+    """Metric volume density against the flat cell measure: det(g), for
+    n = 2 the closed form g_00 g_11 - |g_01|^2 of a Hermitian g."""
+    g = np.asarray(g)
+    if g.shape[-2:] != (2, 2):
+        return np.linalg.det(g).real
+    g01 = g[..., 0, 1]
+    return g[..., 0, 0].real * g[..., 1, 1].real - (g01.real**2 + g01.imag**2)
 
 
 def integrate(field, density, grid):

@@ -13,8 +13,11 @@ pointwise identities the comparison argument rests on:
 For n = 2, endomorphism_eigs and linearization take a closed form: the
 Cholesky factor of g, its inverse and the reduced matrix entry by entry,
 the eigenvalues as mean -/+ rad, and the linearization without
-eigenvectors.  The general path (Cholesky reduction, eigvalsh/eigh) serves
-n >= 3 and is the reference the closed form is tested against.
+eigenvectors.  So do the metric inverse that trace_reversal takes when no
+g_inv is given and the determinant under it (grid.hermitian_inverse, the
+adjugate over grid.volume_density's g_00 g_11 - |g_01|^2).  The general
+path (Cholesky reduction, eigvalsh/eigh, np.linalg.inv) serves n >= 3 and
+is the reference the closed form is tested against.
 
 All functions broadcast over leading batch axes; matrices live on the last
 two axes.  Matrix-valued tensors with upper indices (the linearization, its
@@ -28,7 +31,7 @@ import numpy as np
 
 from . import symfun
 from .errors import InconsistentInputError, MetricDegeneracyError, UnsupportedDimensionError
-from .grid import twisted_from_hessian
+from .grid import hermitian_inverse, twisted_from_hessian
 
 TRACE_TOL = 1e-10        # |tr(G gt) - 1|
 IDENTITY_TOL = 1e-9      # residual of identity (a)
@@ -210,7 +213,7 @@ def trace_reversal(G, g, g_inv=None):
     g = _as_matrix(g, "metric")
     t = np.einsum("...ij,...ji->...", G, g).real
     if g_inv is None:
-        g_inv = np.linalg.inv(g)
+        g_inv = hermitian_inverse(g)
     return (t[..., None, None] * g_inv - G) / (n - 1)
 
 

@@ -59,7 +59,7 @@ class PrimaryProblem:
 
     @cached_property
     def g_inv(self):
-        return np.linalg.inv(self.g)
+        return gridmod.hermitian_inverse(self.g)
 
 
 @dataclass
@@ -295,7 +295,7 @@ def l1_bound_check(phi, g, g_h, grid, g_inv=None):
     """
     phi = np.asarray(phi, dtype=float)
     if g_inv is None:
-        g_inv = np.linalg.inv(g)
+        g_inv = gridmod.hermitian_inverse(g)
     lap = gridmod.laplacian(phi, g, grid, g_inv=g_inv)
     c_prime = float(np.max(np.einsum("...ij,...ji->...", g_inv, g_h).real))
     laplacian_margin = float(np.min(lap) + c_prime)

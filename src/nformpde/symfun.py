@@ -7,6 +7,12 @@ structural lower bound on the product of first derivatives.
 Every operation broadcasts over leading batch axes; an eigenvalue tuple is
 a float array whose last axis has length n >= 2.  Operators are degree-1
 positively homogeneous with strictly positive gradients inside their cone.
+
+No reduction runs along that short last axis: numpy would loop once per
+tuple over its n entries.  Each sum, product and minimum is instead a fold
+of binary ufuncs over the planes lam[..., i], in the order numpy's
+reduction along the axis takes, so the bytes are that reduction's, signed
+zeros included.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -37,18 +43,47 @@ def _as_tuples(lam):
     return lam
 
 
-def _elementary_all(lam):
-    """All elementary symmetric polynomials e_0..e_n along the last axis.
+def _planes(lam):
+    """The n planes lam[..., i] of a tuple array, as views."""
+    return [lam[..., i] for i in range(lam.shape[-1])]
 
-    Monic-coefficient recurrence; exact up to floating rounding.
+
+def plane_sum(planes):
+    """np.sum along the last axis of the C-ordered array stacking the planes,
+    with its bytes: 0.0 (add.reduce's identity) plus numpy's pairwise sum of
+    the axis, a plain fold below eight terms, eight partial sums from eight
+    on and halves above 128."""
+    return 0.0 + _pairwise(planes)
+
+
+def _pairwise(planes):
+    m = len(planes)
+    if m < 8:
+        return reduce(np.add, planes[1:], planes[0])
+    if m > 128:
+        half = m // 2 - (m // 2) % 8
+        return _pairwise(planes[:half]) + _pairwise(planes[half:])
+    r = planes[:8]
+    for i in range(8, m - m % 8, 8):
+        r = [r[j] + planes[i + j] for j in range(8)]
+    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    return reduce(np.add, planes[m - m % 8:], total)
+
+
+def _elementary_all(planes):
+    """All elementary symmetric polynomials e_0..e_n of n planes, as n + 1
+    planes (e_0 is 1.0).
+
+    Monic-coefficient recurrence e_j <- e_j + x e_{j-1} from e = (1, 0, ..., 0),
+    j taken downwards so each step reads e_{j-1} before it changes; exact up
+    to floating rounding.
     """
-    n = lam.shape[-1]
-    coeff = np.zeros(lam.shape[:-1] + (n + 1,), dtype=float)
-    coeff[..., 0] = 1.0
-    for i in range(n):
-        x = lam[..., i : i + 1]
-        coeff[..., 1 : i + 2] = coeff[..., 1 : i + 2] + x * coeff[..., 0 : i + 1]
-    return coeff
+    e = [1.0]
+    for x in planes:
+        e.append(0.0)
+        for j in range(len(e) - 1, 0, -1):
+            e[j] = e[j] + (x if j == 1 else x * e[j - 1])  # x * e_0 is x
+    return e
 
 
 def sigma_j(lam, j):
@@ -57,7 +92,7 @@ def sigma_j(lam, j):
     n = lam.shape[-1]
     if not 1 <= j <= n:
         raise ValueError(f"j={j} outside 1..{n}")
-    return _elementary_all(lam)[..., j]
+    return _elementary_all(_planes(lam))[j]
 
 
 # ---------------------------------------------------------------------------
@@ -104,20 +139,25 @@ def cone_margin(lam, cone):
     if isinstance(cone, GammaK):
         if cone.k > n:
             raise ValueError(f"GammaK({cone.k}) undefined for tuples of length {n}")
-        sig = _elementary_all(lam)
-        return np.min(sig[..., 1 : cone.k + 1], axis=-1)
+        return reduce(np.minimum, _elementary_all(_planes(lam))[1 : cone.k + 1])
     if isinstance(cone, PIndexCone):
         if cone.p > n:
             raise ValueError(f"PIndexCone({cone.p}) undefined for tuples of length {n}")
-        sums = [
-            np.sum(lam[..., list(idx)], axis=-1)
-            for idx in itertools.combinations(range(n), cone.p)
-        ]
-        return np.min(np.stack(sums, axis=-1), axis=-1)
+        return reduce(np.minimum, _index_sums(_planes(lam), cone.p))
     if isinstance(cone, ConeIntersection):
-        margins = np.stack([cone_margin(lam, m) for m in cone.members], axis=-1)
-        return np.min(margins, axis=-1)
+        return reduce(np.minimum, [cone_margin(lam, m) for m in cone.members])
     raise TypeError(f"unknown cone spec {cone!r}")
+
+
+def _index_sums(planes, p):
+    """The sums of p distinct planes, one per index set in combinations order.
+
+    Each is a fold from 0.0, the bytes of np.sum(lam[..., list(idx)], axis=-1)
+    on a batch of tuples: numpy lays that fancy-indexed copy out index axis
+    first, so it adds term by term even from eight terms on.
+    """
+    return [reduce(np.add, [planes[i] for i in idx], 0.0)
+            for idx in itertools.combinations(range(len(planes)), p)]
 
 
 def in_cone(lam, cone):
@@ -128,7 +168,7 @@ def in_cone(lam, cone):
 def interior_margin(lam, cone):
     """cone_margin minus the interior tolerance INTERIOR_RTOL*(1+|lam|)."""
     lam = _as_tuples(lam)
-    scale = 1.0 + np.linalg.norm(lam, axis=-1)
+    scale = 1.0 + np.sqrt(plane_sum([x * x for x in _planes(lam)]))  # np.linalg.norm
     return cone_margin(lam, cone) - INTERIOR_RTOL * scale
 
 
@@ -274,17 +314,13 @@ def evaluate(spec, lam):
 def _evaluate_unchecked(spec, lam):
     n = spec.dim
     if spec.family == "monge-ampere":
-        return np.prod(lam, axis=-1) ** (1.0 / n)
+        return reduce(np.multiply, _planes(lam)) ** (1.0 / n)
     if spec.family == "hessian":
         k = spec.cone.k
-        return (sigma_j(lam, k) / math.comb(n, k)) ** (1.0 / k)
+        return (_elementary_all(_planes(lam))[k] / math.comb(n, k)) ** (1.0 / k)
     if spec.family == "p-monge-ampere":
-        p = spec.cone.p
-        m = math.comb(n, p)
-        prod = np.ones(lam.shape[:-1])
-        for idx in itertools.combinations(range(n), p):
-            prod = prod * np.sum(lam[..., list(idx)], axis=-1)
-        return prod ** (1.0 / m)
+        sums = _index_sums(_planes(lam), spec.cone.p)
+        return reduce(np.multiply, sums) ** (1.0 / len(sums))
     if spec.family == "combination":
         total = 0.0
         for w, member in zip(spec.weights, spec.members):
@@ -309,33 +345,42 @@ def gradient(spec, lam):
 
 
 def _gradient_unchecked(spec, lam):
-    n = spec.dim
-    if spec.family == "monge-ampere":
-        f = _evaluate_unchecked(spec, lam)
-        return f[..., None] / (n * lam)
-    if spec.family == "hessian":
-        k = spec.cone.k
-        f = _evaluate_unchecked(spec, lam)
-        sk = sigma_j(lam, k)
-        out = np.empty_like(lam)
-        for j in range(n):
-            out[..., j] = _elementary_all(np.delete(lam, j, axis=-1))[..., k - 1]
-        return f[..., None] * out / (k * sk)[..., None]
-    if spec.family == "p-monge-ampere":
-        p = spec.cone.p
-        m = math.comb(n, p)
-        f = _evaluate_unchecked(spec, lam)
-        acc = np.zeros_like(lam)
-        for idx in itertools.combinations(range(n), p):
-            inv = 1.0 / np.sum(lam[..., list(idx)], axis=-1)
-            for j in idx:
-                acc[..., j] += inv
-        return f[..., None] * acc / m
     if spec.family == "combination":
         total = 0.0
         for w, member in zip(spec.weights, spec.members):
             total = total + w * _gradient_unchecked(member, lam)
         return total
+    n = spec.dim
+    planes = _planes(lam)
+    out = np.empty_like(lam)  # each family writes plane j of its gradient here
+    if spec.family == "monge-ampere":
+        f = _evaluate_unchecked(spec, lam)
+        for j, x in enumerate(planes):
+            np.divide(f, n * x, out=out[..., j])
+        return out
+    if spec.family == "hessian":
+        # d sigma_k / d lam_j is sigma_{k-1} of the other n - 1 entries
+        k = spec.cone.k
+        f = _evaluate_unchecked(spec, lam)
+        scale = k * _elementary_all(planes)[k]
+        for j in range(n):
+            rest = _elementary_all(planes[:j] + planes[j + 1 :])[k - 1]
+            np.divide(f * rest, scale, out=out[..., j])
+        return out
+    if spec.family == "p-monge-ampere":
+        # d log f / d lam_j is the mean over the index sets of 1/sum, counted
+        # where j is in the set; each accumulates from 0.0 in combinations order
+        p = spec.cone.p
+        f = _evaluate_unchecked(spec, lam)
+        inverses = [[] for _ in range(n)]
+        index_sets = list(itertools.combinations(range(n), p))
+        for idx, total in zip(index_sets, _index_sums(planes, p)):
+            inv = 1.0 / total
+            for j in idx:
+                inverses[j].append(inv)
+        for j in range(n):
+            np.divide(f * reduce(np.add, inverses[j], 0.0), len(index_sets), out=out[..., j])
+        return out
     raise ValueError(f"unknown family {spec.family!r}")
 
 
@@ -397,8 +442,7 @@ def gamma_lower_bound(spec):
     lam = sample_cone(spec.cone, n, _GAMMA_SAMPLES, rng)
     # keep strictly interior points; the product degenerates at the boundary
     lam = lam[interior_margin(lam, spec.cone) > 0.0]
-    grads = _gradient_unchecked(spec, lam)
-    prod = np.prod(grads, axis=-1)
+    prod = reduce(np.multiply, _planes(_gradient_unchecked(spec, lam)))
     best = int(np.argmin(prod))
     value = _polish_ray_minimum(spec, lam[best], float(prod[best]))
     return GammaBound(value, False)

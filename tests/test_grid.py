@@ -15,6 +15,7 @@ from nformpde.grid import (
     entropy_integrand,
     entropy_norm,
     frozen_hessian_inverse,
+    hermitian_inverse,
     hessian_symbol,
     identity_metric,
     integrate,
@@ -343,3 +344,48 @@ def test_neighbour_table_wraps_the_torus():
     # (0, 0) - e_0 is (7, 0) and (7, 7) + e_1 is (7, 0)
     assert table[(-1, 0)].tolist() == [56, 55]
     assert table[(0, 1)].tolist() == [1, 56]
+
+
+def random_hpd_field(shape, seed, diagonal):
+    """Hermitian positive definite 2 x 2 fields of condition number at most 25
+    and overall scale 1e-3..1e3; ``diagonal`` zeroes the off-diagonal."""
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=shape + (2, 2)) + 1j * rng.normal(size=shape + (2, 2))
+    U, _ = np.linalg.qr(a)
+    if diagonal:
+        U = np.broadcast_to(np.eye(2), U.shape)
+    lam = np.exp(rng.uniform(np.log(0.2), np.log(5.0), size=shape + (2,)))
+    lam *= 10.0 ** rng.uniform(-3, 3, size=shape + (1,))
+    g = (U * lam[..., None, :]) @ np.conj(np.swapaxes(U, -1, -2))
+    return 0.5 * (g + np.conj(np.swapaxes(g, -1, -2)))
+
+
+@settings(max_examples=25, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
+@given(seed=st.integers(0, 2**32 - 1), shape=st.sampled_from([(), (1,), (50,), (4, 5, 6)]),
+       diagonal=st.booleans())
+def test_closed_form_inverse_and_determinant_match_lapack(seed, shape, diagonal):
+    g = random_hpd_field(shape, seed, diagonal)
+    inv = hermitian_inverse(g)
+    assert inv.shape == g.shape and inv.dtype == complex
+    assert np.array_equal(inv, np.conj(np.swapaxes(inv, -1, -2)))
+    ref = np.linalg.inv(g)
+    scale = np.abs(ref).max(axis=(-2, -1))
+    assert np.all(np.abs(inv - ref).max(axis=(-2, -1)) <= 1e-13 * scale)
+    det = np.linalg.det(g).real
+    assert np.all(np.abs(volume_density(g) - det) <= 1e-13 * det)
+
+
+def test_closed_form_inverse_and_determinant_of_the_identity_are_exact():
+    g = identity_metric(TorusGrid(n=2, N=8, L=1.0))
+    # the bytes of the identity, +0.0 off the diagonal as np.linalg.inv gives
+    assert hermitian_inverse(g).tobytes() == g.tobytes()
+    assert volume_density(g).tobytes() == np.ones(g.shape[:-2]).tobytes()
+
+
+def test_inverse_and_determinant_use_lapack_beyond_n2():
+    g = random_hpd_field((7,), 3, False)
+    g3 = np.zeros((7, 3, 3), dtype=complex)
+    g3[:, :2, :2] = g
+    g3[:, 2, 2] = 2.0
+    assert np.array_equal(hermitian_inverse(g3), np.linalg.inv(g3))
+    assert np.array_equal(volume_density(g3), np.linalg.det(g3).real)

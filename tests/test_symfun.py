@@ -1,11 +1,17 @@
 """Operator families on cone eigenvalues: frozen values and invariants."""
 
+import itertools
+import math
+
 import numpy as np
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 from nformpde import symfun
 from nformpde.errors import ConeViolationError, DegeneratePointError
 from nformpde.symfun import (
+    INTERIOR_RTOL,
     ConeIntersection,
     GammaK,
     OperatorSpec,
@@ -205,3 +211,127 @@ def test_dimension_checks():
         hessian(3, 4)
     with pytest.raises(ValueError):
         p_monge_ampere(3, 0)
+
+
+# ---------------------------------------------------------------------------
+# the plane folds against the axis reductions they replace
+
+def ref_elementary_all(lam):
+    """e_0..e_n along the last axis as an (..., n + 1) array: the reference."""
+    n = lam.shape[-1]
+    coeff = np.zeros(lam.shape[:-1] + (n + 1,), dtype=float)
+    coeff[..., 0] = 1.0
+    for i in range(n):
+        x = lam[..., i : i + 1]
+        coeff[..., 1 : i + 2] = coeff[..., 1 : i + 2] + x * coeff[..., 0 : i + 1]
+    return coeff
+
+
+def ref_cone_margin(lam, cone):
+    n = lam.shape[-1]
+    if isinstance(cone, GammaK):
+        return np.min(ref_elementary_all(lam)[..., 1 : cone.k + 1], axis=-1)
+    if isinstance(cone, PIndexCone):
+        sums = [np.sum(lam[..., list(idx)], axis=-1)
+                for idx in itertools.combinations(range(n), cone.p)]
+        return np.min(np.stack(sums, axis=-1), axis=-1)
+    return np.min(np.stack([ref_cone_margin(lam, m) for m in cone.members], axis=-1), axis=-1)
+
+
+def ref_interior_margin(lam, cone):
+    return ref_cone_margin(lam, cone) - INTERIOR_RTOL * (1.0 + np.linalg.norm(lam, axis=-1))
+
+
+def ref_evaluate(spec, lam):
+    n = spec.dim
+    if spec.family == "monge-ampere":
+        return np.prod(lam, axis=-1) ** (1.0 / n)
+    if spec.family == "hessian":
+        k = spec.cone.k
+        return (ref_elementary_all(lam)[..., k] / math.comb(n, k)) ** (1.0 / k)
+    if spec.family == "p-monge-ampere":
+        p = spec.cone.p
+        prod = np.ones(lam.shape[:-1])
+        for idx in itertools.combinations(range(n), p):
+            prod = prod * np.sum(lam[..., list(idx)], axis=-1)
+        return prod ** (1.0 / math.comb(n, p))
+    total = 0.0
+    for w, member in zip(spec.weights, spec.members):
+        total = total + w * ref_evaluate(member, lam)
+    return total
+
+
+def ref_gradient(spec, lam):
+    n = spec.dim
+    if spec.family == "combination":
+        total = 0.0
+        for w, member in zip(spec.weights, spec.members):
+            total = total + w * ref_gradient(member, lam)
+        return total
+    f = ref_evaluate(spec, lam)
+    if spec.family == "monge-ampere":
+        return f[..., None] / (n * lam)
+    if spec.family == "hessian":
+        k = spec.cone.k
+        out = np.empty_like(lam)
+        for j in range(n):
+            out[..., j] = ref_elementary_all(np.delete(lam, j, axis=-1))[..., k - 1]
+        return f[..., None] * out / (k * ref_elementary_all(lam)[..., k])[..., None]
+    p = spec.cone.p
+    acc = np.zeros_like(lam)
+    for idx in itertools.combinations(range(n), p):
+        inv = 1.0 / np.sum(lam[..., list(idx)], axis=-1)
+        for j in idx:
+            acc[..., j] += inv
+    return f[..., None] * acc / math.comb(n, p)
+
+
+def differing_bytes(a, b):
+    """How many bytes of two equally shaped float results differ (0-d included)."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    assert a.shape == b.shape and a.dtype == b.dtype == float
+    return int(np.count_nonzero(a.reshape(-1).view(np.uint8) != b.reshape(-1).view(np.uint8)))
+
+
+FOLD_SPECS = [spec for n in range(2, 6) for spec in (
+    [monge_ampere(n)] + [hessian(n, k) for k in range(1, n + 1)]
+    + [p_monge_ampere(n, p) for p in range(2, n + 1)]
+    + [combine([monge_ampere(n), hessian(n, 1)], [0.7, 1.3]),
+       combine([p_monge_ampere(n, 2), hessian(n, n - 1)], [0.3, 2.0])])]
+
+
+@settings(max_examples=60, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
+@given(spec=st.sampled_from(FOLD_SPECS), seed=st.integers(0, 2**32 - 1),
+       batch=st.sampled_from([(), (1,), (40,), (6, 7)]), zeros=st.sampled_from([0.0, 0.3]))
+def test_plane_folds_keep_the_bytes_of_the_axis_reductions(spec, seed, batch, zeros):
+    # tuples of mixed signs and magnitudes, a share ``zeros`` of entries +0.0
+    # or -0.0; evaluate and gradient see the tuples the reference calls interior
+    rng = np.random.default_rng(seed)
+    n, cone = spec.dim, spec.cone
+    lam = rng.normal(1.0, 0.8, size=batch + (n,)) * 10.0 ** rng.uniform(-3, 3, size=batch + (1,))
+    hit = rng.random(lam.shape) < zeros
+    lam[hit] = np.copysign(0.0, rng.normal(size=int(hit.sum())))
+    differ = differing_bytes(cone_margin(lam, cone), ref_cone_margin(lam, cone))
+    differ += differing_bytes(interior_margin(lam, cone), ref_interior_margin(lam, cone))
+    coeff = ref_elementary_all(lam)
+    differ += sum(differing_bytes(sigma_j(lam, j), coeff[..., j]) for j in range(1, n + 1))
+    inside = ref_interior_margin(lam, cone) > 0.0
+    tuples = lam if lam.ndim == 1 and inside else lam[inside]
+    differ += differing_bytes(evaluate(spec, tuples), ref_evaluate(spec, tuples))
+    differ += differing_bytes(gradient(spec, tuples), ref_gradient(spec, tuples))
+    assert differ == 0
+
+
+@settings(max_examples=40, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
+@given(length=st.integers(1, 300), seed=st.integers(0, 2**32 - 1))
+def test_plane_sum_is_numpys_pairwise_sum(length, seed):
+    # from eight terms on numpy sums an axis pairwise; interior_margin at
+    # n >= 8 keeps np.linalg.norm's bytes only through that order
+    rng = np.random.default_rng(seed)
+    lam = rng.normal(size=(5, length)) * 10.0 ** rng.uniform(-8, 8, size=(5, length))
+    lam[rng.random(lam.shape) < 0.2] = -0.0
+    lam[0] = -0.0
+    planes = [lam[..., i] for i in range(length)]
+    assert differing_bytes(symfun.plane_sum(planes), np.sum(lam, axis=-1)) == 0
+    squares = [x * x for x in planes]
+    assert differing_bytes(np.sqrt(symfun.plane_sum(squares)), np.linalg.norm(lam, axis=-1)) == 0
