@@ -283,7 +283,10 @@ def _chart_geometry(mask, center_index, R, grid):
 class AuxiliarySolution:
     """Solved Dirichlet Monge-Ampere problem on a chart ball.
 
-    krylov_iterations holds the operator applications of each Newton step.
+    krylov_iterations holds the operator applications of each Newton step,
+    line_search_trials the trial iterates each step's line search evaluated,
+    and residual_evaluations counts every residual evaluation, the start's
+    included.
     """
 
     psi: np.ndarray
@@ -294,6 +297,8 @@ class AuxiliarySolution:
     clamp_history: list
     krylov_iterations: list
     residual_history: list
+    line_search_trials: list
+    residual_evaluations: int
 
 
 def solve_dirichlet_ma(chart, rhs_density):
@@ -342,7 +347,11 @@ def solve_dirichlet_ma(chart, rhs_density):
         full[chart.ghost_flat] = chart.extend @ values
         return full.reshape(grid.shape)
 
+    residual_evaluations = 0
+
     def evaluate_at(values):
+        nonlocal residual_evaluations
+        residual_evaluations += 1
         eigs, frames = np.linalg.eigh(complex_hessian(fill(values), grid, chart.taps))
         r = plane_sum([np.log(np.maximum(eigs[:, i], EIG_FLOOR)) for i in range(n)]) - log_rho
         return values, r, float(np.max(np.abs(r))), (eigs, frames)
@@ -379,7 +388,7 @@ def solve_dirichlet_ma(chart, rhs_density):
 
     R = chart.radius
     cbar = float(np.mean(rho))
-    psi, sup, (eigs, _), iterations, history = damped_newton(
+    psi, sup, (eigs, _), iterations, history, trials = damped_newton(
         evaluate_at(cbar ** (1.0 / n) * (chart.dist_sq[mask] - R * R)),
         lambda values, direction, t: evaluate_at(values + t * direction),
         step, RESIDUAL_TOL, MAX_ITERATIONS,
@@ -400,6 +409,8 @@ def solve_dirichlet_ma(chart, rhs_density):
         clamp_history=clamp_history,
         krylov_iterations=krylov_iterations,
         residual_history=history,
+        line_search_trials=trials,
+        residual_evaluations=residual_evaluations,
     )
 
 

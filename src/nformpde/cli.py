@@ -130,8 +130,8 @@ def _solve_artifacts(problem, out_dir, descriptor):
     """
     try:
         solution = solve_primary(problem)
-        bound = l1_bound_check(solution.phi, problem.g, problem.g_h, problem.grid,
-                               g_inv=problem.g_inv)
+        bound = l1_bound_check(solution.phi, problem.metric, problem.reference_metric,
+                               problem.grid, g_inv=problem.g_inv)
     except NFormError as exc:
         _write_json(os.path.join(out_dir, "solve_error.json"), {
             "error": str(exc),
@@ -233,8 +233,8 @@ def _sweep_member(descriptor, parameter, p, target):
     problem = _build_problem(descriptor, {"sigma": parameter})
     problem.F = problem.F + _entropy_shift(problem.F, problem.g, problem.grid, p, target)
     solution = solve_primary(problem)
-    bound = l1_bound_check(solution.phi, problem.g, problem.g_h, problem.grid,
-                           g_inv=problem.g_inv)
+    bound = l1_bound_check(solution.phi, problem.metric, problem.reference_metric,
+                           problem.grid, g_inv=problem.g_inv)
     return {
         "parameter": float(parameter),
         "entropy": float(entropy_norm(problem.F, problem.g, problem.grid, p)),

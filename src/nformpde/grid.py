@@ -15,14 +15,21 @@ A stencil reads the field through a tap source: on the whole grid, views of
 one periodic pad of the field; at chosen points, gathers through a table of
 flat neighbour indices.
 Integrals use the flat normalization: cell volume h^{2n}, metric volume
-density det(g).  For n = 2 the metric determinant and inverse take their
-closed forms.
+density det(g).
+
+For n = 2 a Hermitian field is four real planes (HermitianPlanes: h_00,
+h_11, Re h_01, Im h_01), Hermitian by construction, and the pointwise
+formulas here (inverse, determinant, the trace pairing tr(A B), the twisted
+metric, the Laplacian) run on planes; a complex (..., 2, 2) field passed to
+them is read as planes and the result written back as a complex field.
+n >= 3 keeps the complex arrays and np.linalg.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -270,25 +277,103 @@ def stencil_offsets(n):
     return [tuple(1 - int(i) for i in idx) for idx in np.argwhere(taps)]
 
 
+class HermitianPlanes(NamedTuple):
+    """An n = 2 Hermitian field as four real planes of its batch shape:
+    h_00, h_11, Re h_01 and Im h_01.  Hermitian by construction, since h_10
+    is read as the conjugate of h_01.  The planes of one field share one
+    shape."""
+
+    h00: np.ndarray
+    h11: np.ndarray
+    re01: np.ndarray
+    im01: np.ndarray
+
+    def matrix(self):
+        """The complex (..., 2, 2) field: imaginary diagonal 0.0, and
+        h_10 = Re h_01 + 1j (0.0 - Im h_01), so a zero entry stays +0.0 as in
+        np.linalg.inv of the identity; hermitian_planes reads the same planes
+        back."""
+        shape = np.shape(self.h00)
+        out = np.zeros(shape + (2, 2), dtype=complex)
+        parts = out.view(float).reshape(shape + (2, 2, 2))
+        parts[..., 0, 0, 0] = self.h00
+        parts[..., 1, 1, 0] = self.h11
+        parts[..., 0, 1, 0] = self.re01
+        parts[..., 1, 0, 0] = self.re01
+        parts[..., 0, 1, 1] = self.im01
+        np.subtract(0.0, self.im01, out=parts[..., 1, 0, 1])
+        return out
+
+
+def hermitian_planes(a):
+    """The planes of a Hermitian (..., 2, 2) field: strided views of its real
+    diagonal and of its upper entry, with no copy and no check
+    (hermlin.checked_planes checks).  Planes pass through."""
+    if isinstance(a, HermitianPlanes):
+        return a
+    a = np.asarray(a)
+    if a.shape[-2:] != (2, 2):
+        raise ValueError("Hermitian planes need a field of shape (..., 2, 2)")
+    upper = a[..., 0, 1]
+    return HermitianPlanes(a[..., 0, 0].real, a[..., 1, 1].real, upper.real, upper.imag)
+
+
+def hermitian_trace(a, b):
+    """tr(A B) of two Hermitian fields, a real field.  On planes
+    A_00 B_00 + A_11 B_11 + 2 (Re A_01 Re B_01 + Im A_01 Im B_01), the sum
+    hessian_symbol takes; on complex (..., n, n) fields the real part of
+    the matrix trace."""
+    if not isinstance(a, HermitianPlanes):
+        return np.einsum("...ij,...ji->...", a, b).real
+    cross = a.re01 * b.re01
+    cross += a.im01 * b.im01
+    cross *= 2.0
+    out = a.h00 * b.h00
+    out += a.h11 * b.h11
+    out += cross
+    return out
+
+
 def laplacian(phi, g, grid, g_inv=None):
-    """Metric trace of the complex Hessian, tr(g^-1 H(phi)); real field."""
+    """Metric trace of the complex Hessian, tr(g^-1 H(phi)); real field.
+    For n = 2 on planes, whether g and g_inv come as planes or complex."""
+    H = complex_hessian(phi, grid)
+    if grid.n == 2:
+        g, H = hermitian_planes(g), hermitian_planes(H)
+        g_inv = None if g_inv is None else hermitian_planes(g_inv)
     if g_inv is None:
         g_inv = hermitian_inverse(g)
-    return np.einsum("...ij,...ji->...", g_inv, complex_hessian(phi, grid)).real
+    return hermitian_trace(g_inv, H)
 
 
 def twisted_from_hessian(phi_h, g, g_h, g_inv=None):
     """Twisted metric gt = g_h + ((tr_g H) g - H) / (n - 1) of a Hessian field H.
 
-    Pointwise on the trailing (n, n) axes; requires n >= 2.
+    Pointwise on the trailing (n, n) axes; requires n >= 2.  For n = 2 on
+    planes: given g as planes, H, g_h and g_inv are read as planes and gt
+    is returned as planes; given a complex g, gt is a complex field.
     """
-    n = g.shape[-1]
-    if n < 2:
-        raise UnsupportedDimensionError("twisted metric needs n >= 2")
-    if g_inv is None:
-        g_inv = hermitian_inverse(g)
-    lap = np.einsum("...ij,...ji->...", g_inv, phi_h).real
-    return g_h + (lap[..., None, None] * g - phi_h) / (n - 1)
+    if not isinstance(g, HermitianPlanes):
+        n = g.shape[-1]
+        if n < 2:
+            raise UnsupportedDimensionError("twisted metric needs n >= 2")
+        if n == 2:
+            return twisted_from_hessian(phi_h, hermitian_planes(g), g_h, g_inv).matrix()
+        if g_inv is None:
+            g_inv = hermitian_inverse(g)
+        lap = hermitian_trace(g_inv, phi_h)
+        return g_h + (lap[..., None, None] * g - phi_h) / (n - 1)
+    H, g_h = hermitian_planes(phi_h), hermitian_planes(g_h)
+    g_inv = hermitian_inverse(g) if g_inv is None else hermitian_planes(g_inv)
+    lap = hermitian_trace(g_inv, H)
+    # n - 1 = 1: each plane is g_h + (lap g - H)
+    planes = []
+    for gp, hp, ghp in zip(g, H, g_h):
+        p = lap * gp
+        p -= hp
+        p += ghp
+        planes.append(p)
+    return HermitianPlanes(*planes)
 
 
 def twisted_metric(phi, g, g_h, grid, g_inv=None):
@@ -298,32 +383,32 @@ def twisted_metric(phi, g, g_h, grid, g_inv=None):
 
 def hermitian_inverse(g):
     """Inverse of a Hermitian positive definite field on its trailing (n, n)
-    axes.  For n = 2 the adjugate over volume_density, entry by entry, exactly
-    Hermitian (imaginary diagonal 0.0, each negation 0.0 - x, so a zero entry
-    stays +0.0 as in np.linalg.inv of the identity); np.linalg.inv otherwise."""
-    g = np.asarray(g)
-    if g.shape[-2:] != (2, 2):
-        return np.linalg.inv(g)
+    axes.  For n = 2 the adjugate over volume_density, plane by plane (each
+    negation 0.0 - x, so a zero entry stays +0.0 as in np.linalg.inv of the
+    identity): planes for planes, a complex field for a complex field.
+    np.linalg.inv otherwise."""
+    if not isinstance(g, HermitianPlanes):
+        g = np.asarray(g)
+        if g.shape[-2:] != (2, 2):
+            return np.linalg.inv(g)
+        return hermitian_inverse(hermitian_planes(g)).matrix()
     det = volume_density(g)
-    out = np.zeros(g.shape, dtype=complex)
-    parts = out.view(float).reshape(g.shape + (2,))
-    np.divide(g[..., 1, 1].real, det, out=parts[..., 0, 0, 0])
-    np.divide(g[..., 0, 0].real, det, out=parts[..., 1, 1, 0])
-    for i, j in ((0, 1), (1, 0)):
-        for part, value in ((0, g[..., i, j].real), (1, g[..., i, j].imag)):
-            np.subtract(0.0, value, out=parts[..., i, j, part])
-            parts[..., i, j, part] /= det
-    return out
+    re01 = np.subtract(0.0, g.re01)
+    re01 /= det
+    im01 = np.subtract(0.0, g.im01)
+    im01 /= det
+    return HermitianPlanes(g.h11 / det, g.h00 / det, re01, im01)
 
 
 def volume_density(g):
     """Metric volume density against the flat cell measure: det(g), for
-    n = 2 the closed form g_00 g_11 - |g_01|^2 of a Hermitian g."""
-    g = np.asarray(g)
-    if g.shape[-2:] != (2, 2):
-        return np.linalg.det(g).real
-    g01 = g[..., 0, 1]
-    return g[..., 0, 0].real * g[..., 1, 1].real - (g01.real**2 + g01.imag**2)
+    n = 2 (planes or a complex field) the closed form g_00 g_11 - |g_01|^2."""
+    if not isinstance(g, HermitianPlanes):
+        g = np.asarray(g)
+        if g.shape[-2:] != (2, 2):
+            return np.linalg.det(g).real
+        g = hermitian_planes(g)
+    return g.h00 * g.h11 - (g.re01**2 + g.im01**2)
 
 
 def integrate(field, density, grid):

@@ -10,12 +10,15 @@ pointwise identities the comparison argument rests on:
       g-orthonormal frame) at least det of the linearization, which is at
       least gamma / f**n.
 
-For n = 2, endomorphism_eigs and linearization take a closed form: the
-Cholesky factor of g, its inverse and the reduced matrix entry by entry,
-the eigenvalues as mean -/+ rad, and the linearization without
-eigenvectors.  So do the metric inverse that trace_reversal takes when no
-g_inv is given and the determinant under it (grid.hermitian_inverse, the
-adjugate over grid.volume_density's g_00 g_11 - |g_01|^2).  The general
+For n = 2 the layer runs on four real planes (grid.HermitianPlanes: h_00,
+h_11, Re h_01, Im h_01), Hermitian by construction, and takes closed
+forms: the Cholesky factor of g, its inverse and the reduced matrix entry
+by entry, the eigenvalues as mean -/+ rad, the linearization without
+eigenvectors, and the metric inverse and determinant under the trace
+reversal (grid.hermitian_inverse over grid.volume_density).  A field is
+checked Hermitian once, where it enters: checked_planes for a metric, or
+the checks of endomorphism_eigs and linearization on a complex pair, which
+are then read as planes; planes are passed on unchecked.  The general
 path (Cholesky reduction, eigvalsh/eigh, np.linalg.inv) serves n >= 3 and
 is the reference the closed form is tested against.
 
@@ -31,7 +34,13 @@ import numpy as np
 
 from . import symfun
 from .errors import InconsistentInputError, MetricDegeneracyError, UnsupportedDimensionError
-from .grid import hermitian_inverse, twisted_from_hessian
+from .grid import (
+    HermitianPlanes,
+    hermitian_inverse,
+    hermitian_planes,
+    hermitian_trace,
+    twisted_from_hessian,
+)
 
 TRACE_TOL = 1e-10        # |tr(G gt) - 1|
 IDENTITY_TOL = 1e-9      # residual of identity (a)
@@ -93,59 +102,81 @@ def _reduce_pencil(g, gt):
     return L, hermitian_part(M)
 
 
-def _reduce_pencil_2x2(g, gt):
-    """_reduce_pencil for n = 2, entry by entry, with the same checks.
+def checked_planes(a, name="metric"):
+    """The planes of an n = 2 Hermitian field, checked where the field
+    enters as cholesky_pd checks a metric: MetricDegeneracyError if it is not
+    Hermitian to 1e-12.  Planes pass through, Hermitian by construction."""
+    if isinstance(a, HermitianPlanes):
+        return a
+    a = _as_matrix(a, name)
+    if a.shape[-1] != 2:
+        raise ValueError(f"{name} must be 2 x 2 to be read as planes")
+    if not is_hermitian(a, tol=1e-12):
+        raise MetricDegeneracyError(f"{name} is not Hermitian")
+    return hermitian_planes(a)
 
-    Returns ((a, c, d), (m00, m01, m11)): L^-1 = [[a, 0], [c, d]] for the
-    Cholesky factor L = [[sqrt(g00), 0], [g10 / sqrt(g00), sqrt(schur)]],
-    schur = g11 - |g10|^2 / g00, and the upper triangle of M = L^-1 gt L^-H
-    (a, d and the diagonal of M real).
-    """
+
+def _pair_planes(g, gt):
+    """The planes of a complex n = 2 pair (g, gt), with the checks and errors
+    of the general path's _reduce_pencil (the PD check is the kernel's)."""
     gt = _twisted_matrix(gt)
-    g = _as_matrix(g, "metric")
     if gt.shape[-1] != 2:
         raise ValueError("metric and twisted metric must have the same size")
-    if not is_hermitian(g, tol=1e-12):
-        raise MetricDegeneracyError("metric is not Hermitian")
-    g00 = g[..., 0, 0].real
-    g10 = g[..., 1, 0]
+    return checked_planes(g), hermitian_planes(gt)
+
+
+def _reduce_pencil_2x2(g, gt):
+    """_reduce_pencil for n = 2 on planes, entry by entry.
+
+    Returns ((a, cr, ci, d), (m00, m11, m01r, m01i)): L^-1 = [[a, 0], [c, d]],
+    c = cr + 1j ci, for the Cholesky factor L = [[sqrt(g00), 0],
+    [g10 / sqrt(g00), sqrt(schur)]], schur = g11 - |g10|^2 / g00, and the
+    planes of M = L^-1 gt L^-H.  MetricDegeneracyError if g is not positive
+    definite.
+    """
+    g00 = g.h00
     with np.errstate(divide="ignore", invalid="ignore"):
-        schur = g[..., 1, 1].real - (g10.real**2 + g10.imag**2) / g00
+        schur = g.h11 - (g.re01**2 + g.im01**2) / g00
     if not (np.all(g00 > 0.0) and np.all(schur > 0.0)):
         raise MetricDegeneracyError("metric is not positive definite")
     a = 1.0 / np.sqrt(g00)
     d = 1.0 / np.sqrt(schur)
-    c = -g10 * (a * a * d)
-    # Hermitian part of gt, as the reference takes of M
-    h00 = gt[..., 0, 0].real
-    h11 = gt[..., 1, 1].real
-    h01 = 0.5 * (gt[..., 0, 1] + np.conj(gt[..., 1, 0]))
-    ch01 = c * h01
+    # c = -g10 a^2 d with g10 = conj(g01)
+    scale = a * a * d
+    cr = -g.re01 * scale
+    ci = g.im01 * scale
+    h00 = gt.h00
     m00 = a * a * h00
-    m01 = a * (h00 * np.conj(c) + d * h01)
-    m11 = (c.real**2 + c.imag**2) * h00 + 2.0 * d * ch01.real + d * d * h11
-    return (a, c, d), (m00, m01, m11)
+    m01r = a * (h00 * cr + d * gt.re01)
+    m01i = a * (d * gt.im01 - h00 * ci)
+    m11 = (cr**2 + ci**2) * h00 + 2.0 * d * (cr * gt.re01 - ci * gt.im01) + d * d * gt.h11
+    return (a, cr, ci, d), (m00, m11, m01r, m01i)
 
 
 def _is_2x2(g):
     return np.shape(g)[-2:] == (2, 2)
 
 
-def _eigs_2x2(m00, m01, m11):
-    """Ascending eigenvalues mean -/+ rad of a Hermitian 2x2 matrix, and rad."""
+def _eigs_2x2(m00, m11, m01r, m01i):
+    """Ascending eigenvalues mean -/+ rad of a Hermitian 2x2 matrix given as
+    planes, rad, and half = (m00 - m11) / 2."""
     mean = 0.5 * (m00 + m11)
-    rad = np.hypot(0.5 * (m00 - m11), np.abs(m01))
-    return np.stack([mean - rad, mean + rad], axis=-1), rad
+    half = 0.5 * (m00 - m11)
+    rad = np.hypot(half, np.hypot(m01r, m01i))
+    return np.stack([mean - rad, mean + rad], axis=-1), rad, half
 
 
 def endomorphism_eigs(g, gt):
     """Eigenvalues of g^-1 gt, ascending; real because the pair is Hermitian.
 
-    Closed form for n = 2, Cholesky reduction and eigvalsh otherwise.
+    Closed form for n = 2 on planes (a complex pair is checked and read as
+    planes), Cholesky reduction and eigvalsh otherwise.
     """
-    if _is_2x2(g):
-        return _eigs_2x2(*_reduce_pencil_2x2(g, gt)[1])[0]
-    return _endomorphism_eigs_general(g, gt)
+    if not isinstance(g, HermitianPlanes):
+        if not _is_2x2(g):
+            return _endomorphism_eigs_general(g, gt)
+        g, gt = _pair_planes(g, gt)
+    return _eigs_2x2(*_reduce_pencil_2x2(g, gt)[1])[0]
 
 
 def _endomorphism_eigs_general(g, gt):
@@ -167,28 +198,36 @@ def linearization(spec, g, gt):
     back to the ambient frame it satisfies tr(G @ gt) = 1 (degree-1
     homogeneity) and is Hermitian positive definite.
 
-    For n = 2 no eigenvectors are formed: with d = grad f / f at the
-    eigenvalues mean -/+ rad of M = L^-1 gt L^-H, U diag(d) U^H equals
-    s I + (dd / (2 rad)) (M - mean I) with s = (d0 + d1) / 2, dd = d1 - d0,
-    and s I at rad = 0; dd / rad stays bounded as the eigenvalues merge.
-    It is pushed back as G = L^-H P L^-1.
+    For n = 2 it is computed on planes (planes for planes, a complex field
+    for a checked complex pair) and no eigenvectors are formed: with
+    d = grad f / f at the eigenvalues mean -/+ rad of M = L^-1 gt L^-H,
+    U diag(d) U^H equals s I + (dd / (2 rad)) (M - mean I) with
+    s = (d0 + d1) / 2, dd = d1 - d0, and s I at rad = 0; dd / rad stays
+    bounded as the eigenvalues merge.  It is pushed back as G = L^-H P L^-1.
     """
+    if isinstance(g, HermitianPlanes):
+        return _linearization_2x2(spec, g, gt)
     if not _is_2x2(g):
         return _linearization_general(spec, g, gt)
-    (a, c, d), (m00, m01, m11) = _reduce_pencil_2x2(g, gt)
-    lam, rad = _eigs_2x2(m00, m01, m11)
+    return _linearization_2x2(spec, *_pair_planes(g, gt)).matrix()
+
+
+def _linearization_2x2(spec, g, gt):
+    (a, cr, ci, d), (m00, m11, m01r, m01i) = _reduce_pencil_2x2(g, gt)
+    lam, rad, half = _eigs_2x2(m00, m11, m01r, m01i)
     dlog = symfun.gradient(spec, lam) / symfun.evaluate(spec, lam)[..., None]
     s = 0.5 * (dlog[..., 0] + dlog[..., 1])
     k = np.divide(0.5 * (dlog[..., 1] - dlog[..., 0]), rad,
                   out=np.zeros_like(rad), where=rad > 0.0)
-    kd = k * (0.5 * (m00 - m11))
-    p00, p01, p11 = s + kd, k * m01, s - kd
-    G = np.empty(np.shape(p00) + (2, 2), dtype=complex)
-    G[..., 0, 0] = a * a * p00 + 2.0 * a * (p01 * c).real + (c.real**2 + c.imag**2) * p11
-    G[..., 0, 1] = d * (a * p01 + np.conj(c) * p11)
-    G[..., 1, 0] = np.conj(G[..., 0, 1])
-    G[..., 1, 1] = d * d * p11
-    return G
+    kd = k * half
+    p00, p11 = s + kd, s - kd
+    p01r, p01i = k * m01r, k * m01i
+    return HermitianPlanes(
+        a * a * p00 + 2.0 * a * (p01r * cr - p01i * ci) + (cr**2 + ci**2) * p11,
+        d * d * p11,
+        d * (a * p01r + cr * p11),
+        d * (a * p01i - ci * p11),
+    )
 
 
 def _linearization_general(spec, g, gt):
@@ -204,22 +243,42 @@ def trace_reversal(G, g, g_inv=None):
 
     These are the elliptic coefficients through which the twisted metric
     couples to the complex Hessian: tr(T @ hess) equals the linearized
-    operator applied to the potential.  g_inv, when given, is g^-1.
+    operator applied to the potential.  g_inv, when given, is g^-1.  For
+    n = 2 on planes: planes for planes, a complex field for complex G and g.
     """
-    G = _as_matrix(G, "linearization")
-    n = G.shape[-1]
-    if n < 2:
-        raise UnsupportedDimensionError("trace reversal needs dimension >= 2")
-    g = _as_matrix(g, "metric")
-    t = np.einsum("...ij,...ji->...", G, g).real
-    if g_inv is None:
-        g_inv = hermitian_inverse(g)
-    return (t[..., None, None] * g_inv - G) / (n - 1)
+    if not isinstance(G, HermitianPlanes):
+        G = _as_matrix(G, "linearization")
+        n = G.shape[-1]
+        if n < 2:
+            raise UnsupportedDimensionError("trace reversal needs dimension >= 2")
+        g = _as_matrix(g, "metric")
+        if n == 2:
+            return _trace_reversal_2x2(hermitian_planes(G), hermitian_planes(g), g_inv).matrix()
+        if g_inv is None:
+            g_inv = hermitian_inverse(g)
+        t = hermitian_trace(G, g)
+        return (t[..., None, None] * g_inv - G) / (n - 1)
+    return _trace_reversal_2x2(G, g, g_inv)
+
+
+def _trace_reversal_2x2(G, g, g_inv):
+    t = hermitian_trace(G, g)
+    g_inv = hermitian_inverse(g) if g_inv is None else hermitian_planes(g_inv)
+    # n - 1 = 1: each plane is t g^-1 - G
+    planes = []
+    for ip, Gp in zip(g_inv, G):
+        p = t * ip
+        p -= Gp
+        planes.append(p)
+    return HermitianPlanes(*planes)
 
 
 def to_orthonormal_frame(g, tensor):
     """Matrix of an upper-index tensor in a g-orthonormal frame (L^H T L)."""
-    L = cholesky_pd(g)
+    return _in_frame(cholesky_pd(g), tensor)
+
+
+def _in_frame(L, tensor):
     return np.conj(np.swapaxes(L, -1, -2)) @ tensor @ L
 
 
@@ -227,7 +286,9 @@ def verify_trace_reversal_identities(spec, g, g_h, phi_h):
     """Check the two pointwise identities on a (batch of) admissible data.
 
     Preconditions: g, g_h HPD; phi_h Hermitian; the eigenvalues of the
-    twisted metric built from (g, g_h, phi_h) in the cone.  Returns the
+    twisted metric built from (g, g_h, phi_h) in the cone.  Each input is
+    checked once, here; for n = 2 the twisted metric, the linearization and
+    its trace reversal are then computed on planes.  Returns the
     ``identities`` suite of ``check.json``: worst-case residuals and margins
     over the batch (det_slack is det(trace reversal) - gamma/f**n,
     chain_slack det(trace reversal) - det(linearization), both in a
@@ -239,20 +300,26 @@ def verify_trace_reversal_identities(spec, g, g_h, phi_h):
     if not is_hermitian(phi_h, tol=1e-12):
         raise ValueError("complex Hessian must be Hermitian")
     cholesky_pd(g_h, "reference metric")
-    gt = twisted_from_hessian(phi_h, g, g_h)
-
-    lam = endomorphism_eigs(g, gt)
+    L = cholesky_pd(g)
+    m, m_h, hess = (g, g_h, phi_h)
+    if _is_2x2(g):
+        m, m_h, hess = (hermitian_planes(a) for a in (g, g_h, phi_h))
+    gt = twisted_from_hessian(hess, m, m_h)
+    lam = endomorphism_eigs(m, gt)
     f = symfun.evaluate(spec, lam)
-    G = linearization(spec, g, gt)
-    T = trace_reversal(G, g)
+    G = linearization(spec, m, gt)
+    T = trace_reversal(G, m)
+    if isinstance(G, HermitianPlanes):
+        gt, G, T = gt.matrix(), G.matrix(), T.matrix()
 
-    trace_residual = float(np.max(np.abs(np.einsum("...ij,...ji->...", G, gt).real - 1.0)))
-    lhs = np.einsum("...ij,...ji->...", T, phi_h).real
-    rhs = 1.0 - np.einsum("...ij,...ji->...", G, g_h).real
+    # the residuals are read in the complex arithmetic of the general path
+    trace_residual = float(np.max(np.abs(hermitian_trace(G, gt) - 1.0)))
+    lhs = hermitian_trace(T, phi_h)
+    rhs = 1.0 - hermitian_trace(G, g_h)
     identity_residual = float(np.max(np.abs(lhs - rhs)))
 
-    T_frame = to_orthonormal_frame(g, T)
-    G_frame = to_orthonormal_frame(g, G)
+    T_frame = _in_frame(L, T)
+    G_frame = _in_frame(L, G)
     pd_margin = float(np.min(np.linalg.eigvalsh(hermitian_part(T_frame))))
     det_T = np.linalg.det(hermitian_part(T_frame)).real
     det_G = np.linalg.det(hermitian_part(G_frame)).real

@@ -13,6 +13,12 @@ uniformly elliptic; frozen at its grid mean it has constant coefficients,
 np.fft diagonalizes it on the torus, and its exact inverse
 (grid.frozen_hessian_inverse, which the chart solve of auxiliary also
 uses) preconditions the Krylov solve.
+
+For n = 2 the pointwise layer runs on grid.HermitianPlanes: a
+PrimaryProblem checks g and g_h once, when it is built, and holds the
+planes of g, g_h and g^-1; the twisted metric, the linearization, its trace
+reversal (the Newton coefficients) and the matvec's tr(T H) are planes or
+plane sums from there on, with no further Hermitian check.
 """
 
 from __future__ import annotations
@@ -57,16 +63,35 @@ class PrimaryProblem:
         if not self.tolerance > 0:
             raise ValueError("tolerance must be positive")
 
+    # g, g_h and g^-1 as the pointwise layer takes them: for n = 2 planes
+    # derived from the fields checked above, the complex fields otherwise.
+    # g's planes are copied contiguous, as the pencil reads them several
+    # times a call; g_h's are g's when g_h is g, else views of g_h, which
+    # each twisted metric reads once.
+
+    @cached_property
+    def metric(self):
+        if self.grid.n != 2:
+            return self.g
+        return gridmod.HermitianPlanes(*(p.copy() for p in gridmod.hermitian_planes(self.g)))
+
+    @cached_property
+    def reference_metric(self):
+        if self.g_h is self.g:
+            return self.metric
+        return gridmod.hermitian_planes(self.g_h) if self.grid.n == 2 else self.g_h
+
     @cached_property
     def g_inv(self):
-        return gridmod.hermitian_inverse(self.g)
+        return gridmod.hermitian_inverse(self.metric)
 
 
 @dataclass
 class PrimarySolution:
     """Sup-normalized potential, log-scale constant, and iteration stats.
 
-    krylov_iterations holds the operator applications of each Newton step.
+    krylov_iterations holds the operator applications of each Newton step,
+    line_search_trials the trial iterates each step's line search evaluated.
     """
 
     phi: np.ndarray
@@ -75,12 +100,13 @@ class PrimarySolution:
     iterations: int
     residual_history: list = field(default_factory=list)
     krylov_iterations: list = field(default_factory=list)
+    line_search_trials: list = field(default_factory=list)
 
 
 def _eigs_of_twisted(problem, phi):
-    gt = gridmod.twisted_metric(phi, problem.g, problem.g_h, problem.grid,
+    gt = gridmod.twisted_metric(phi, problem.metric, problem.reference_metric, problem.grid,
                                 g_inv=problem.g_inv)
-    lam = hermlin.endomorphism_eigs(problem.g, gt)
+    lam = hermlin.endomorphism_eigs(problem.metric, gt)
     return gt, lam
 
 
@@ -109,9 +135,13 @@ def _evaluate_iterate(problem, phi):
 
 
 def apply_trace_reversed_hessian(coeff, dphi, grid):
-    """tr(coeff @ H(dphi)) evaluated with the periodic stencils; real field."""
+    """tr(coeff @ H(dphi)) evaluated with the periodic stencils; real field.
+    For n = 2 on planes: coeff as planes (or read as planes), H through
+    plane views."""
     H = gridmod.complex_hessian(dphi, grid)
-    return np.einsum("...ij,...ji->...", coeff, H).real
+    if grid.n == 2:
+        coeff, H = gridmod.hermitian_planes(coeff), gridmod.hermitian_planes(H)
+    return gridmod.hermitian_trace(coeff, H)
 
 
 def _newton_step(problem, coeff, r, krylov_rtol):
@@ -139,7 +169,12 @@ def _newton_step(problem, coeff, r, krylov_rtol):
         bottom = np.array([dphi.mean()])
         return np.concatenate([top.reshape(-1), bottom])
 
-    frozen = gridmod.frozen_hessian_inverse(coeff.mean(axis=tuple(range(coeff.ndim - 2))), g)
+    if g.n == 2:
+        planes = gridmod.hermitian_planes(coeff)
+        mean = gridmod.HermitianPlanes(*(np.mean(p) for p in planes)).matrix()
+    else:
+        mean = coeff.mean(axis=tuple(range(coeff.ndim - 2)))
+    frozen = gridmod.frozen_hessian_inverse(mean, g)
 
     def precond(u):
         top = u[:m].reshape(shape)
@@ -175,22 +210,26 @@ def damped_newton(start, evaluate, step, tolerance, max_iterations):
     below MIN_STEP raises NonConvergenceError, as does a failed Krylov
     solve or an iterate still above tolerance after max_iterations steps.
     Every error carries the residual history.  Returns
-    ``(iterate, sup, state, iterations, history)``.
+    ``(iterate, sup, state, iterations, history, trials)``, trials the
+    number of ``evaluate`` calls of each step's line search.
     """
     iterate, r, sup, state = start
     del start  # only the current iterate stays alive
     history = [sup]
+    trials = []
     for iterations in range(max_iterations + 1):
         if sup <= tolerance:
-            return iterate, sup, state, iterations, history
+            return iterate, sup, state, iterations, history, trials
         if iterations == max_iterations:
             break
         direction, info = step(state, r, min(1e-2, max(1e-10, 0.05 * sup)))
         if info != 0:
             raise NonConvergenceError(f"inner Krylov solve stalled (info={info})", history)
         t = 1.0
+        trials.append(0)
         while True:
             trial = evaluate(iterate, direction, t)
+            trials[-1] += 1
             if trial is not None and trial[2] < sup:
                 break
             t *= 0.5
@@ -253,18 +292,18 @@ def solve_primary(problem, initial=None):
     def step(phi, r, krylov_rtol):
         gt, _ = _eigs_of_twisted(problem, phi)
         # nested, so the linearization is freed before the Krylov solve
-        coeff = hermlin.trace_reversal(hermlin.linearization(problem.spec, problem.g, gt),
-                                       problem.g, g_inv=problem.g_inv)
+        coeff = hermlin.trace_reversal(hermlin.linearization(problem.spec, problem.metric, gt),
+                                       problem.metric, g_inv=problem.g_inv)
         direction, info, matvecs = _newton_step(problem, coeff, r, krylov_rtol)
         krylov_iterations.append(matvecs)
         return direction, info
 
-    (phi, b), sup, _, iterations, history = damped_newton(
+    (phi, b), sup, _, iterations, history, trials = damped_newton(
         _primary_start(problem, initial), evaluate, step,
         problem.tolerance, problem.max_iterations,
     )
     return PrimarySolution(gridmod.normalize_sup(phi), b, sup, iterations, history,
-                           krylov_iterations)
+                           krylov_iterations, trials)
 
 
 @dataclass(frozen=True)
@@ -291,13 +330,18 @@ def l1_bound_check(phi, g, g_h, grid, g_inv=None):
     """Verify the trace-route premises on a solved potential.
 
     Both checks are trace conditions: membership of the rescaled twisted
-    eigenvalues in the largest cone only constrains the metric trace.
+    eigenvalues in the largest cone only constrains the metric trace.  For
+    n = 2 they run on planes, whether the metrics come as planes (a
+    PrimaryProblem's) or as complex fields.
     """
     phi = np.asarray(phi, dtype=float)
+    if grid.n == 2:
+        g, g_h = gridmod.hermitian_planes(g), gridmod.hermitian_planes(g_h)
+        g_inv = None if g_inv is None else gridmod.hermitian_planes(g_inv)
     if g_inv is None:
         g_inv = gridmod.hermitian_inverse(g)
     lap = gridmod.laplacian(phi, g, grid, g_inv=g_inv)
-    c_prime = float(np.max(np.einsum("...ij,...ji->...", g_inv, g_h).real))
+    c_prime = float(np.max(gridmod.hermitian_trace(g_inv, g_h)))
     laplacian_margin = float(np.min(lap) + c_prime)
     n = grid.n
     rescaled = n + (n / c_prime) * lap

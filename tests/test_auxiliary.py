@@ -250,6 +250,25 @@ def test_dirichlet_solve_flat_chart_matvec_budget(N):
     assert sum(sol.krylov_iterations) <= 40
 
 
+def test_dirichlet_solve_reports_its_trials_and_residual_evaluations(monkeypatch):
+    # every residual evaluation takes one eigendecomposition of the ball Hessian
+    chart, grid = flat_chart()
+    rhs = np.zeros(grid.shape)
+    rhs[chart.mask] = 1.0 / (chart.num_interior * grid.cell_volume)
+    eigh = np.linalg.eigh
+    calls = []
+
+    def counting(a):
+        calls.append(1)
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    sol = solve_dirichlet_ma(chart, rhs)
+    assert sol.residual_evaluations == len(calls)
+    assert len(sol.line_search_trials) == sol.iterations
+    assert sol.residual_evaluations == 1 + sum(sol.line_search_trials)
+
+
 def test_dirichlet_solve_radial_oracle():
     chart, grid = flat_chart()
     R = chart.radius

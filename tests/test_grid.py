@@ -9,6 +9,7 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from nformpde.grid import (
+    HermitianPlanes,
     TorusGrid,
     _hessian_entries,
     complex_hessian,
@@ -16,6 +17,7 @@ from nformpde.grid import (
     entropy_norm,
     frozen_hessian_inverse,
     hermitian_inverse,
+    hermitian_planes,
     hessian_symbol,
     identity_metric,
     integrate,
@@ -389,3 +391,29 @@ def test_inverse_and_determinant_use_lapack_beyond_n2():
     g3[:, 2, 2] = 2.0
     assert np.array_equal(hermitian_inverse(g3), np.linalg.inv(g3))
     assert np.array_equal(volume_density(g3), np.linalg.det(g3).real)
+
+
+@settings(max_examples=25, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
+@given(seed=st.integers(0, 2**32 - 1), shape=st.sampled_from([(), (1,), (50,), (4, 5, 6)]))
+def test_planes_round_trip_is_byte_exact(seed, shape):
+    # a field written as the module writes one (imaginary diagonal +0.0,
+    # h_10 = Re h_01 + 1j (0.0 - Im h_01)) goes complex -> planes -> complex
+    # with every byte, signed zeros included, and planes -> complex -> planes too
+    rng = np.random.default_rng(seed)
+    planes = [np.where(rng.random(shape) < 0.5, rng.choice([0.0, -0.0], size=shape),
+                       rng.normal(size=shape)) for _ in range(4)]
+    h00, h11, re01, im01 = planes
+    a = np.zeros(shape + (2, 2), dtype=complex)
+    a[..., 0, 0] = h00
+    a[..., 1, 1] = h11
+    a.real[..., 0, 1] = a.real[..., 1, 0] = re01
+    a.imag[..., 0, 1] = im01
+    a.imag[..., 1, 0] = 0.0 - im01
+    assert hermitian_planes(a).matrix().tobytes() == a.tobytes()
+    back = hermitian_planes(HermitianPlanes(*planes).matrix())
+    assert [p.tobytes() for p in back] == [p.tobytes() for p in planes]
+
+
+def test_identity_metric_round_trips_through_planes():
+    g = identity_metric(TorusGrid(n=2, N=8, L=1.0))
+    assert hermitian_planes(g).matrix().tobytes() == g.tobytes()

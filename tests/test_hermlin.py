@@ -6,12 +6,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nformpde.errors import MetricDegeneracyError
-from nformpde.grid import twisted_from_hessian
+from nformpde.grid import (
+    HermitianPlanes,
+    TorusGrid,
+    complex_hessian,
+    hermitian_planes,
+    hermitian_trace,
+    laplacian,
+    twisted_from_hessian,
+)
 from nformpde.hermlin import (
     _endomorphism_eigs_general,
     _linearization_general,
     CHAIN_SLACK_TOL,
     DET_SLACK_TOL,
+    checked_planes,
     endomorphism_eigs,
     g_orthonormal_eigenframe,
     hermitian_part,
@@ -205,6 +214,62 @@ def test_closed_form_matches_general_path(seed, diagonal, kind, spec):
     assert np.all(_relative_defect(G, G_ref) <= tol)
     T = trace_reversal(G, g, g_inv=np.linalg.inv(g))
     assert np.all(_relative_defect(T, trace_reversal(G_ref, g)) <= tol)
+
+
+def _einsum_trace(a, b):
+    return np.einsum("...ij,...ji->...", a, b).real
+
+
+def _trace_defect(planes_value, a, b):
+    """Per-sample |tr(A B) on planes - einsum reference| over sum |A_ij B_ji|."""
+    scale = np.abs(np.einsum("...ij,...ji->...ij", a, b)).sum(axis=(-2, -1))
+    return np.abs(planes_value - _einsum_trace(a, b)) / scale
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), diagonal=st.booleans(),
+       kind=st.sampled_from(["generic", "repeated", "near", "boundary"]),
+       spec=st.sampled_from(SPECS_2))
+def test_plane_kernels_match_general_path(seed, diagonal, kind, spec):
+    # planes from the checked constructor, against the complex general path
+    # and the einsum statements of the twisted metric, the trace reversal
+    # and tr(T H), with the tolerances of the complex-entry test above
+    rng = np.random.default_rng(seed)
+    g, gt = _pencils(kind, rng, 32, diagonal)
+    gp, gtp = checked_planes(g), checked_planes(gt, "twisted metric")
+    lam = _endomorphism_eigs_general(g, gt)
+    assert np.all(np.abs(endomorphism_eigs(gp, gtp) - lam) <= 1e-13 * lam[:, 1:])
+    tol = 1e-13 * lam[:, 1] / lam[:, 0]
+    G = linearization(spec, gp, gtp)
+    G_ref = _linearization_general(spec, g, gt)
+    assert isinstance(G, HermitianPlanes)
+    assert np.all(_relative_defect(G.matrix(), G_ref) <= tol)
+    g_inv = np.linalg.inv(g)
+    T_ref = _einsum_trace(G_ref, g)[:, None, None] * g_inv - G_ref
+    T = trace_reversal(G, gp)
+    assert isinstance(T, HermitianPlanes)
+    assert np.all(_relative_defect(T.matrix(), T_ref) <= tol)
+    H = hermitian_part(rng.normal(size=(32, 2, 2)) + 1j * rng.normal(size=(32, 2, 2)))
+    assert np.all(_trace_defect(hermitian_trace(T, hermitian_planes(H)), T_ref, H) <= tol)
+    # gt as the reference metric: HPD, and of the same scale as g
+    twisted = twisted_from_hessian(hermitian_planes(H), gp, gtp)
+    twisted_ref = gt + _einsum_trace(g_inv, H)[:, None, None] * g - H
+    assert np.all(_relative_defect(twisted.matrix(), twisted_ref) <= 1e-13)
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), diagonal=st.booleans())
+def test_plane_laplacian_matches_einsum(seed, diagonal):
+    grid = TorusGrid(n=2, N=8, L=1.0)
+    rng = np.random.default_rng(seed)
+    g = _metric(rng, grid.num_points, diagonal).reshape(grid.shape + (2, 2))
+    phi = rng.normal(size=grid.shape)
+    H = complex_hessian(phi, grid)
+    g_inv = np.linalg.inv(g)
+    ref = _einsum_trace(g_inv, H)
+    scale = np.abs(np.einsum("...ij,...ji->...ij", g_inv, H)).sum(axis=(-2, -1))
+    for metric in (g, checked_planes(g)):
+        assert np.all(np.abs(laplacian(phi, metric, grid) - ref) <= 1e-13 * scale)
 
 
 def test_closed_form_exact_repeated_eigenvalue_is_the_limit():

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nformpde import solver
+from nformpde import hermlin, solver
 from nformpde.descriptors import ExperimentDescriptor
 from nformpde.errors import InfeasibleStartError, NonConvergenceError
+from nformpde.hermlin import checked_planes
 from nformpde.grid import (
     TorusGrid,
     complex_hessian,
@@ -101,6 +102,33 @@ def test_hessian_family_and_combination_backgrounds():
         assert report.passed
 
 
+def test_built_problem_solves_with_no_hermitian_check(monkeypatch):
+    # g and g_h are checked once, when the problem is built; the n = 2 solve
+    # and its L1 check then run on planes that are Hermitian by construction
+    grid = TorusGrid(n=2, N=12, L=1.0)
+    k = 2.0 * math.pi / grid.L
+    g = identity_metric(grid)
+    g_h = identity_metric(grid)
+    g_h[..., 0, 1] += 0.1 * (np.cos(k * grid.axis_coordinates(0))
+                             + 1j * np.sin(k * grid.axis_coordinates(1)))
+    g_h[..., 1, 0] = np.conj(g_h[..., 0, 1])
+    problem = PrimaryProblem(spec=monge_ampere(2), g=g, g_h=g_h, F=np.zeros(grid.shape),
+                             grid=grid)
+    checks = []
+    is_hermitian = hermlin.is_hermitian
+
+    def counting(a, tol=1e-12):
+        checks.append(np.shape(a))
+        return is_hermitian(a, tol)
+
+    monkeypatch.setattr(hermlin, "is_hermitian", counting)
+    sol = solve_primary(problem)
+    report = l1_bound_check(sol.phi, problem.metric, problem.reference_metric, grid,
+                            g_inv=problem.g_inv)
+    assert sol.iterations > 0 and report.passed
+    assert checks == []
+
+
 def test_solution_satisfies_equation_pointwise():
     grid = TorusGrid(n=2, N=12, L=1.0)
     problem, _ = manufactured_problem(grid)
@@ -161,11 +189,12 @@ def toy_step(state, r, rtol):
 
 def test_damped_newton_converges_on_last_allowed_step():
     start = toy_evaluate(np.array([1.0]), np.zeros(1), 0.0)
-    x, sup, _, iterations, history = damped_newton(
+    x, sup, _, iterations, history, trials = damped_newton(
         start, toy_evaluate, toy_step, tolerance=0.125, max_iterations=3)
     assert iterations == 3
     assert sup == 0.125 and x[0] == 0.125
     assert history == [1.0, 0.5, 0.25, 0.125]
+    assert trials == [1, 1, 1]
 
 
 def test_damped_newton_budget_error_carries_full_history():
@@ -240,7 +269,7 @@ def test_newton_step_constant_coefficients_is_one_preconditioner_solve(seed, rto
     rng = np.random.default_rng(seed)
     T = random_hermitian((), rng)
     T = T @ T + 0.1 * np.eye(2)
-    coeff = np.broadcast_to(T, STEP_GRID.shape + (2, 2))
+    coeff = checked_planes(np.broadcast_to(T, STEP_GRID.shape + (2, 2)), "coefficient")
     r = rng.normal(size=STEP_GRID.shape)
     step, info, matvecs = _newton_step(step_problem(), coeff, r, rtol)
     assert info == 0 and matvecs <= 2
@@ -258,7 +287,7 @@ def test_newton_step_meets_rtol_on_perturbed_coefficients(seed, amplitude, rtol)
     P = random_hermitian(STEP_GRID.shape, rng)
     # a perturbation below the smallest eigenvalue of T keeps the field positive definite
     P *= amplitude * np.linalg.eigvalsh(T)[0] / np.linalg.norm(P, ord=2, axis=(-2, -1)).max()
-    coeff = T + P
+    coeff = checked_planes(T + P, "coefficient")
     r = rng.normal(size=STEP_GRID.shape)
     step, info, matvecs = _newton_step(step_problem(), coeff, r, rtol)
     assert info == 0 and matvecs >= 1
@@ -287,3 +316,6 @@ def test_line_search_rejects_trials_that_leave_the_cone(monkeypatch):
     assert sum(outside) == 3
     assert sol.iterations == 6
     assert sol.residual_sup <= problem.tolerance
+    # one evaluation starts the iteration, each other one is a line-search trial
+    assert len(sol.line_search_trials) == sol.iterations
+    assert sum(sol.line_search_trials) == len(outside) - 1
