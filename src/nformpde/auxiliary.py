@@ -26,14 +26,16 @@ from .errors import (
     NonConvergenceError,
 )
 from .grid import (
+    HermitianPlanes,
     complex_hessian,
     entropy_norm,
     frozen_hessian_inverse,
     hermitian_inverse,
+    hermitian_trace,
     neighbour_table,
     volume_density,
 )
-from .hermlin import endomorphism_eigs
+from .hermlin import checked_planes, endomorphism_eigs
 from .solver import damped_newton
 from .symfun import plane_sum
 
@@ -143,10 +145,13 @@ def build_chart(phi, g, g_h, grid):
         for shift in (1, -1):
             ring |= mask & ~np.roll(mask, shift, axis=axis)
 
-    g_m = np.asarray(g)[mask]
-    gh_m = np.asarray(g_h)[mask]
-    lam_min = endomorphism_eigs(g_m, gh_m)[..., 0].real
-    trace = np.einsum("pij,pji->p", hermitian_inverse(g_m), gh_m).real
+    if grid.n == 2:
+        g, g_h = checked_planes(g), checked_planes(g_h, "reference metric")
+        g_m, gh_m = (HermitianPlanes(*(p[mask] for p in m)) for m in (g, g_h))
+    else:
+        g_m, gh_m = np.asarray(g)[mask], np.asarray(g_h)[mask]
+    lam_min = endomorphism_eigs(g_m, gh_m)[..., 0]
+    trace = hermitian_trace(hermitian_inverse(g_m), gh_m)
     if lam_min.min() <= 0.0 or trace.min() <= 0.0:
         raise MetricDegeneracyError("reference form is not positive definite on the chart ball")
     maximal = 0.5 * (grid.n - 1) * float(np.min(lam_min / trace))
@@ -484,7 +489,7 @@ def run_localization(solution, problem, s_fractions, k_list, c_disc, entropy_exp
     grid = problem.grid
     n = grid.n
     chart = build_chart(solution.phi, problem.g, problem.g_h, grid)
-    entropy = entropy_norm(problem.F, problem.g, grid, entropy_exponent)
+    entropy = entropy_norm(problem.F, problem.metric, grid, entropy_exponent)
 
     cells = []
     for fraction in s_fractions:

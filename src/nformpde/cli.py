@@ -22,7 +22,7 @@ from . import schemas
 from .auxiliary import run_localization
 from .descriptors import ExperimentDescriptor, parse_json
 from .errors import InconsistentInputError, NFormError, NonConvergenceError
-from .grid import entropy_integrand, entropy_norm, integrate, volume_density
+from .grid import entropy_integrand, entropy_norm, hermitian_planes, integrate, volume_density
 from .hermlin import random_admissible_parts, verify_trace_reversal_identities
 from .solver import PrimaryProblem, l1_bound_check, solve_primary
 from .symfun import evaluate, gradient, sample_cone
@@ -231,13 +231,13 @@ _SWEEP_COLUMNS = ("parameter", "entropy", "sup_norm", "b", "residual_sup",
 
 def _sweep_member(descriptor, parameter, p, target):
     problem = _build_problem(descriptor, {"sigma": parameter})
-    problem.F = problem.F + _entropy_shift(problem.F, problem.g, problem.grid, p, target)
+    problem.F = problem.F + _entropy_shift(problem.F, problem.metric, problem.grid, p, target)
     solution = solve_primary(problem)
     bound = l1_bound_check(solution.phi, problem.metric, problem.reference_metric,
                            problem.grid, g_inv=problem.g_inv)
     return {
         "parameter": float(parameter),
-        "entropy": float(entropy_norm(problem.F, problem.g, problem.grid, p)),
+        "entropy": float(entropy_norm(problem.F, problem.metric, problem.grid, p)),
         "sup_norm": float(np.max(np.abs(solution.phi))),
         "b": solution.b,
         "residual_sup": solution.residual_sup,
@@ -257,6 +257,8 @@ def cmd_sweep(descriptor, out_dir, workers=1):
         target = float(descriptor.entropy_target)
     else:
         g, _ = descriptor.make_backgrounds(grid)
+        if grid.n == 2:
+            g = hermitian_planes(g)  # as a PrimaryProblem's metric reads it
         F0 = descriptor.make_forcing(grid, {"sigma": concentrations[0]})
         with np.errstate(over="ignore"):
             target = float(entropy_norm(F0, g, grid, p))

@@ -17,12 +17,12 @@ flat neighbour indices.
 Integrals use the flat normalization: cell volume h^{2n}, metric volume
 density det(g).
 
-For n = 2 a Hermitian field is four real planes (HermitianPlanes: h_00,
-h_11, Re h_01, Im h_01), Hermitian by construction, and the pointwise
-formulas here (inverse, determinant, the trace pairing tr(A B), the twisted
-metric, the Laplacian) run on planes; a complex (..., 2, 2) field passed to
-them is read as planes and the result written back as a complex field.
-n >= 3 keeps the complex arrays and np.linalg.
+For n = 2 a Hermitian field may be four real planes (HermitianPlanes:
+h_00, h_11, Re h_01, Im h_01), Hermitian by construction.  The type of a
+field picks the pointwise formula (inverse, determinant, the trace pairing
+tr(A B), the twisted metric, the Laplacian): planes in run the n = 2 closed
+form and give planes out; a complex (..., n, n) field in runs the general
+np.linalg path at any n, n = 2 included, and gives a complex field out.
 """
 
 from __future__ import annotations
@@ -308,9 +308,7 @@ class HermitianPlanes(NamedTuple):
 def hermitian_planes(a):
     """The planes of a Hermitian (..., 2, 2) field: strided views of its real
     diagonal and of its upper entry, with no copy and no check
-    (hermlin.checked_planes checks).  Planes pass through."""
-    if isinstance(a, HermitianPlanes):
-        return a
+    (hermlin.checked_planes checks)."""
     a = np.asarray(a)
     if a.shape[-2:] != (2, 2):
         raise ValueError("Hermitian planes need a field of shape (..., 2, 2)")
@@ -336,11 +334,10 @@ def hermitian_trace(a, b):
 
 def laplacian(phi, g, grid, g_inv=None):
     """Metric trace of the complex Hessian, tr(g^-1 H(phi)); real field.
-    For n = 2 on planes, whether g and g_inv come as planes or complex."""
+    On planes when g (and g_inv, if given) are planes."""
     H = complex_hessian(phi, grid)
-    if grid.n == 2:
-        g, H = hermitian_planes(g), hermitian_planes(H)
-        g_inv = None if g_inv is None else hermitian_planes(g_inv)
+    if isinstance(g, HermitianPlanes):
+        H = hermitian_planes(H)
     if g_inv is None:
         g_inv = hermitian_inverse(g)
     return hermitian_trace(g_inv, H)
@@ -349,26 +346,21 @@ def laplacian(phi, g, grid, g_inv=None):
 def twisted_from_hessian(phi_h, g, g_h, g_inv=None):
     """Twisted metric gt = g_h + ((tr_g H) g - H) / (n - 1) of a Hessian field H.
 
-    Pointwise on the trailing (n, n) axes; requires n >= 2.  For n = 2 on
-    planes: given g as planes, H, g_h and g_inv are read as planes and gt
-    is returned as planes; given a complex g, gt is a complex field.
+    Pointwise on the trailing (n, n) axes; requires n >= 2.  Planes in (H,
+    g, g_h and g_inv all planes) give planes out; complex fields in give a
+    complex field out.
     """
+    if g_inv is None:
+        g_inv = hermitian_inverse(g)
+    lap = hermitian_trace(g_inv, phi_h)
     if not isinstance(g, HermitianPlanes):
         n = g.shape[-1]
         if n < 2:
             raise UnsupportedDimensionError("twisted metric needs n >= 2")
-        if n == 2:
-            return twisted_from_hessian(phi_h, hermitian_planes(g), g_h, g_inv).matrix()
-        if g_inv is None:
-            g_inv = hermitian_inverse(g)
-        lap = hermitian_trace(g_inv, phi_h)
         return g_h + (lap[..., None, None] * g - phi_h) / (n - 1)
-    H, g_h = hermitian_planes(phi_h), hermitian_planes(g_h)
-    g_inv = hermitian_inverse(g) if g_inv is None else hermitian_planes(g_inv)
-    lap = hermitian_trace(g_inv, H)
     # n - 1 = 1: each plane is g_h + (lap g - H)
     planes = []
-    for gp, hp, ghp in zip(g, H, g_h):
+    for gp, hp, ghp in zip(g, phi_h, g_h):
         p = lap * gp
         p -= hp
         p += ghp
@@ -378,20 +370,19 @@ def twisted_from_hessian(phi_h, g, g_h, g_inv=None):
 
 def twisted_metric(phi, g, g_h, grid, g_inv=None):
     """Twisted metric of a potential on the grid; see twisted_from_hessian."""
-    return twisted_from_hessian(complex_hessian(phi, grid), g, g_h, g_inv=g_inv)
+    H = complex_hessian(phi, grid)
+    if isinstance(g, HermitianPlanes):
+        H = hermitian_planes(H)
+    return twisted_from_hessian(H, g, g_h, g_inv=g_inv)
 
 
 def hermitian_inverse(g):
     """Inverse of a Hermitian positive definite field on its trailing (n, n)
-    axes.  For n = 2 the adjugate over volume_density, plane by plane (each
+    axes: on planes the adjugate over volume_density, plane by plane (each
     negation 0.0 - x, so a zero entry stays +0.0 as in np.linalg.inv of the
-    identity): planes for planes, a complex field for a complex field.
-    np.linalg.inv otherwise."""
+    identity); np.linalg.inv of a complex field."""
     if not isinstance(g, HermitianPlanes):
-        g = np.asarray(g)
-        if g.shape[-2:] != (2, 2):
-            return np.linalg.inv(g)
-        return hermitian_inverse(hermitian_planes(g)).matrix()
+        return np.linalg.inv(g)
     det = volume_density(g)
     re01 = np.subtract(0.0, g.re01)
     re01 /= det
@@ -401,13 +392,10 @@ def hermitian_inverse(g):
 
 
 def volume_density(g):
-    """Metric volume density against the flat cell measure: det(g), for
-    n = 2 (planes or a complex field) the closed form g_00 g_11 - |g_01|^2."""
+    """Metric volume density against the flat cell measure, det(g): on planes
+    the closed form g_00 g_11 - |g_01|^2, np.linalg.det of a complex field."""
     if not isinstance(g, HermitianPlanes):
-        g = np.asarray(g)
-        if g.shape[-2:] != (2, 2):
-            return np.linalg.det(g).real
-        g = hermitian_planes(g)
+        return np.linalg.det(g).real
     return g.h00 * g.h11 - (g.re01**2 + g.im01**2)
 
 

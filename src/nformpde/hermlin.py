@@ -10,17 +10,17 @@ pointwise identities the comparison argument rests on:
       g-orthonormal frame) at least det of the linearization, which is at
       least gamma / f**n.
 
-For n = 2 the layer runs on four real planes (grid.HermitianPlanes: h_00,
-h_11, Re h_01, Im h_01), Hermitian by construction, and takes closed
-forms: the Cholesky factor of g, its inverse and the reduced matrix entry
-by entry, the eigenvalues as mean -/+ rad, the linearization without
-eigenvectors, and the metric inverse and determinant under the trace
-reversal (grid.hermitian_inverse over grid.volume_density).  A field is
-checked Hermitian once, where it enters: checked_planes for a metric, or
-the checks of endomorphism_eigs and linearization on a complex pair, which
-are then read as planes; planes are passed on unchecked.  The general
-path (Cholesky reduction, eigvalsh/eigh, np.linalg.inv) serves n >= 3 and
-is the reference the closed form is tested against.
+The type of the fields picks the kernel.  Planes in (grid.HermitianPlanes:
+h_00, h_11, Re h_01, Im h_01 of an n = 2 field, Hermitian by construction)
+run the closed forms and give planes out: the Cholesky factor of g, its
+inverse and the reduced matrix entry by entry, the eigenvalues as
+mean -/+ rad, the linearization without eigenvectors, and the metric
+inverse and determinant under the trace reversal (grid.hermitian_inverse
+over grid.volume_density).  Complex fields in run the general path
+(Cholesky reduction, eigvalsh/eigh, np.linalg.inv) at any n, n = 2
+included, which checks its inputs on every call and is the reference the
+closed forms are tested against.  An n = 2 field is read as planes once,
+where it enters the program; checked_planes checks it Hermitian there.
 
 All functions broadcast over leading batch axes; matrices live on the last
 two axes.  Matrix-valued tensors with upper indices (the linearization, its
@@ -71,11 +71,16 @@ def _as_matrix(a, name):
     return a
 
 
+def _checked_hermitian(a, name):
+    a = _as_matrix(a, name)
+    if not is_hermitian(a, tol=1e-12):
+        raise MetricDegeneracyError(f"{name} is not Hermitian")
+    return a
+
+
 def cholesky_pd(g, name="metric"):
     """Lower Cholesky factor; MetricDegeneracyError if not HPD."""
-    g = _as_matrix(g, name)
-    if not is_hermitian(g, tol=1e-12):
-        raise MetricDegeneracyError(f"{name} is not Hermitian")
+    g = _checked_hermitian(g, name)
     try:
         return np.linalg.cholesky(g)
     except np.linalg.LinAlgError as exc:
@@ -105,28 +110,31 @@ def _reduce_pencil(g, gt):
 def checked_planes(a, name="metric"):
     """The planes of an n = 2 Hermitian field, checked where the field
     enters as cholesky_pd checks a metric: MetricDegeneracyError if it is not
-    Hermitian to 1e-12.  Planes pass through, Hermitian by construction."""
-    if isinstance(a, HermitianPlanes):
-        return a
-    a = _as_matrix(a, name)
-    if a.shape[-1] != 2:
+    Hermitian to 1e-12."""
+    if np.shape(a)[-1:] != (2,):
         raise ValueError(f"{name} must be 2 x 2 to be read as planes")
-    if not is_hermitian(a, tol=1e-12):
-        raise MetricDegeneracyError(f"{name} is not Hermitian")
-    return hermitian_planes(a)
+    return hermitian_planes(_checked_hermitian(a, name))
 
 
-def _pair_planes(g, gt):
-    """The planes of a complex n = 2 pair (g, gt), with the checks and errors
-    of the general path's _reduce_pencil (the PD check is the kernel's)."""
-    gt = _twisted_matrix(gt)
-    if gt.shape[-1] != 2:
-        raise ValueError("metric and twisted metric must have the same size")
-    return checked_planes(g), hermitian_planes(gt)
+def checked_parts(g, g_h, phi_h):
+    """A metric g, reference metric g_h and complex Hessian phi_h as the
+    pointwise layer takes them: planes at n = 2, the complex fields
+    otherwise.  Each is checked Hermitian to 1e-12 once, where it enters
+    (MetricDegeneracyError naming a metric, ValueError for the Hessian); a
+    g_h that is g is checked and read with g."""
+    read = checked_planes if np.shape(g)[-1:] == (2,) else _checked_hermitian
+    metric = read(g, "metric")
+    reference = metric if g_h is g else read(g_h, "reference metric")
+    phi_h = _as_matrix(phi_h, "complex Hessian")
+    if not is_hermitian(phi_h, tol=1e-12):
+        raise ValueError("complex Hessian must be Hermitian")
+    if read is checked_planes:
+        phi_h = hermitian_planes(phi_h)
+    return metric, reference, phi_h
 
 
 def _reduce_pencil_2x2(g, gt):
-    """_reduce_pencil for n = 2 on planes, entry by entry.
+    """_reduce_pencil on planes, entry by entry.
 
     Returns ((a, cr, ci, d), (m00, m11, m01r, m01i)): L^-1 = [[a, 0], [c, d]],
     c = cr + 1j ci, for the Cholesky factor L = [[sqrt(g00), 0],
@@ -153,10 +161,6 @@ def _reduce_pencil_2x2(g, gt):
     return (a, cr, ci, d), (m00, m11, m01r, m01i)
 
 
-def _is_2x2(g):
-    return np.shape(g)[-2:] == (2, 2)
-
-
 def _eigs_2x2(m00, m11, m01r, m01i):
     """Ascending eigenvalues mean -/+ rad of a Hermitian 2x2 matrix given as
     planes, rad, and half = (m00 - m11) / 2."""
@@ -169,18 +173,11 @@ def _eigs_2x2(m00, m11, m01r, m01i):
 def endomorphism_eigs(g, gt):
     """Eigenvalues of g^-1 gt, ascending; real because the pair is Hermitian.
 
-    Closed form for n = 2 on planes (a complex pair is checked and read as
-    planes), Cholesky reduction and eigvalsh otherwise.
+    Closed form on planes, Cholesky reduction and eigvalsh on complex fields.
     """
     if not isinstance(g, HermitianPlanes):
-        if not _is_2x2(g):
-            return _endomorphism_eigs_general(g, gt)
-        g, gt = _pair_planes(g, gt)
+        return np.linalg.eigvalsh(_reduce_pencil(g, gt)[1])
     return _eigs_2x2(*_reduce_pencil_2x2(g, gt)[1])[0]
-
-
-def _endomorphism_eigs_general(g, gt):
-    return np.linalg.eigvalsh(_reduce_pencil(g, gt)[1])
 
 
 def g_orthonormal_eigenframe(g, gt):
@@ -198,21 +195,16 @@ def linearization(spec, g, gt):
     back to the ambient frame it satisfies tr(G @ gt) = 1 (degree-1
     homogeneity) and is Hermitian positive definite.
 
-    For n = 2 it is computed on planes (planes for planes, a complex field
-    for a checked complex pair) and no eigenvectors are formed: with
-    d = grad f / f at the eigenvalues mean -/+ rad of M = L^-1 gt L^-H,
+    On planes it takes a closed form, planes out, and forms no eigenvectors:
+    with d = grad f / f at the eigenvalues mean -/+ rad of M = L^-1 gt L^-H,
     U diag(d) U^H equals s I + (dd / (2 rad)) (M - mean I) with
     s = (d0 + d1) / 2, dd = d1 - d0, and s I at rad = 0; dd / rad stays
     bounded as the eigenvalues merge.  It is pushed back as G = L^-H P L^-1.
     """
-    if isinstance(g, HermitianPlanes):
-        return _linearization_2x2(spec, g, gt)
-    if not _is_2x2(g):
-        return _linearization_general(spec, g, gt)
-    return _linearization_2x2(spec, *_pair_planes(g, gt)).matrix()
-
-
-def _linearization_2x2(spec, g, gt):
+    if not isinstance(g, HermitianPlanes):
+        lam, V = g_orthonormal_eigenframe(g, gt)
+        dlog = symfun.gradient(spec, lam) / symfun.evaluate(spec, lam)[..., None]
+        return hermitian_part(np.einsum("...ik,...k,...jk->...ij", V, dlog, np.conj(V)))
     (a, cr, ci, d), (m00, m11, m01r, m01i) = _reduce_pencil_2x2(g, gt)
     lam, rad, half = _eigs_2x2(m00, m11, m01r, m01i)
     dlog = symfun.gradient(spec, lam) / symfun.evaluate(spec, lam)[..., None]
@@ -230,47 +222,32 @@ def _linearization_2x2(spec, g, gt):
     )
 
 
-def _linearization_general(spec, g, gt):
-    lam, V = g_orthonormal_eigenframe(g, gt)
-    f = symfun.evaluate(spec, lam)
-    grads = symfun.gradient(spec, lam)
-    d = grads / f[..., None]
-    return hermitian_part(np.einsum("...ik,...k,...jk->...ij", V, d, np.conj(V)))
-
-
 def trace_reversal(G, g, g_inv=None):
     """Trace reversal (tr(G g) g^-1 - G) / (n - 1) of an upper-index tensor.
 
     These are the elliptic coefficients through which the twisted metric
     couples to the complex Hessian: tr(T @ hess) equals the linearized
-    operator applied to the potential.  g_inv, when given, is g^-1.  For
-    n = 2 on planes: planes for planes, a complex field for complex G and g.
+    operator applied to the potential.  g_inv, when given, is g^-1.  Planes
+    in (G, g and g_inv) give planes out, complex fields a complex field.
     """
-    if not isinstance(G, HermitianPlanes):
-        G = _as_matrix(G, "linearization")
-        n = G.shape[-1]
-        if n < 2:
-            raise UnsupportedDimensionError("trace reversal needs dimension >= 2")
-        g = _as_matrix(g, "metric")
-        if n == 2:
-            return _trace_reversal_2x2(hermitian_planes(G), hermitian_planes(g), g_inv).matrix()
-        if g_inv is None:
-            g_inv = hermitian_inverse(g)
+    if isinstance(G, HermitianPlanes):
         t = hermitian_trace(G, g)
-        return (t[..., None, None] * g_inv - G) / (n - 1)
-    return _trace_reversal_2x2(G, g, g_inv)
-
-
-def _trace_reversal_2x2(G, g, g_inv):
+        # n - 1 = 1: each plane is t g^-1 - G
+        planes = []
+        for ip, Gp in zip(hermitian_inverse(g) if g_inv is None else g_inv, G):
+            p = t * ip
+            p -= Gp
+            planes.append(p)
+        return HermitianPlanes(*planes)
+    G = _as_matrix(G, "linearization")
+    n = G.shape[-1]
+    if n < 2:
+        raise UnsupportedDimensionError("trace reversal needs dimension >= 2")
+    g = _as_matrix(g, "metric")
+    if g_inv is None:
+        g_inv = hermitian_inverse(g)
     t = hermitian_trace(G, g)
-    g_inv = hermitian_inverse(g) if g_inv is None else hermitian_planes(g_inv)
-    # n - 1 = 1: each plane is t g^-1 - G
-    planes = []
-    for ip, Gp in zip(g_inv, G):
-        p = t * ip
-        p -= Gp
-        planes.append(p)
-    return HermitianPlanes(*planes)
+    return (t[..., None, None] * g_inv - G) / (n - 1)
 
 
 def to_orthonormal_frame(g, tensor):
@@ -302,7 +279,7 @@ def verify_trace_reversal_identities(spec, g, g_h, phi_h):
     cholesky_pd(g_h, "reference metric")
     L = cholesky_pd(g)
     m, m_h, hess = (g, g_h, phi_h)
-    if _is_2x2(g):
+    if g.shape[-1] == 2:
         m, m_h, hess = (hermitian_planes(a) for a in (g, g_h, phi_h))
     gt = twisted_from_hessian(hess, m, m_h)
     lam = endomorphism_eigs(m, gt)

@@ -70,9 +70,14 @@ def trig_hessian(grid, a=0.002, c=0.001, d=0.001):
 
 
 def forcing_from_hessian(spec, g, g_h, phi_h, b=0.0):
-    """Forcing F with log f(lam[g^-1 gt]) = F + b for the given Hessian field."""
+    """Forcing F with log f(lam[g^-1 gt]) = F + b for the given Hessian field.
+
+    g, g_h and phi_h are checked Hermitian once, here (hermlin.checked_parts),
+    and at n = 2 read as planes.
+    """
     from . import hermlin, symfun
 
+    g, g_h, phi_h = hermlin.checked_parts(g, g_h, phi_h)
     gt = gridmod.twisted_from_hessian(phi_h, g, g_h)
     lam = hermlin.endomorphism_eigs(g, gt)
     return np.log(symfun.evaluate(spec, lam)) - b

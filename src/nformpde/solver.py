@@ -16,9 +16,9 @@ uses) preconditions the Krylov solve.
 
 For n = 2 the pointwise layer runs on grid.HermitianPlanes: a
 PrimaryProblem checks g and g_h once, when it is built, and holds the
-planes of g, g_h and g^-1; the twisted metric, the linearization, its trace
-reversal (the Newton coefficients) and the matvec's tr(T H) are planes or
-plane sums from there on, with no further Hermitian check.
+planes of g, g_h and g^-1, so the twisted metric, the linearization, its
+trace reversal (the Newton coefficients) and the matvec's tr(T H) take the
+closed forms on planes, with no further Hermitian check.
 """
 
 from __future__ import annotations
@@ -136,11 +136,10 @@ def _evaluate_iterate(problem, phi):
 
 def apply_trace_reversed_hessian(coeff, dphi, grid):
     """tr(coeff @ H(dphi)) evaluated with the periodic stencils; real field.
-    For n = 2 on planes: coeff as planes (or read as planes), H through
-    plane views."""
+    On planes when coeff is planes, H read through plane views."""
     H = gridmod.complex_hessian(dphi, grid)
-    if grid.n == 2:
-        coeff, H = gridmod.hermitian_planes(coeff), gridmod.hermitian_planes(H)
+    if isinstance(coeff, gridmod.HermitianPlanes):
+        H = gridmod.hermitian_planes(H)
     return gridmod.hermitian_trace(coeff, H)
 
 
@@ -169,9 +168,8 @@ def _newton_step(problem, coeff, r, krylov_rtol):
         bottom = np.array([dphi.mean()])
         return np.concatenate([top.reshape(-1), bottom])
 
-    if g.n == 2:
-        planes = gridmod.hermitian_planes(coeff)
-        mean = gridmod.HermitianPlanes(*(np.mean(p) for p in planes)).matrix()
+    if isinstance(coeff, gridmod.HermitianPlanes):
+        mean = gridmod.HermitianPlanes(*(np.mean(p) for p in coeff)).matrix()
     else:
         mean = coeff.mean(axis=tuple(range(coeff.ndim - 2)))
     frozen = gridmod.frozen_hessian_inverse(mean, g)
@@ -331,11 +329,11 @@ def l1_bound_check(phi, g, g_h, grid, g_inv=None):
 
     Both checks are trace conditions: membership of the rescaled twisted
     eigenvalues in the largest cone only constrains the metric trace.  For
-    n = 2 they run on planes, whether the metrics come as planes (a
-    PrimaryProblem's) or as complex fields.
+    n = 2 they run on planes: the metrics come as planes (a PrimaryProblem's,
+    with its g_inv) or as complex fields, read here as plane views.
     """
     phi = np.asarray(phi, dtype=float)
-    if grid.n == 2:
+    if grid.n == 2 and not isinstance(g, gridmod.HermitianPlanes):
         g, g_h = gridmod.hermitian_planes(g), gridmod.hermitian_planes(g_h)
         g_inv = None if g_inv is None else gridmod.hermitian_planes(g_inv)
     if g_inv is None:

@@ -367,21 +367,25 @@ def random_hpd_field(shape, seed, diagonal):
        diagonal=st.booleans())
 def test_closed_form_inverse_and_determinant_match_lapack(seed, shape, diagonal):
     g = random_hpd_field(shape, seed, diagonal)
-    inv = hermitian_inverse(g)
-    assert inv.shape == g.shape and inv.dtype == complex
-    assert np.array_equal(inv, np.conj(np.swapaxes(inv, -1, -2)))
-    ref = np.linalg.inv(g)
+    planes = hermitian_planes(g)
+    inv = hermitian_inverse(planes)
+    assert isinstance(inv, HermitianPlanes) and all(p.shape == shape for p in inv)
+    inv = inv.matrix()
+    ref = hermitian_inverse(g)
+    assert np.array_equal(ref, np.linalg.inv(g))
     scale = np.abs(ref).max(axis=(-2, -1))
     assert np.all(np.abs(inv - ref).max(axis=(-2, -1)) <= 1e-13 * scale)
-    det = np.linalg.det(g).real
-    assert np.all(np.abs(volume_density(g) - det) <= 1e-13 * det)
+    det = volume_density(g)
+    assert np.array_equal(det, np.linalg.det(g).real)
+    assert np.all(np.abs(volume_density(planes) - det) <= 1e-13 * det)
 
 
 def test_closed_form_inverse_and_determinant_of_the_identity_are_exact():
     g = identity_metric(TorusGrid(n=2, N=8, L=1.0))
+    planes = hermitian_planes(g)
     # the bytes of the identity, +0.0 off the diagonal as np.linalg.inv gives
-    assert hermitian_inverse(g).tobytes() == g.tobytes()
-    assert volume_density(g).tobytes() == np.ones(g.shape[:-2]).tobytes()
+    assert hermitian_inverse(planes).matrix().tobytes() == g.tobytes()
+    assert volume_density(planes).tobytes() == np.ones(g.shape[:-2]).tobytes()
 
 
 def test_inverse_and_determinant_use_lapack_beyond_n2():

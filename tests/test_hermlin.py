@@ -16,8 +16,6 @@ from nformpde.grid import (
     twisted_from_hessian,
 )
 from nformpde.hermlin import (
-    _endomorphism_eigs_general,
-    _linearization_general,
     CHAIN_SLACK_TOL,
     DET_SLACK_TOL,
     checked_planes,
@@ -196,26 +194,6 @@ def _relative_defect(a, b):
     return np.abs(a - b).reshape(m, -1).max(axis=-1) / np.abs(b).reshape(m, -1).max(axis=-1)
 
 
-@settings(max_examples=20, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), diagonal=st.booleans(),
-       kind=st.sampled_from(["generic", "repeated", "near", "boundary"]),
-       spec=st.sampled_from(SPECS_2))
-def test_closed_form_matches_general_path(seed, diagonal, kind, spec):
-    rng = np.random.default_rng(seed)
-    g, gt = _pencils(kind, rng, 32, diagonal)
-    lam = _endomorphism_eigs_general(g, gt)
-    assert np.all(np.abs(endomorphism_eigs(g, gt) - lam) <= 1e-13 * lam[:, 1:])
-    # both paths round the smallest eigenvalue to about eps * largest, so
-    # d log f / d lam, and with it G, agree to about eps * lam1 / lam0
-    tol = 1e-13 * lam[:, 1] / lam[:, 0]
-    G = linearization(spec, g, gt)
-    G_ref = _linearization_general(spec, g, gt)
-    assert np.array_equal(G, _adjoint(G))
-    assert np.all(_relative_defect(G, G_ref) <= tol)
-    T = trace_reversal(G, g, g_inv=np.linalg.inv(g))
-    assert np.all(_relative_defect(T, trace_reversal(G_ref, g)) <= tol)
-
-
 def _einsum_trace(a, b):
     return np.einsum("...ij,...ji->...", a, b).real
 
@@ -226,28 +204,54 @@ def _trace_defect(planes_value, a, b):
     return np.abs(planes_value - _einsum_trace(a, b)) / scale
 
 
+def _plane_case(kind, rng, diagonal, spec):
+    """A checked pencil as complex fields and as planes, the linearization on
+    planes, and the eigenvalue-dependent tolerance of the closed form."""
+    g, gt = _pencils(kind, rng, 32, diagonal)
+    gp, gtp = checked_planes(g), checked_planes(gt, "twisted metric")
+    lam = endomorphism_eigs(g, gt)
+    # both paths round the smallest eigenvalue to about eps * largest, so
+    # d log f / d lam, and with it G, agree to about eps * lam1 / lam0
+    tol = 1e-13 * lam[:, 1] / lam[:, 0]
+    return g, gt, gp, gtp, lam, linearization(spec, gp, gtp), tol
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), diagonal=st.booleans(),
+       kind=st.sampled_from(["generic", "repeated", "near", "boundary"]),
+       spec=st.sampled_from(SPECS_2))
+def test_closed_form_matches_general_path(seed, diagonal, kind, spec):
+    # each kernel on planes from the checked constructor (the closed form)
+    # against the same function on the complex fields (the general path)
+    rng = np.random.default_rng(seed)
+    g, gt, gp, gtp, lam, G, tol = _plane_case(kind, rng, diagonal, spec)
+    assert np.all(np.abs(endomorphism_eigs(gp, gtp) - lam) <= 1e-13 * lam[:, 1:])
+    G_ref = linearization(spec, g, gt)
+    assert isinstance(G, HermitianPlanes)
+    assert np.all(_relative_defect(G.matrix(), G_ref) <= tol)
+    T = trace_reversal(G, gp)
+    assert isinstance(T, HermitianPlanes)
+    assert np.all(_relative_defect(T.matrix(), trace_reversal(G_ref, g)) <= tol)
+    H = hermitian_part(rng.normal(size=(32, 2, 2)) + 1j * rng.normal(size=(32, 2, 2)))
+    twisted = twisted_from_hessian(hermitian_planes(H), gp, gtp)
+    assert isinstance(twisted, HermitianPlanes)
+    assert np.all(_relative_defect(twisted.matrix(), twisted_from_hessian(H, g, gt)) <= 1e-13)
+
+
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), diagonal=st.booleans(),
        kind=st.sampled_from(["generic", "repeated", "near", "boundary"]),
        spec=st.sampled_from(SPECS_2))
 def test_plane_kernels_match_general_path(seed, diagonal, kind, spec):
-    # planes from the checked constructor, against the complex general path
-    # and the einsum statements of the twisted metric, the trace reversal
-    # and tr(T H), with the tolerances of the complex-entry test above
+    # the plane kernels against the einsum statements of the trace
+    # reversal, tr(T H) and the twisted metric, on the linearization of the
+    # general path, with the tolerances of the test above
     rng = np.random.default_rng(seed)
-    g, gt = _pencils(kind, rng, 32, diagonal)
-    gp, gtp = checked_planes(g), checked_planes(gt, "twisted metric")
-    lam = _endomorphism_eigs_general(g, gt)
-    assert np.all(np.abs(endomorphism_eigs(gp, gtp) - lam) <= 1e-13 * lam[:, 1:])
-    tol = 1e-13 * lam[:, 1] / lam[:, 0]
-    G = linearization(spec, gp, gtp)
-    G_ref = _linearization_general(spec, g, gt)
-    assert isinstance(G, HermitianPlanes)
-    assert np.all(_relative_defect(G.matrix(), G_ref) <= tol)
+    g, gt, gp, gtp, _, G, tol = _plane_case(kind, rng, diagonal, spec)
+    G_ref = linearization(spec, g, gt)
     g_inv = np.linalg.inv(g)
     T_ref = _einsum_trace(G_ref, g)[:, None, None] * g_inv - G_ref
     T = trace_reversal(G, gp)
-    assert isinstance(T, HermitianPlanes)
     assert np.all(_relative_defect(T.matrix(), T_ref) <= tol)
     H = hermitian_part(rng.normal(size=(32, 2, 2)) + 1j * rng.normal(size=(32, 2, 2)))
     assert np.all(_trace_defect(hermitian_trace(T, hermitian_planes(H)), T_ref, H) <= tol)
@@ -275,10 +279,11 @@ def test_plane_laplacian_matches_einsum(seed, diagonal):
 def test_closed_form_exact_repeated_eigenvalue_is_the_limit():
     # rad = 0 exactly: U diag(d) U^H = s I, with no division by zero
     g = np.eye(2, dtype=complex)
+    gp, gtp = checked_planes(g), checked_planes(2.0 * g, "twisted metric")
     with np.errstate(all="raise"):
-        assert endomorphism_eigs(g, 2.0 * g).tolist() == [2.0, 2.0]
-        G = linearization(monge_ampere(2), g, 2.0 * g)
-    assert np.array_equal(G, 0.25 * g)
+        assert endomorphism_eigs(gp, gtp).tolist() == [2.0, 2.0]
+        G = linearization(monge_ampere(2), gp, gtp)
+    assert np.array_equal(G.matrix(), 0.25 * g)
 
 
 @settings(max_examples=20, deadline=None)
@@ -297,10 +302,16 @@ def test_closed_form_raises_as_general_path_on_bad_metric(seed, diagonal, defect
         # exactly singular, so neither factorization is decided by roundoff
         g[bad] = np.diag([1.0, 0.0]) if diagonal else [[4.0, 2j], [-2j, 1.0]]
     spec = monge_ampere(2)
-    for call in (lambda: endomorphism_eigs(g, gt), lambda: _endomorphism_eigs_general(g, gt),
-                 lambda: linearization(spec, g, gt),
-                 lambda: _linearization_general(spec, g, gt)):
-        with pytest.raises(MetricDegeneracyError):
+    # on planes a non-Hermitian g fails checked_planes, where it enters, and
+    # an indefinite or singular one the closed form's own factorization
+    def planes():
+        return checked_planes(g), checked_planes(gt, "twisted metric")
+
+    for call in (lambda: endomorphism_eigs(g, gt), lambda: linearization(spec, g, gt),
+                 lambda: endomorphism_eigs(*planes()), lambda: linearization(spec, *planes())):
+        with pytest.raises(MetricDegeneracyError,
+                           match="not Hermitian" if defect == "non-hermitian"
+                           else "not positive definite"):
             call()
 
 
@@ -311,8 +322,7 @@ def test_closed_form_raises_as_general_path_on_non_hermitian_twisted_metric(seed
     g, gt = _pencils("generic", rng, 8, diagonal)
     gt[int(rng.integers(8)), 0, 1] += 1e-3
     spec = monge_ampere(2)
-    for call in (lambda: endomorphism_eigs(g, gt), lambda: _endomorphism_eigs_general(g, gt),
-                 lambda: linearization(spec, g, gt),
-                 lambda: _linearization_general(spec, g, gt)):
+    # planes are Hermitian by construction: only the complex path can be given one
+    for call in (lambda: endomorphism_eigs(g, gt), lambda: linearization(spec, g, gt)):
         with pytest.raises(ValueError, match="twisted metric must be Hermitian"):
             call()

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from nformpde import hermlin, solver
 from nformpde.descriptors import ExperimentDescriptor
-from nformpde.errors import InfeasibleStartError, NonConvergenceError
+from nformpde.errors import InfeasibleStartError, MetricDegeneracyError, NonConvergenceError
 from nformpde.hermlin import checked_planes
 from nformpde.grid import (
     TorusGrid,
@@ -39,6 +39,25 @@ def manufactured_problem(grid, spec=None, b_true=0.3):
     phi_h = trig_hessian(grid)
     F = forcing_from_hessian(spec, g, g_h, phi_h, b=b_true)
     return PrimaryProblem(spec=spec, g=g, g_h=g_h, F=F, grid=grid), b_true
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("field", ["metric", "reference metric", "complex Hessian"])
+def test_forcing_checks_each_field_hermitian(n, field):
+    # at every n, each field is checked where it enters; one point of one
+    # field off by 0.01 in its [1, 0] entry is refused
+    spec = monge_ampere(n)
+    parts = {"metric": np.eye(n, dtype=complex) * np.ones((5, 1, 1)),
+             "reference metric": np.eye(n, dtype=complex) * np.ones((5, 1, 1)),
+             "complex Hessian": np.zeros((5, n, n), dtype=complex)}
+    assert np.all(np.isfinite(forcing_from_hessian(spec, *parts.values())))
+    parts[field][3, 1, 0] += 0.01
+    if field == "complex Hessian":
+        error, message = ValueError, "complex Hessian must be Hermitian"
+    else:
+        error, message = MetricDegeneracyError, f"^{field} is not Hermitian"
+    with pytest.raises(error, match=message):
+        forcing_from_hessian(spec, *parts.values())
 
 
 def test_zero_forcing_gives_flat_solution():
@@ -127,6 +146,29 @@ def test_built_problem_solves_with_no_hermitian_check(monkeypatch):
                             g_inv=problem.g_inv)
     assert sol.iterations > 0 and report.passed
     assert checks == []
+
+
+def test_n2_run_never_reaches_the_general_path(monkeypatch):
+    # a complex n = 2 field is read as planes where it enters, so the
+    # forcing, the solve and the L1 check given the complex problem.g (as
+    # the benchmark calls them) run no np.linalg kernel
+    grid = TorusGrid(n=2, N=12, L=1.0)
+    k = 2.0 * math.pi / grid.L
+    bump = 0.2 * np.cos(k * grid.axis_coordinates(0)) * np.cos(k * grid.axis_coordinates(1))
+    g = identity_metric(grid) * (1.0 + bump)[..., None, None]
+    problem = PrimaryProblem(spec=monge_ampere(2), g=g, g_h=g, F=np.zeros(grid.shape),
+                             grid=grid)
+    calls = []
+    for name in ("eigvalsh", "eigh", "inv", "det", "cholesky"):
+        def counting(*args, _name=name, _kernel=getattr(np.linalg, name), **kwargs):
+            calls.append(_name)
+            return _kernel(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counting)
+    problem.F = forcing_from_hessian(problem.spec, problem.g, problem.g_h, trig_hessian(grid))
+    sol = solve_primary(problem)
+    report = l1_bound_check(sol.phi, problem.g, problem.g_h, grid)
+    assert sol.iterations > 0 and report.passed
+    assert calls == []
 
 
 def test_solution_satisfies_equation_pointwise():
