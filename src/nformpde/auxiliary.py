@@ -35,7 +35,7 @@ from .grid import (
     neighbour_table,
     volume_density,
 )
-from .hermlin import checked_planes, endomorphism_eigs
+from .hermlin import _eigs_2x2, endomorphism_eigs
 from .solver import damped_newton
 from .symfun import plane_sum
 
@@ -102,9 +102,11 @@ class LocalChart:
 def build_chart(phi, g, g_h, grid):
     """Cut the largest admissible coordinate ball around the argmin of phi.
 
-    The center is the grid argmin of phi (lowest flat index on ties).  The
-    radius r0 is the largest multiple of h, at most L/4, such that the
-    eigenvalues of g lie in [1/2, 2] on the open ball of radius 2*r0.
+    g and g_h come checked, as a PrimaryProblem's metric and reference_metric
+    (planes run the closed forms).  The center is the grid argmin of phi
+    (lowest flat index on ties).  The radius r0 is the largest multiple of
+    h, at most L/4, such that the eigenvalues of g lie in [1/2, 2] on the
+    open ball of radius 2*r0.
 
     Raises ChartFailureError when no radius of at least 4 grid spacings
     qualifies, and MetricDegeneracyError when g_h is not positive definite
@@ -120,8 +122,9 @@ def build_chart(phi, g, g_h, grid):
     center = tuple(int(c) for c in np.unravel_index(center_flat, grid.shape))
     dist_sq = grid.distance_sq(center)
 
-    eigs = np.linalg.eigvalsh(g)
-    emin, emax = eigs[..., 0].real, eigs[..., -1].real
+    planes = isinstance(g, HermitianPlanes)
+    eigs = _eigs_2x2(*g)[0] if planes else np.linalg.eigvalsh(g)
+    emin, emax = eigs[..., 0], eigs[..., -1]
     jmax = min(grid.N // 4, int(np.floor(grid.L / 4.0 / grid.h + 1e-12)))
     chosen = None
     for j in range(jmax, MIN_RADIUS_STEPS - 1, -1):
@@ -145,11 +148,10 @@ def build_chart(phi, g, g_h, grid):
         for shift in (1, -1):
             ring |= mask & ~np.roll(mask, shift, axis=axis)
 
-    if grid.n == 2:
-        g, g_h = checked_planes(g), checked_planes(g_h, "reference metric")
+    if planes:
         g_m, gh_m = (HermitianPlanes(*(p[mask] for p in m)) for m in (g, g_h))
     else:
-        g_m, gh_m = np.asarray(g)[mask], np.asarray(g_h)[mask]
+        g_m, gh_m = g[mask], g_h[mask]
     lam_min = endomorphism_eigs(g_m, gh_m)[..., 0]
     trace = hermitian_trace(hermitian_inverse(g_m), gh_m)
     if lam_min.min() <= 0.0 or trace.min() <= 0.0:
@@ -488,7 +490,7 @@ def run_localization(solution, problem, s_fractions, k_list, c_disc, entropy_exp
     """
     grid = problem.grid
     n = grid.n
-    chart = build_chart(solution.phi, problem.g, problem.g_h, grid)
+    chart = build_chart(solution.phi, problem.metric, problem.reference_metric, grid)
     entropy = entropy_norm(problem.F, problem.metric, grid, entropy_exponent)
 
     cells = []

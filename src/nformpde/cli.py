@@ -22,7 +22,7 @@ from . import schemas
 from .auxiliary import run_localization
 from .descriptors import ExperimentDescriptor, parse_json
 from .errors import InconsistentInputError, NFormError, NonConvergenceError
-from .grid import entropy_integrand, entropy_norm, hermitian_planes, integrate, volume_density
+from .grid import entropy_integrand, entropy_norm, integrate, volume_density
 from .hermlin import random_admissible_parts, verify_trace_reversal_identities
 from .solver import PrimaryProblem, l1_bound_check, solve_primary
 from .symfun import evaluate, gradient, sample_cone
@@ -251,17 +251,14 @@ def cmd_sweep(descriptor, out_dir, workers=1):
     # every member's forcing must read the swept sigma and accept its value
     for value in concentrations:
         descriptor.forcing_params({"sigma": value})
-    grid = descriptor.make_grid()
-    p = descriptor.entropy_exponent_or_default(grid.n)
+    p = descriptor.entropy_exponent_or_default(descriptor.grid["n"])
     if descriptor.entropy_target is not None:
         target = float(descriptor.entropy_target)
     else:
-        g, _ = descriptor.make_backgrounds(grid)
-        if grid.n == 2:
-            g = hermitian_planes(g)  # as a PrimaryProblem's metric reads it
-        F0 = descriptor.make_forcing(grid, {"sigma": concentrations[0]})
+        first = _build_problem(descriptor, {"sigma": concentrations[0]})
         with np.errstate(over="ignore"):
-            target = float(entropy_norm(F0, g, grid, p))
+            target = float(entropy_norm(first.F, first.metric, first.grid, p))
+        del first  # its fields are not kept through the members' solves
         if not math.isfinite(target):
             raise InconsistentInputError("entropy of the first sweep member is not finite "
                                          "on the grid")

@@ -308,7 +308,7 @@ class HermitianPlanes(NamedTuple):
 def hermitian_planes(a):
     """The planes of a Hermitian (..., 2, 2) field: strided views of its real
     diagonal and of its upper entry, with no copy and no check
-    (hermlin.checked_planes checks)."""
+    (hermlin.checked_metric checks a metric)."""
     a = np.asarray(a)
     if a.shape[-2:] != (2, 2):
         raise ValueError("Hermitian planes need a field of shape (..., 2, 2)")

@@ -19,8 +19,9 @@ inverse and determinant under the trace reversal (grid.hermitian_inverse
 over grid.volume_density).  Complex fields in run the general path
 (Cholesky reduction, eigvalsh/eigh, np.linalg.inv) at any n, n = 2
 included, which checks its inputs on every call and is the reference the
-closed forms are tested against.  An n = 2 field is read as planes once,
-where it enters the program; checked_planes checks it Hermitian there.
+closed forms are tested against.  A metric enters the program once,
+through checked_metric: finite, Hermitian and positive definite, and read
+as planes at n = 2.
 
 All functions broadcast over leading batch axes; matrices live on the last
 two axes.  Matrix-valued tensors with upper indices (the linearization, its
@@ -108,27 +109,51 @@ def _reduce_pencil(g, gt):
 
 
 def checked_planes(a, name="metric"):
-    """The planes of an n = 2 Hermitian field, checked where the field
-    enters as cholesky_pd checks a metric: MetricDegeneracyError if it is not
+    """The planes of an n = 2 field, MetricDegeneracyError if it is not
     Hermitian to 1e-12."""
     if np.shape(a)[-1:] != (2,):
         raise ValueError(f"{name} must be 2 x 2 to be read as planes")
     return hermitian_planes(_checked_hermitian(a, name))
 
 
+def _schur_2x2(g, name="metric"):
+    """g11 - |g01|^2 / g00 of planes g; MetricDegeneracyError unless it and
+    g00 are positive, that is unless g is positive definite."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        schur = g.h11 - (g.re01**2 + g.im01**2) / g.h00
+    if not (np.all(g.h00 > 0.0) and np.all(schur > 0.0)):
+        raise MetricDegeneracyError(f"{name} is not positive definite")
+    return schur
+
+
+def checked_metric(a, name="metric"):
+    """A metric as it enters the program: planes (views of a) at n = 2, the
+    complex field otherwise.  MetricDegeneracyError naming it if it is not
+    finite, not Hermitian to 1e-12 or not positive definite (at n = 2 the
+    Schur test of the closed form, otherwise cholesky_pd)."""
+    a = _as_matrix(a, name)
+    if not np.all(np.isfinite(a)):
+        raise MetricDegeneracyError(f"{name} is not finite")
+    if a.shape[-1] != 2:
+        cholesky_pd(a, name)
+        return a
+    planes = checked_planes(a, name)
+    _schur_2x2(planes, name)
+    return planes
+
+
 def checked_parts(g, g_h, phi_h):
     """A metric g, reference metric g_h and complex Hessian phi_h as the
     pointwise layer takes them: planes at n = 2, the complex fields
-    otherwise.  Each is checked Hermitian to 1e-12 once, where it enters
-    (MetricDegeneracyError naming a metric, ValueError for the Hessian); a
-    g_h that is g is checked and read with g."""
-    read = checked_planes if np.shape(g)[-1:] == (2,) else _checked_hermitian
-    metric = read(g, "metric")
-    reference = metric if g_h is g else read(g_h, "reference metric")
+    otherwise.  The metrics enter through checked_metric (a g_h that is g
+    is checked and read with g), and the Hessian is checked Hermitian to
+    1e-12 (ValueError)."""
+    metric = checked_metric(g, "metric")
+    reference = metric if g_h is g else checked_metric(g_h, "reference metric")
     phi_h = _as_matrix(phi_h, "complex Hessian")
     if not is_hermitian(phi_h, tol=1e-12):
         raise ValueError("complex Hessian must be Hermitian")
-    if read is checked_planes:
+    if isinstance(metric, HermitianPlanes):
         phi_h = hermitian_planes(phi_h)
     return metric, reference, phi_h
 
@@ -142,13 +167,8 @@ def _reduce_pencil_2x2(g, gt):
     planes of M = L^-1 gt L^-H.  MetricDegeneracyError if g is not positive
     definite.
     """
-    g00 = g.h00
-    with np.errstate(divide="ignore", invalid="ignore"):
-        schur = g.h11 - (g.re01**2 + g.im01**2) / g00
-    if not (np.all(g00 > 0.0) and np.all(schur > 0.0)):
-        raise MetricDegeneracyError("metric is not positive definite")
-    a = 1.0 / np.sqrt(g00)
-    d = 1.0 / np.sqrt(schur)
+    d = 1.0 / np.sqrt(_schur_2x2(g))
+    a = 1.0 / np.sqrt(g.h00)
     # c = -g10 a^2 d with g10 = conj(g01)
     scale = a * a * d
     cr = -g.re01 * scale
@@ -250,11 +270,6 @@ def trace_reversal(G, g, g_inv=None):
     return (t[..., None, None] * g_inv - G) / (n - 1)
 
 
-def to_orthonormal_frame(g, tensor):
-    """Matrix of an upper-index tensor in a g-orthonormal frame (L^H T L)."""
-    return _in_frame(cholesky_pd(g), tensor)
-
-
 def _in_frame(L, tensor):
     return np.conj(np.swapaxes(L, -1, -2)) @ tensor @ L
 
@@ -264,23 +279,16 @@ def verify_trace_reversal_identities(spec, g, g_h, phi_h):
 
     Preconditions: g, g_h HPD; phi_h Hermitian; the eigenvalues of the
     twisted metric built from (g, g_h, phi_h) in the cone.  Each input is
-    checked once, here; for n = 2 the twisted metric, the linearization and
-    its trace reversal are then computed on planes.  Returns the
+    checked once, here (checked_parts); for n = 2 the twisted metric, the
+    linearization and its trace reversal are computed on planes.  Returns the
     ``identities`` suite of ``check.json``: worst-case residuals and margins
     over the batch (det_slack is det(trace reversal) - gamma/f**n,
     chain_slack det(trace reversal) - det(linearization), both in a
     g-orthonormal frame) and whether they all pass.
     """
-    g = _as_matrix(g, "metric")
-    g_h = _as_matrix(g_h, "reference metric")
-    phi_h = _as_matrix(phi_h, "complex Hessian")
-    if not is_hermitian(phi_h, tol=1e-12):
-        raise ValueError("complex Hessian must be Hermitian")
-    cholesky_pd(g_h, "reference metric")
-    L = cholesky_pd(g)
-    m, m_h, hess = (g, g_h, phi_h)
-    if g.shape[-1] == 2:
-        m, m_h, hess = (hermitian_planes(a) for a in (g, g_h, phi_h))
+    m, m_h, hess = checked_parts(g, g_h, phi_h)
+    g, g_h, phi_h = (np.asarray(a, dtype=complex) for a in (g, g_h, phi_h))
+    L = np.linalg.cholesky(g)
     gt = twisted_from_hessian(hess, m, m_h)
     lam = endomorphism_eigs(m, gt)
     f = symfun.evaluate(spec, lam)

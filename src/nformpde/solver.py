@@ -14,17 +14,18 @@ np.fft diagonalizes it on the torus, and its exact inverse
 (grid.frozen_hessian_inverse, which the chart solve of auxiliary also
 uses) preconditions the Krylov solve.
 
-For n = 2 the pointwise layer runs on grid.HermitianPlanes: a
-PrimaryProblem checks g and g_h once, when it is built, and holds the
-planes of g, g_h and g^-1, so the twisted metric, the linearization, its
-trace reversal (the Newton coefficients) and the matvec's tr(T H) take the
-closed forms on planes, with no further Hermitian check.
+g and g_h enter once, when a PrimaryProblem is built: it checks each
+(hermlin.checked_metric, once when g_h is g) and holds what the check
+returns, with g^-1.  For n = 2 these are grid.HermitianPlanes, so the
+twisted metric, the linearization, its trace reversal (the Newton
+coefficients) and the matvec's tr(T H) take the closed forms on planes,
+with no further check.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, lgmres
@@ -38,7 +39,8 @@ MIN_STEP = 2.0**-20
 
 @dataclass
 class PrimaryProblem:
-    """Operator, background metrics, forcing, and grid for one instance."""
+    """Operator, background metrics, forcing, and grid for one instance;
+    metric, reference_metric and g_inv are g, g_h and g^-1 as checked."""
 
     spec: symfun.OperatorSpec
     g: np.ndarray
@@ -47,6 +49,9 @@ class PrimaryProblem:
     grid: gridmod.TorusGrid
     tolerance: float = 1e-9
     max_iterations: int = 40
+    metric: object = field(init=False, repr=False)
+    reference_metric: object = field(init=False, repr=False)
+    g_inv: object = field(init=False, repr=False)
 
     def __post_init__(self):
         shape = self.grid.shape + (self.grid.n, self.grid.n)
@@ -58,32 +63,18 @@ class PrimaryProblem:
             raise ValueError("forcing must be a scalar field on the grid")
         if not np.all(np.isfinite(self.F)):
             raise ValueError("forcing must be finite")
-        for name, m in (("metric", self.g), ("reference metric", self.g_h)):
-            hermlin.cholesky_pd(m, name)
-        if not self.tolerance > 0:
-            raise ValueError("tolerance must be positive")
-
-    # g, g_h and g^-1 as the pointwise layer takes them: for n = 2 planes
-    # derived from the fields checked above, the complex fields otherwise.
-    # g's planes are copied contiguous, as the pencil reads them several
-    # times a call; g_h's are g's when g_h is g, else views of g_h, which
-    # each twisted metric reads once.
-
-    @cached_property
-    def metric(self):
-        if self.grid.n != 2:
-            return self.g
-        return gridmod.HermitianPlanes(*(p.copy() for p in gridmod.hermitian_planes(self.g)))
-
-    @cached_property
-    def reference_metric(self):
-        if self.g_h is self.g:
-            return self.metric
-        return gridmod.hermitian_planes(self.g_h) if self.grid.n == 2 else self.g_h
-
-    @cached_property
-    def g_inv(self):
-        return gridmod.hermitian_inverse(self.metric)
+        if not (self.tolerance > 0 and np.isfinite(self.tolerance)):
+            raise ValueError("tolerance must be positive and finite")
+        if not (isinstance(self.max_iterations, numbers.Integral) and self.max_iterations >= 0):
+            raise ValueError("max_iterations must be a non-negative integer")
+        self.metric = hermlin.checked_metric(self.g, "metric")
+        if isinstance(self.metric, gridmod.HermitianPlanes):
+            # copied contiguous, as the pencil reads g several times a call;
+            # g_h's planes stay views, which each twisted metric reads once
+            self.metric = gridmod.HermitianPlanes(*(p.copy() for p in self.metric))
+        self.reference_metric = (self.metric if self.g_h is self.g
+                                 else hermlin.checked_metric(self.g_h, "reference metric"))
+        self.g_inv = gridmod.hermitian_inverse(self.metric)
 
 
 @dataclass

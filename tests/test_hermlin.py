@@ -23,7 +23,6 @@ from nformpde.hermlin import (
     g_orthonormal_eigenframe,
     hermitian_part,
     linearization,
-    to_orthonormal_frame,
     trace_reversal,
     verify_trace_reversal_identities,
     random_admissible_parts,
@@ -78,8 +77,10 @@ def test_trace_reversal_determinant_ties_linearization_n2():
     gt = twisted_from_hessian(phi_h, g, g_h)
     G = linearization(spec, g, gt)
     T = trace_reversal(G, g)
-    det_G = np.linalg.det(to_orthonormal_frame(g, G)).real
-    det_T = np.linalg.det(to_orthonormal_frame(g, T)).real
+    # both in a g-orthonormal frame, L^H (.) L for g = L L^H
+    L = np.linalg.cholesky(g)
+    det_G = np.linalg.det(_adjoint(L) @ G @ L).real
+    det_T = np.linalg.det(_adjoint(L) @ T @ L).real
     assert np.max(np.abs(det_T - det_G)) <= 1e-11
 
 

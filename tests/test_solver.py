@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nformpde import hermlin, solver
+from nformpde.auxiliary import build_chart
 from nformpde.descriptors import ExperimentDescriptor
 from nformpde.errors import InfeasibleStartError, MetricDegeneracyError, NonConvergenceError
 from nformpde.hermlin import checked_planes
@@ -149,25 +150,27 @@ def test_built_problem_solves_with_no_hermitian_check(monkeypatch):
 
 
 def test_n2_run_never_reaches_the_general_path(monkeypatch):
-    # a complex n = 2 field is read as planes where it enters, so the
-    # forcing, the solve and the L1 check given the complex problem.g (as
-    # the benchmark calls them) run no np.linalg kernel
-    grid = TorusGrid(n=2, N=12, L=1.0)
+    # a complex n = 2 field is read as planes where it enters, so building
+    # the problem, the forcing, the solve, the L1 check given the complex
+    # problem.g (as the benchmark calls it) and a chart on the problem's
+    # fields (N = 16 hosts one) run no np.linalg kernel
+    grid = TorusGrid(n=2, N=16, L=1.0)
     k = 2.0 * math.pi / grid.L
     bump = 0.2 * np.cos(k * grid.axis_coordinates(0)) * np.cos(k * grid.axis_coordinates(1))
     g = identity_metric(grid) * (1.0 + bump)[..., None, None]
-    problem = PrimaryProblem(spec=monge_ampere(2), g=g, g_h=g, F=np.zeros(grid.shape),
-                             grid=grid)
     calls = []
     for name in ("eigvalsh", "eigh", "inv", "det", "cholesky"):
         def counting(*args, _name=name, _kernel=getattr(np.linalg, name), **kwargs):
             calls.append(_name)
             return _kernel(*args, **kwargs)
         monkeypatch.setattr(np.linalg, name, counting)
+    problem = PrimaryProblem(spec=monge_ampere(2), g=g, g_h=g, F=np.zeros(grid.shape),
+                             grid=grid)
     problem.F = forcing_from_hessian(problem.spec, problem.g, problem.g_h, trig_hessian(grid))
     sol = solve_primary(problem)
     report = l1_bound_check(sol.phi, problem.g, problem.g_h, grid)
-    assert sol.iterations > 0 and report.passed
+    chart = build_chart(sol.phi, problem.metric, problem.reference_metric, grid)
+    assert sol.iterations > 0 and report.passed and chart.num_interior > 0
     assert calls == []
 
 
@@ -216,6 +219,73 @@ def test_problem_validation():
         PrimaryProblem(
             spec=monge_ampere(2), g=g, g_h=g, F=np.full(grid.shape, np.nan), grid=grid
         )
+
+
+def _spoil(a, defect):
+    """Make one point of a non-Hermitian, indefinite, exactly singular, inf
+    or nan."""
+    n = a.shape[-1]
+    point = a.reshape(-1, n, n)[5]
+    if defect == "non-hermitian":
+        point[n - 1, 0] += 0.01
+    elif defect == "indefinite":
+        point[n - 1, n - 1] = -0.5
+    elif defect == "singular":
+        point[n - 1, n - 1] = 0.0
+    else:
+        point[0, 0] = {"inf": np.inf, "nan": np.nan}[defect]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("field", ["metric", "reference metric"])
+@pytest.mark.parametrize("defect, message", [
+    ("non-hermitian", "not Hermitian"),
+    ("indefinite", "not positive definite"),
+    ("singular", "not positive definite"),
+    ("inf", "not finite"),
+    ("nan", "not finite"),
+])
+def test_problem_validation_checks_each_metric(n, field, defect, message):
+    # n = 2 decides by the closed-form Schur test, n = 3 by LAPACK; either
+    # way the error names the field, and a non-finite entry warns nothing
+    grid = TorusGrid(n=n, N=8, L=1.0)
+    parts = {"metric": identity_metric(grid), "reference metric": identity_metric(grid)}
+    _spoil(parts[field], defect)
+    with pytest.raises(MetricDegeneracyError, match=f"^{field} is {message}$"):
+        PrimaryProblem(spec=monge_ampere(n), g=parts["metric"], g_h=parts["reference metric"],
+                       F=np.zeros(grid.shape), grid=grid)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("shared", [True, False])
+def test_problem_validation_checks_a_shared_metric_once(monkeypatch, n, shared):
+    grid = TorusGrid(n=n, N=8, L=1.0)
+    g = identity_metric(grid)
+    g_h = g if shared else identity_metric(grid)
+    checks = []
+    is_hermitian = hermlin.is_hermitian
+
+    def counting(a, tol=1e-12):
+        checks.append(np.shape(a))
+        return is_hermitian(a, tol)
+
+    monkeypatch.setattr(hermlin, "is_hermitian", counting)
+    problem = PrimaryProblem(spec=monge_ampere(n), g=g, g_h=g_h, F=np.zeros(grid.shape),
+                             grid=grid)
+    assert len(checks) == (1 if shared else 2)
+    assert (problem.reference_metric is problem.metric) == shared
+
+
+@pytest.mark.parametrize("limit, value", [
+    ("max_iterations", -1), ("max_iterations", 2.5),
+    ("tolerance", np.inf), ("tolerance", np.nan), ("tolerance", 0.0),
+])
+def test_problem_validation_rejects_bad_limits(limit, value):
+    grid = TorusGrid(n=2, N=8, L=1.0)
+    g = identity_metric(grid)
+    with pytest.raises(ValueError, match=f"^{limit} must be"):
+        PrimaryProblem(spec=monge_ampere(2), g=g, g_h=g, F=np.zeros(grid.shape), grid=grid,
+                       **{limit: value})
 
 
 # toy problem for damped_newton: residual r(x) = x, and a Krylov "solve" that
