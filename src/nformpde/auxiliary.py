@@ -31,6 +31,8 @@ from .grid import (
     entropy_norm,
     frozen_hessian_inverse,
     hermitian_inverse,
+    hermitian_mean,
+    hermitian_planes,
     hermitian_trace,
     neighbour_table,
     volume_density,
@@ -308,6 +310,18 @@ class AuxiliarySolution:
     residual_evaluations: int
 
 
+def _clamped_inverse(eigs, frames):
+    """The inverse ball Hessian of a chart Newton step with its eigenvalues
+    clamped at EIG_FLOOR, from eigh's eigen-pairs: at n = 2 its planes,
+    stored contiguous since every matvec reads each of them, otherwise the
+    complex field."""
+    inv = np.einsum("pik,pk,pjk->pij", frames, 1.0 / np.maximum(eigs, EIG_FLOOR),
+                    frames.conj())
+    if inv.shape[-1] != 2:
+        return inv
+    return HermitianPlanes(*(p.copy() for p in hermitian_planes(inv)))
+
+
 def solve_dirichlet_ma(chart, rhs_density):
     """Solve det of the complex Hessian of psi = rhs on the chart ball.
 
@@ -319,7 +333,8 @@ def solve_dirichlet_ma(chart, rhs_density):
     clamp still active at convergence raises DegeneracyError.
 
     Each Newton step solves tr(inv H(d)) = -r on the ball, inv the clamped
-    inverse Hessian, by LGMRES preconditioned with the exact torus inverse
+    inverse Hessian (at n = 2 the real weighted sum over the planes of inv
+    and H), by LGMRES preconditioned with the exact torus inverse
     of tr(Tbar H(.)), Tbar the ball mean of inv (grid.frozen_hessian_inverse,
     as in the periodic solve): the ball residual is zero-extended to the
     grid, its zero mode dropped, and the result restricted to the ball.
@@ -359,7 +374,10 @@ def solve_dirichlet_ma(chart, rhs_density):
     def evaluate_at(values):
         nonlocal residual_evaluations
         residual_evaluations += 1
-        eigs, frames = np.linalg.eigh(complex_hessian(fill(values), grid, chart.taps))
+        H = complex_hessian(fill(values), grid, chart.taps)
+        if isinstance(H, HermitianPlanes):
+            H = H.matrix()
+        eigs, frames = np.linalg.eigh(H)
         r = plane_sum([np.log(np.maximum(eigs[:, i], EIG_FLOOR)) for i in range(n)]) - log_rho
         return values, r, float(np.max(np.abs(r))), (eigs, frames)
 
@@ -369,17 +387,15 @@ def solve_dirichlet_ma(chart, rhs_density):
     def step(state, r, krylov_rtol):
         eigs, frames = state
         clamp_history.append(int(np.count_nonzero(eigs < EIG_FLOOR)))
-        clamped = np.maximum(eigs, EIG_FLOOR)
-        inv = np.einsum("pik,pk,pjk->pij", frames, 1.0 / clamped, frames.conj())
+        inv = _clamped_inverse(eigs, frames)
         matvecs = 0
 
         def matvec(d):
             nonlocal matvecs
             matvecs += 1
-            dH = complex_hessian(fill(d), grid, chart.taps)
-            return np.einsum("pij,pji->p", inv, dH).real
+            return hermitian_trace(inv, complex_hessian(fill(d), grid, chart.taps))
 
-        frozen = frozen_hessian_inverse(inv.mean(axis=0), grid)
+        frozen = frozen_hessian_inverse(hermitian_mean(inv), grid)
 
         def precond(u):
             full[chart.mask_flat] = u

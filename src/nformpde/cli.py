@@ -229,8 +229,7 @@ _SWEEP_COLUMNS = ("parameter", "entropy", "sup_norm", "b", "residual_sup",
                  "laplacian_margin", "converged")
 
 
-def _sweep_member(descriptor, parameter, p, target):
-    problem = _build_problem(descriptor, {"sigma": parameter})
+def _sweep_member(problem, parameter, p, target):
     problem.F = problem.F + _entropy_shift(problem.F, problem.metric, problem.grid, p, target)
     solution = solve_primary(problem)
     bound = l1_bound_check(solution.phi, problem.metric, problem.reference_metric,
@@ -252,29 +251,37 @@ def cmd_sweep(descriptor, out_dir, workers=1):
     for value in concentrations:
         descriptor.forcing_params({"sigma": value})
     p = descriptor.entropy_exponent_or_default(descriptor.grid["n"])
+    # each member's problem, built when the member runs and dropped when it
+    # is done; the first member's is built here when it sets the target
+    problems = [None] * len(concentrations)
     if descriptor.entropy_target is not None:
         target = float(descriptor.entropy_target)
     else:
-        first = _build_problem(descriptor, {"sigma": concentrations[0]})
+        first = problems[0] = _build_problem(descriptor, {"sigma": concentrations[0]})
         with np.errstate(over="ignore"):
             target = float(entropy_norm(first.F, first.metric, first.grid, p))
-        del first  # its fields are not kept through the members' solves
+        del first  # only the list holds it, until its member runs
         if not math.isfinite(target):
             raise InconsistentInputError("entropy of the first sweep member is not finite "
                                          "on the grid")
 
-    def member(value):
+    def member(index):
+        value = concentrations[index]
+        problem, problems[index] = problems[index], None
         try:
-            return _sweep_member(descriptor, value, p, target)
+            if problem is None:
+                problem = _build_problem(descriptor, {"sigma": value})
+            return _sweep_member(problem, value, p, target)
         except NFormError as exc:
             return dict(dict.fromkeys(_SWEEP_COLUMNS), parameter=float(value),
                         converged=False, error=str(exc))
 
+    indices = range(len(concentrations))
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(member, concentrations))
+            rows = list(pool.map(member, indices))
     else:
-        rows = [member(value) for value in concentrations]
+        rows = [member(index) for index in indices]
 
     sup_norms = [row["sup_norm"] for row in rows if row["converged"]]
     ratio = None

@@ -18,11 +18,15 @@ Integrals use the flat normalization: cell volume h^{2n}, metric volume
 density det(g).
 
 For n = 2 a Hermitian field may be four real planes (HermitianPlanes:
-h_00, h_11, Re h_01, Im h_01), Hermitian by construction.  The type of a
-field picks the pointwise formula (inverse, determinant, the trace pairing
-tr(A B), the twisted metric, the Laplacian): planes in run the n = 2 closed
-form and give planes out; a complex (..., n, n) field in runs the general
-np.linalg path at any n, n = 2 included, and gives a complex field out.
+h_00, h_11, Re h_01, Im h_01), Hermitian by construction.  The grid's n
+picks the type of the complex Hessian: planes at n = 2, the four contiguous
+parts of its entries, and a complex field otherwise.  The type of a field
+picks the pointwise formula (inverse, determinant, the trace pairing
+tr(A B), the twisted metric): planes in run the n = 2 closed form and give
+planes out; a complex (..., n, n) field in runs the general np.linalg path
+at any n, n = 2 included, and gives a complex field out.  The functions
+that take a Hessian of the grid (laplacian, twisted_metric) read a complex
+n = 2 metric as plane views where it enters (hermitian_field).
 """
 
 from __future__ import annotations
@@ -127,10 +131,14 @@ def neighbour_table(points, grid):
 
 
 def _table_taps(f, table):
-    """Tap source at the points of a neighbour_table: gathers from f."""
+    """Tap source at the points of a neighbour_table: gathers from f, the
+    zero shift once (every diagonal second difference reads it)."""
     flat = f.reshape(-1)
+    centre = np.take(flat, table[(0,) * f.ndim])
 
     def tap(*steps):
+        if not steps:
+            return centre
         shift = [0] * f.ndim
         for axis, step in steps:
             shift[axis] += step
@@ -178,9 +186,12 @@ def _hessian_entries(D, n):
 
 
 def complex_hessian(phi, grid, taps=None):
-    """Discrete complex Hessian field, Hermitian: shape grid.shape + (n, n),
-    or (K, n, n) at the K points of a neighbour_table ``taps``, the bytes of
-    the whole-grid Hessian at those points."""
+    """Discrete complex Hessian field, Hermitian, at every grid point or at
+    the K points of a neighbour_table ``taps`` (there the bytes of the
+    whole-grid Hessian).  At n = 2 its HermitianPlanes: the four contiguous
+    real parts of _hessian_entries, each of shape grid.shape or (K,).
+    Otherwise the complex field of shape grid.shape + (n, n) or (K, n, n),
+    each off-diagonal pair written as re +- 1j * im."""
     phi = np.asarray(phi, dtype=float)
     if phi.shape != grid.shape:
         raise ValueError("field shape does not match the grid")
@@ -189,6 +200,10 @@ def complex_hessian(phi, grid, taps=None):
         tap, shape = periodic_taps(phi), grid.shape
     else:
         tap, shape = _table_taps(phi, taps), (taps[(0,) * phi.ndim].size,)
+    entries = _hessian_entries(lambda a, b: second_difference(tap, a, b, h), n)
+    if n == 2:
+        (_, _, h00, _), (_, _, re01, im01), (_, _, h11, _) = entries
+        return HermitianPlanes(h00, h11, re01, im01)
     # Each part goes straight into its strided slot of the output: a second
     # output-sized buffer to transpose from costs more in fresh memory pages
     # than the strided writes save (except a little at n >= 3).  Diagonal
@@ -196,7 +211,7 @@ def complex_hessian(phi, grid, taps=None):
     # re +- 1j * im, signed zeros included.
     out = np.zeros(shape + (n, n), dtype=complex)
     parts = out.view(float).reshape(shape + (n, n, 2))
-    for i, j, re, im in _hessian_entries(lambda a, b: second_difference(tap, a, b, h), n):
+    for i, j, re, im in entries:
         if im is None:
             parts[..., i, i, 0] = re
         else:
@@ -316,6 +331,16 @@ def hermitian_planes(a):
     return HermitianPlanes(a[..., 0, 0].real, a[..., 1, 1].real, upper.real, upper.imag)
 
 
+def hermitian_field(a, n):
+    """A Hermitian field as the pointwise layer reads it at dimension n: at
+    n = 2 its planes (a complex field read through the views of
+    hermitian_planes, with no copy and no check), otherwise a itself.
+    None stays None."""
+    if n != 2 or a is None or isinstance(a, HermitianPlanes):
+        return a
+    return hermitian_planes(a)
+
+
 def hermitian_trace(a, b):
     """tr(A B) of two Hermitian fields, a real field.  On planes
     A_00 B_00 + A_11 B_11 + 2 (Re A_01 Re B_01 + Im A_01 Im B_01), the sum
@@ -332,12 +357,19 @@ def hermitian_trace(a, b):
     return out
 
 
+def hermitian_mean(a):
+    """The batch mean of a Hermitian field as one complex (n, n) matrix, as
+    frozen_hessian_inverse takes it: on planes the 2 x 2 of the plane means."""
+    if isinstance(a, HermitianPlanes):
+        return HermitianPlanes(*(np.mean(p) for p in a)).matrix()
+    return a.mean(axis=tuple(range(a.ndim - 2)))
+
+
 def laplacian(phi, g, grid, g_inv=None):
     """Metric trace of the complex Hessian, tr(g^-1 H(phi)); real field.
-    On planes when g (and g_inv, if given) are planes."""
+    At n = 2 on planes: a complex g (and g_inv) is read as plane views."""
     H = complex_hessian(phi, grid)
-    if isinstance(g, HermitianPlanes):
-        H = hermitian_planes(H)
+    g, g_inv = hermitian_field(g, grid.n), hermitian_field(g_inv, grid.n)
     if g_inv is None:
         g_inv = hermitian_inverse(g)
     return hermitian_trace(g_inv, H)
@@ -369,11 +401,10 @@ def twisted_from_hessian(phi_h, g, g_h, g_inv=None):
 
 
 def twisted_metric(phi, g, g_h, grid, g_inv=None):
-    """Twisted metric of a potential on the grid; see twisted_from_hessian."""
-    H = complex_hessian(phi, grid)
-    if isinstance(g, HermitianPlanes):
-        H = hermitian_planes(H)
-    return twisted_from_hessian(H, g, g_h, g_inv=g_inv)
+    """Twisted metric of a potential on the grid; see twisted_from_hessian.
+    At n = 2 planes out: complex metrics are read as plane views."""
+    g, g_h, g_inv = (hermitian_field(a, grid.n) for a in (g, g_h, g_inv))
+    return twisted_from_hessian(complex_hessian(phi, grid), g, g_h, g_inv=g_inv)
 
 
 def hermitian_inverse(g):

@@ -146,16 +146,24 @@ def checked_parts(g, g_h, phi_h):
     """A metric g, reference metric g_h and complex Hessian phi_h as the
     pointwise layer takes them: planes at n = 2, the complex fields
     otherwise.  The metrics enter through checked_metric (a g_h that is g
-    is checked and read with g), and the Hessian is checked Hermitian to
+    is checked and read with g).  The Hessian must be finite and, unless it
+    comes as planes (n = 2 only, Hermitian by construction), Hermitian to
     1e-12 (ValueError)."""
     metric = checked_metric(g, "metric")
     reference = metric if g_h is g else checked_metric(g_h, "reference metric")
+    planes = isinstance(metric, HermitianPlanes)
+    if isinstance(phi_h, HermitianPlanes):
+        if not planes:
+            raise ValueError("complex Hessian planes need a 2 x 2 metric")
+        if not all(np.all(np.isfinite(p)) for p in phi_h):
+            raise ValueError("complex Hessian is not finite")
+        return metric, reference, phi_h
     phi_h = _as_matrix(phi_h, "complex Hessian")
+    if not np.all(np.isfinite(phi_h)):
+        raise ValueError("complex Hessian is not finite")
     if not is_hermitian(phi_h, tol=1e-12):
         raise ValueError("complex Hessian must be Hermitian")
-    if isinstance(metric, HermitianPlanes):
-        phi_h = hermitian_planes(phi_h)
-    return metric, reference, phi_h
+    return metric, reference, hermitian_planes(phi_h) if planes else phi_h
 
 
 def _reduce_pencil_2x2(g, gt):
@@ -277,8 +285,9 @@ def _in_frame(L, tensor):
 def verify_trace_reversal_identities(spec, g, g_h, phi_h):
     """Check the two pointwise identities on a (batch of) admissible data.
 
-    Preconditions: g, g_h HPD; phi_h Hermitian; the eigenvalues of the
-    twisted metric built from (g, g_h, phi_h) in the cone.  Each input is
+    Preconditions: g, g_h HPD; phi_h Hermitian (or planes at n = 2); the
+    eigenvalues of the twisted metric built from (g, g_h, phi_h) in the
+    cone.  Each input is
     checked once, here (checked_parts); for n = 2 the twisted metric, the
     linearization and its trace reversal are computed on planes.  Returns the
     ``identities`` suite of ``check.json``: worst-case residuals and margins
@@ -287,6 +296,8 @@ def verify_trace_reversal_identities(spec, g, g_h, phi_h):
     g-orthonormal frame) and whether they all pass.
     """
     m, m_h, hess = checked_parts(g, g_h, phi_h)
+    if isinstance(phi_h, HermitianPlanes):
+        phi_h = phi_h.matrix()
     g, g_h, phi_h = (np.asarray(a, dtype=complex) for a in (g, g_h, phi_h))
     L = np.linalg.cholesky(g)
     gt = twisted_from_hessian(hess, m, m_h)

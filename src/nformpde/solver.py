@@ -127,11 +127,10 @@ def _evaluate_iterate(problem, phi):
 
 def apply_trace_reversed_hessian(coeff, dphi, grid):
     """tr(coeff @ H(dphi)) evaluated with the periodic stencils; real field.
-    On planes when coeff is planes, H read through plane views."""
+    At n = 2 the real weighted sum over the planes of coeff and H (a complex
+    coeff is read as plane views)."""
     H = gridmod.complex_hessian(dphi, grid)
-    if isinstance(coeff, gridmod.HermitianPlanes):
-        H = gridmod.hermitian_planes(H)
-    return gridmod.hermitian_trace(coeff, H)
+    return gridmod.hermitian_trace(gridmod.hermitian_field(coeff, grid.n), H)
 
 
 def _newton_step(problem, coeff, r, krylov_rtol):
@@ -159,11 +158,7 @@ def _newton_step(problem, coeff, r, krylov_rtol):
         bottom = np.array([dphi.mean()])
         return np.concatenate([top.reshape(-1), bottom])
 
-    if isinstance(coeff, gridmod.HermitianPlanes):
-        mean = gridmod.HermitianPlanes(*(np.mean(p) for p in coeff)).matrix()
-    else:
-        mean = coeff.mean(axis=tuple(range(coeff.ndim - 2)))
-    frozen = gridmod.frozen_hessian_inverse(mean, g)
+    frozen = gridmod.frozen_hessian_inverse(gridmod.hermitian_mean(coeff), g)
 
     def precond(u):
         top = u[:m].reshape(shape)
@@ -324,9 +319,7 @@ def l1_bound_check(phi, g, g_h, grid, g_inv=None):
     with its g_inv) or as complex fields, read here as plane views.
     """
     phi = np.asarray(phi, dtype=float)
-    if grid.n == 2 and not isinstance(g, gridmod.HermitianPlanes):
-        g, g_h = gridmod.hermitian_planes(g), gridmod.hermitian_planes(g_h)
-        g_inv = None if g_inv is None else gridmod.hermitian_planes(g_inv)
+    g, g_h, g_inv = (gridmod.hermitian_field(a, grid.n) for a in (g, g_h, g_inv))
     if g_inv is None:
         g_inv = gridmod.hermitian_inverse(g)
     lap = gridmod.laplacian(phi, g, grid, g_inv=g_inv)

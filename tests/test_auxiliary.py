@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from nformpde import auxiliary, schemas
@@ -23,7 +25,14 @@ from nformpde.errors import (
     InconsistentInputError,
     MetricDegeneracyError,
 )
-from nformpde.grid import TorusGrid, complex_hessian, identity_metric, stencil_offsets
+from nformpde.grid import (
+    HermitianPlanes,
+    TorusGrid,
+    complex_hessian,
+    hermitian_trace,
+    identity_metric,
+    stencil_offsets,
+)
 from nformpde.manufactured import radial_field, radial_profile
 from nformpde.solver import PrimaryProblem, solve_primary
 from nformpde.symfun import monge_ampere
@@ -77,8 +86,34 @@ def test_chart_stencil_geometry(center):
     # restricted to the ball; centred at index 0 the ball wraps the torus
     field = np.random.default_rng(7).normal(size=grid.shape)
     at_ball = complex_hessian(field, grid, chart.taps)
-    restricted = complex_hessian(field, grid)[chart.mask]
-    assert np.array_equal(at_ball.view(np.uint8), restricted.view(np.uint8))
+    restricted = [p[chart.mask] for p in complex_hessian(field, grid)]
+    for p, q in zip(at_ball, restricted):
+        assert np.array_equal(p.view(np.uint8), q.view(np.uint8))
+
+
+# no shrinking: the fields are drawn from the seed, and a seed does not shrink
+@settings(max_examples=10, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
+@given(seed=st.integers(0, 2**32 - 1), center=st.tuples(*[st.integers(0, 15)] * 4))
+def test_chart_matvec_on_planes_matches_the_complex_einsum(seed, center):
+    # a chart Newton step's operator, tr(inv H(d)) on planes with the step's
+    # clamped inverse, against the complex einsum statement of the same
+    # trace, to 1e-14 of sum |inv_ij H_ji| at each ball point
+    chart, grid = flat_chart(center=center)
+    rng = np.random.default_rng(seed)
+    noise = 10.0 ** rng.uniform(-4.0, 0.0)
+    psi = grid.distance_sq(center) + noise * rng.normal(size=grid.shape)
+    H = complex_hessian(psi, grid, chart.taps)
+    eigs, frames = np.linalg.eigh(H.matrix())
+    inv = auxiliary._clamped_inverse(eigs, frames)
+    assert isinstance(inv, HermitianPlanes)
+    assert all(p.flags.c_contiguous and p.shape == (chart.num_interior,) for p in inv)
+    reference = np.einsum("pik,pk,pjk->pij", frames,
+                          1.0 / np.maximum(eigs, auxiliary.EIG_FLOOR), frames.conj())
+    dH = complex_hessian(rng.normal(size=grid.shape), grid, chart.taps)
+    value = hermitian_trace(inv, dH)
+    expected = np.einsum("pij,pji->p", reference, dH.matrix()).real
+    scale = np.abs(np.einsum("pij,pji->pij", reference, dH.matrix())).sum(axis=(-2, -1))
+    assert np.all(np.abs(value - expected) <= 1e-14 * scale)
 
 
 def test_chart_failure_on_rough_metric():

@@ -84,7 +84,7 @@ def test_complex_hessian_exact_on_quadratics():
     grid = TorusGrid(n=2, N=12, L=1.0)
     center = (3, 5, 2, 7)
     phi = 0.25 * grid.distance_sq(center)
-    H = complex_hessian(phi, grid)
+    H = complex_hessian(phi, grid).matrix()
     target = np.zeros(grid.shape + (2, 2), dtype=complex)
     target[..., 0, 0] = 0.25
     target[..., 1, 1] = 0.25
@@ -98,10 +98,15 @@ def test_complex_hessian_exact_on_quadratics():
 
 
 def test_complex_hessian_is_hermitian_with_real_diagonal():
+    # at n = 2 four real planes of the grid's shape, Hermitian by construction
+    # (the n = 3 complex field is the roll reference's, byte for byte, below)
     grid = TorusGrid(n=2, N=12, L=1.0)
     rng = np.random.default_rng(4)
     phi = rng.normal(size=grid.shape)
     H = complex_hessian(phi, grid)
+    assert isinstance(H, HermitianPlanes)
+    assert all(p.shape == grid.shape and p.dtype == np.float64 for p in H)
+    H = H.matrix()
     assert np.abs(H - np.conj(np.swapaxes(H, -1, -2))).max() <= 1e-13
     assert np.abs(H[..., 0, 0].imag).max() == 0.0
     assert np.abs(H[..., 1, 1].imag).max() == 0.0
@@ -117,7 +122,7 @@ def test_complex_hessian_convergence_order():
         H = complex_hessian(phi, grid)
         # exact H_{00}: (phi_x0x0 + phi_y0y0)/4 with y0 = axis 1
         exact00 = -0.5 * k * k * np.sin(k * x[0]) * np.sin(k * x[1]) * np.cos(k * x[2])
-        errs.append(np.abs(H[..., 0, 0] - exact00).max())
+        errs.append(np.abs(H.h00 - exact00).max())
     ratio = errs[0] / errs[1]
     assert 3.5 <= ratio <= 4.5
 
@@ -128,7 +133,7 @@ def test_complex_hessian_matches_analytic_entries():
     errs = []
     for N in (16, 32):
         grid = TorusGrid(n=2, N=N, L=1.0)
-        diff = complex_hessian(trig_potential(grid), grid) - trig_hessian(grid)
+        diff = complex_hessian(trig_potential(grid), grid).matrix() - trig_hessian(grid)
         errs.append(np.abs(diff).reshape(-1, 4).max(axis=0))
     ratios = errs[0] / errs[1]
     assert np.all((3.5 <= ratios) & (ratios <= 4.5)), ratios
@@ -141,7 +146,7 @@ def test_laplacian_matches_trace():
     g = identity_metric(grid)
     lap = laplacian(phi, g, grid)
     H = complex_hessian(phi, grid)
-    assert np.abs(lap - (H[..., 0, 0] + H[..., 1, 1]).real).max() <= 1e-12
+    assert np.abs(lap - (H.h00 + H.h11)).max() <= 1e-12
 
 
 def test_twisted_metric_matches_parts():
@@ -150,11 +155,13 @@ def test_twisted_metric_matches_parts():
     phi = 0.05 * rng.normal(size=grid.shape)
     g = identity_metric(grid)
     g_h = identity_metric(grid)
+    # complex metrics in, read as planes: planes out
     gt = twisted_metric(phi, g, g_h, grid)
-    H = complex_hessian(phi, grid)
+    assert isinstance(gt, HermitianPlanes)
+    H = complex_hessian(phi, grid).matrix()
     lap = (H[..., 0, 0] + H[..., 1, 1]).real
     manual = g_h + lap[..., None, None] * g - H
-    assert np.abs(gt - manual).max() <= 1e-13
+    assert np.abs(gt.matrix() - manual).max() <= 1e-13
 
 
 def test_volume_and_integration():
@@ -207,6 +214,8 @@ def test_complex_hessian_footprint_is_stencil_offsets(n):
     impulse = np.zeros(grid.shape)
     impulse[(0,) * (2 * n)] = 1.0
     H = complex_hessian(impulse, grid)
+    if n == 2:
+        H = H.matrix()
     support = np.argwhere(np.abs(H).reshape(grid.shape + (n * n,)).max(axis=-1) > 0.0)
     expected = {(0,) * (2 * n)} | {tuple(int(o) % grid.N for o in off)
                                    for off in stencil_offsets(n)}
@@ -279,10 +288,16 @@ def roll_second_difference(f, a, b, h):
 
 
 def roll_complex_hessian(phi, grid):
-    """The np.roll complex Hessian, entries written as re +- 1j * im: the reference."""
+    """The np.roll complex Hessian, the reference: at n = 2 the planes of the
+    parts of its entries (h_00, h_11, Re h_01, Im h_01), otherwise the complex
+    field with entries written as re +- 1j * im."""
     n, h = grid.n, grid.h
+    entries = _hessian_entries(lambda a, b: roll_second_difference(phi, a, b, h), n)
+    if n == 2:
+        parts = {(i, j): (re, im) for i, j, re, im in entries}
+        return HermitianPlanes(parts[0, 0][0], parts[1, 1][0], *parts[0, 1])
     out = np.zeros(grid.shape + (n, n), dtype=complex)
-    for i, j, re, im in _hessian_entries(lambda a, b: roll_second_difference(phi, a, b, h), n):
+    for i, j, re, im in entries:
         if im is None:
             out[..., i, i] = re
         else:
@@ -292,9 +307,12 @@ def roll_complex_hessian(phi, grid):
 
 
 def differing_bytes(a, b):
-    """How many bytes of two arrays of one shape and dtype differ.  Asserting
-    on this count keeps pytest from printing the arrays, which at n = 3
-    takes longer than the test."""
+    """How many bytes of two arrays of one shape and dtype differ, plane by
+    plane for two HermitianPlanes.  Asserting on this count keeps pytest from
+    printing the arrays, which at n = 3 takes longer than the test."""
+    if isinstance(a, HermitianPlanes) or isinstance(b, HermitianPlanes):
+        assert isinstance(a, HermitianPlanes) and isinstance(b, HermitianPlanes)
+        return sum(differing_bytes(p, q) for p, q in zip(a, b))
     assert a.shape == b.shape and a.dtype == b.dtype
     return int(np.count_nonzero(a.view(np.uint8) != b.view(np.uint8)))
 
@@ -333,8 +351,15 @@ def test_complex_hessian_at_table_points_is_the_grid_hessian_there(grid, seed, s
     mask = np.random.default_rng(seed + 1).random(grid.shape) < share
     table = neighbour_table(np.flatnonzero(mask), grid)
     at_points = complex_hessian(phi, grid, table)
-    assert at_points.shape == (int(mask.sum()), grid.n, grid.n)
-    differ = differing_bytes(at_points, complex_hessian(phi, grid)[mask])
+    whole = complex_hessian(phi, grid)
+    K = int(mask.sum())
+    if grid.n == 2:
+        assert [p.shape for p in at_points] == [(K,)] * 4
+        there = HermitianPlanes(*(p[mask] for p in whole))
+    else:
+        assert at_points.shape == (K, grid.n, grid.n)
+        there = whole[mask]
+    differ = differing_bytes(at_points, there)
     assert differ == 0
 
 

@@ -7,12 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nformpde import grid as gridmod
 from nformpde import hermlin, solver
 from nformpde.auxiliary import build_chart
 from nformpde.descriptors import ExperimentDescriptor
 from nformpde.errors import InfeasibleStartError, MetricDegeneracyError, NonConvergenceError
 from nformpde.hermlin import checked_planes
 from nformpde.grid import (
+    HermitianPlanes,
     TorusGrid,
     complex_hessian,
     identity_metric,
@@ -59,6 +61,35 @@ def test_forcing_checks_each_field_hermitian(n, field):
         error, message = MetricDegeneracyError, f"^{field} is not Hermitian"
     with pytest.raises(error, match=message):
         forcing_from_hessian(spec, *parts.values())
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("value", [np.inf, np.nan])
+def test_forcing_refuses_a_hessian_that_is_not_finite(n, value):
+    # finiteness is checked before the Hermitian test, whose subtraction
+    # would warn on inf and whose comparison fails on nan
+    spec = monge_ampere(n)
+    g = np.eye(n, dtype=complex) * np.ones((5, 1, 1))
+    phi_h = np.zeros((5, n, n), dtype=complex)
+    phi_h[3, 1, 0] = value
+    with pytest.raises(ValueError, match="complex Hessian is not finite"):
+        forcing_from_hessian(spec, g, g, phi_h)
+
+
+def test_forcing_takes_hessian_planes_at_n2():
+    # planes are Hermitian by construction: no Hermitian test, the same
+    # forcing as the complex field they are the planes of, and finiteness
+    # still checked
+    grid = TorusGrid(n=2, N=8, L=1.0)
+    spec = monge_ampere(2)
+    g = identity_metric(grid)
+    H = complex_hessian(0.01 * normalize_sup(trig_potential(grid)), grid)
+    assert isinstance(H, HermitianPlanes)
+    F = forcing_from_hessian(spec, g, g, H)
+    assert np.array_equal(F, forcing_from_hessian(spec, g, g, H.matrix()))
+    H.h11[1, 2, 3, 4] = np.inf
+    with pytest.raises(ValueError, match="complex Hessian is not finite"):
+        forcing_from_hessian(spec, g, g, H)
 
 
 def test_zero_forcing_gives_flat_solution():
@@ -153,7 +184,9 @@ def test_n2_run_never_reaches_the_general_path(monkeypatch):
     # a complex n = 2 field is read as planes where it enters, so building
     # the problem, the forcing, the solve, the L1 check given the complex
     # problem.g (as the benchmark calls it) and a chart on the problem's
-    # fields (N = 16 hosts one) run no np.linalg kernel
+    # fields (N = 16 hosts one) run no np.linalg kernel; every Hessian is
+    # planes, and no complex field is written back from planes but the
+    # frozen 2 x 2 mean of the Newton coefficients
     grid = TorusGrid(n=2, N=16, L=1.0)
     k = 2.0 * math.pi / grid.L
     bump = 0.2 * np.cos(k * grid.axis_coordinates(0)) * np.cos(k * grid.axis_coordinates(1))
@@ -164,6 +197,23 @@ def test_n2_run_never_reaches_the_general_path(monkeypatch):
             calls.append(_name)
             return _kernel(*args, **kwargs)
         monkeypatch.setattr(np.linalg, name, counting)
+    written = []
+    matrix = HermitianPlanes.matrix
+
+    def writing(planes):
+        written.append(np.shape(planes.h00))
+        return matrix(planes)
+
+    monkeypatch.setattr(HermitianPlanes, "matrix", writing)
+    hessians = []
+    hessian = gridmod.complex_hessian
+
+    def typed(*args, **kwargs):
+        H = hessian(*args, **kwargs)
+        hessians.append(type(H))
+        return H
+
+    monkeypatch.setattr(gridmod, "complex_hessian", typed)
     problem = PrimaryProblem(spec=monge_ampere(2), g=g, g_h=g, F=np.zeros(grid.shape),
                              grid=grid)
     problem.F = forcing_from_hessian(problem.spec, problem.g, problem.g_h, trig_hessian(grid))
@@ -172,6 +222,8 @@ def test_n2_run_never_reaches_the_general_path(monkeypatch):
     chart = build_chart(sol.phi, problem.metric, problem.reference_metric, grid)
     assert sol.iterations > 0 and report.passed and chart.num_interior > 0
     assert calls == []
+    assert hessians and set(hessians) == {HermitianPlanes}
+    assert written and set(written) == {()}
 
 
 def test_solution_satisfies_equation_pointwise():
