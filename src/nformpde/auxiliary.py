@@ -37,7 +37,7 @@ from .grid import (
     neighbour_table,
     volume_density,
 )
-from .hermlin import _eigs_2x2, endomorphism_eigs
+from .hermlin import _eigs_2x2, checked_metric, endomorphism_eigs
 from .solver import damped_newton
 from .symfun import plane_sum
 
@@ -571,7 +571,7 @@ def tight_comparison_fixture(spec, grid):
 
     n = grid.n
     k = 10
-    g = identity_metric(grid)
+    g = checked_metric(identity_metric(grid))
     chart = build_chart(np.zeros(grid.shape), g, g, grid)
     count = chart.num_interior
     rhs = np.zeros(grid.shape)

@@ -226,7 +226,7 @@ def _entropy_shift(F, g, grid, p, target):
 
 
 _SWEEP_COLUMNS = ("parameter", "entropy", "sup_norm", "b", "residual_sup",
-                 "laplacian_margin", "converged")
+                  "laplacian_margin", "iterations", "matvecs", "converged")
 
 
 def _sweep_member(problem, parameter, p, target):
@@ -241,6 +241,8 @@ def _sweep_member(problem, parameter, p, target):
         "b": solution.b,
         "residual_sup": solution.residual_sup,
         "laplacian_margin": bound.laplacian_margin,
+        "iterations": solution.iterations,
+        "matvecs": sum(solution.krylov_iterations),
         "converged": True,
     }
 

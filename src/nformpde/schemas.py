@@ -162,7 +162,12 @@ SWEEP_REPORT_SCHEMA = {
             "minItems": 1,
             "items": {
                 "type": "object",
-                "required": ["parameter", "entropy", "sup_norm", "b", "converged"],
+                "required": ["parameter", "entropy", "sup_norm", "b", "iterations", "matvecs",
+                             "converged"],
+                "properties": {
+                    "iterations": {"type": ["integer", "null"], "minimum": 0},
+                    "matvecs": {"type": ["integer", "null"], "minimum": 0},
+                },
             },
         },
         "max_over_min": _NUMBER_OR_NULL,

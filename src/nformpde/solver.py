@@ -189,10 +189,15 @@ def damped_newton(start, evaluate, step, tolerance, max_iterations):
     ``start`` (the iterate as it is to be kept), or None when the trial
     leaves the admissible set.
 
-    The forcing term is min(1e-2, max(1e-10, 0.05 * sup)).  A trial is
-    accepted once its sup residual decreases; t halves from 1 and a step
-    below MIN_STEP raises NonConvergenceError, as does a failed Krylov
-    solve or an iterate still above tolerance after max_iterations steps.
+    The Krylov tolerance (Eisenstat and Walker's choice 2, with Kelley's
+    guard against over-solving) is 1e-2 on the first step, then
+    min(1e-2, max(1e-10, 0.9 * (sup / sup_prev)**2, 0.1 * tolerance / sup)),
+    sup_prev the sup before the last step: a step is solved only as
+    accurately as the Newton convergence can use, and never much below
+    what reaching ``tolerance`` needs.  A trial is accepted once its sup
+    residual decreases; t halves from 1 and a step below MIN_STEP raises
+    NonConvergenceError, as does a failed Krylov solve or an iterate still
+    above tolerance after max_iterations steps.
     Every error carries the residual history.  Returns
     ``(iterate, sup, state, iterations, history, trials)``, trials the
     number of ``evaluate`` calls of each step's line search.
@@ -206,7 +211,9 @@ def damped_newton(start, evaluate, step, tolerance, max_iterations):
             return iterate, sup, state, iterations, history, trials
         if iterations == max_iterations:
             break
-        direction, info = step(state, r, min(1e-2, max(1e-10, 0.05 * sup)))
+        ratio = sup / history[-2] if len(history) > 1 else 1.0  # first step: the cap
+        rtol = min(1e-2, max(1e-10, 0.9 * ratio * ratio, 0.1 * tolerance / sup))
+        direction, info = step(state, r, rtol)
         if info != 0:
             raise NonConvergenceError(f"inner Krylov solve stalled (info={info})", history)
         t = 1.0

@@ -408,6 +408,28 @@ def test_tight_fixture_margins():
     assert halved["max_phi"] > 0.1
 
 
+def test_n2_fixture_never_reaches_the_general_path(monkeypatch):
+    # the fixture's identity metric enters as planes, so its chart and volume
+    # density run the closed forms; the only np.linalg kernel left is the
+    # chart residual's eigh, one per residual evaluation
+    calls = []
+    for name in ("eigvalsh", "eigh", "inv", "det", "cholesky"):
+        def counting(*args, _name=name, _kernel=getattr(np.linalg, name), **kwargs):
+            calls.append(_name)
+            return _kernel(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counting)
+    solutions = []
+
+    def solving(*args):
+        solutions.append(solve_dirichlet_ma(*args))
+        return solutions[-1]
+
+    monkeypatch.setattr(auxiliary, "solve_dirichlet_ma", solving)
+    fixture = tight_comparison_fixture(monge_ampere(2), TorusGrid(n=2, N=16, L=1.0))
+    assert fixture.chart.num_interior > 0 and len(solutions) == 1
+    assert calls == ["eigh"] * solutions[0].residual_evaluations
+
+
 def test_run_localization_trivial_instance():
     grid = TorusGrid(n=2, N=16, L=1.0)
     g = identity_metric(grid)

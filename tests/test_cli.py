@@ -417,8 +417,17 @@ def test_sweep_and_report_round_trip(tmp_path):
     assert payload["max_over_min"] >= 1.0
     entropies = [row["entropy"] for row in payload["rows"]]
     assert entropies[0] == pytest.approx(entropies[1], rel=1e-9)
+    # each row reports its Newton steps and the Krylov matvecs over them
+    for row in payload["rows"]:
+        assert isinstance(row["iterations"], int) and row["iterations"] >= 1
+        assert isinstance(row["matvecs"], int) and row["matvecs"] >= row["iterations"]
     lines = read(out / "sweep.csv").decode().strip().splitlines()
     assert len(lines) == 3
+    header = lines[0].split(",")
+    for line, row in zip(lines[1:], payload["rows"]):
+        fields = dict(zip(header, line.split(",")))
+        assert (fields["iterations"], fields["matvecs"]) == (str(row["iterations"]),
+                                                             str(row["matvecs"]))
 
     assert main(["report", "--out", str(out)]) == EXIT_PASS
     summary = json.loads(read(out / "report.json"))
@@ -469,6 +478,7 @@ def test_sweep_honours_solver_budget(tmp_path):
     assert not payload["all_converged"]
     for row in payload["rows"]:
         assert row["converged"] is False
+        assert row["iterations"] is None and row["matvecs"] is None
         assert row["error"].startswith("no convergence in 1 iterations")
 
 

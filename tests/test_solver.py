@@ -368,22 +368,27 @@ def test_damped_newton_budget_error_carries_full_history():
     assert err.value.history == [1.0, 0.5, 0.25]
 
 
-@pytest.mark.parametrize("x0, expected", [
-    (0.4, [1e-2, 1e-2, 0.05 * 0.1]),
-    (1e-12, [1e-10, 1e-10, 1e-10]),
-])
-def test_damped_newton_forcing_term_and_krylov_failure(x0, expected):
+def test_damped_newton_forcing_term_and_krylov_failure():
+    # scripted sups of the quadratic Newton map x -> 1e-3 x^2, so each branch
+    # of the forcing term binds once: the 1e-2 cap on the first step, the
+    # ratio term 0.9 (sup / sup_prev)^2, the 1e-10 floor, and the
+    # 0.1 tolerance / sup guard against over-solving the last step
+    sups = [1.0, 1e-3, 1e-9, 1e-21]
     rtols = []
+
+    def evaluate(k, direction, t):
+        return k + 1, None, sups[k + 1], None
 
     def step(state, r, rtol):
         rtols.append(rtol)
-        return -0.5 * r, 0 if len(rtols) < 3 else 7
+        return None, 0 if len(rtols) < 4 else 7
 
-    start = toy_evaluate(np.array([x0]), np.zeros(1), 0.0)
     with pytest.raises(NonConvergenceError, match="info=7") as err:
-        damped_newton(start, toy_evaluate, step, tolerance=1e-15, max_iterations=10)
-    assert rtols == expected
-    assert err.value.history == [x0, x0 / 2, x0 / 4]
+        damped_newton((0, None, sups[0], None), evaluate, step, tolerance=1e-24,
+                      max_iterations=10)
+    assert rtols == pytest.approx([1e-2, 0.9e-6, 1e-10, 1e-4], rel=1e-12)
+    assert rtols[0] == 1e-2 and rtols[2] == 1e-10
+    assert err.value.history == sups
 
 
 @pytest.mark.parametrize("trial_sup", [None, 1.0])
