@@ -31,7 +31,6 @@ from .grid import (
     entropy_norm,
     frozen_hessian_inverse,
     hermitian_inverse,
-    hermitian_mean,
     hermitian_planes,
     hermitian_trace,
     neighbour_table,
@@ -105,10 +104,10 @@ def build_chart(phi, g, g_h, grid):
     """Cut the largest admissible coordinate ball around the argmin of phi.
 
     g and g_h come checked, as a PrimaryProblem's metric and reference_metric
-    (planes run the closed forms).  The center is the grid argmin of phi
-    (lowest flat index on ties).  The radius r0 is the largest multiple of
-    h, at most L/4, such that the eigenvalues of g lie in [1/2, 2] on the
-    open ball of radius 2*r0.
+    (planes run the closed forms, complex fields eigvalsh).  The center is
+    the grid argmin of phi (lowest flat index on ties).  The radius r0 is
+    the largest multiple of h, at most L/4, such that the eigenvalues of g
+    lie in [1/2, 2] on the open ball of radius 2*r0.
 
     Raises ChartFailureError when no radius of at least 4 grid spacings
     qualifies, and MetricDegeneracyError when g_h is not positive definite
@@ -290,13 +289,8 @@ def _chart_geometry(mask, center_index, R, grid):
 
 @dataclass
 class AuxiliarySolution:
-    """Solved Dirichlet Monge-Ampere problem on a chart ball.
-
-    krylov_iterations holds the operator applications of each Newton step,
-    line_search_trials the trial iterates each step's line search evaluated,
-    and residual_evaluations counts every residual evaluation, the start's
-    included.
-    """
+    """Solved Dirichlet Monge-Ampere problem on a chart ball, with the
+    Newton record of solver.damped_newton (see the solver module docstring)."""
 
     psi: np.ndarray
     residual_sup: float
@@ -307,7 +301,11 @@ class AuxiliarySolution:
     krylov_iterations: list
     residual_history: list
     line_search_trials: list
-    residual_evaluations: int
+
+    @property
+    def residual_evaluations(self):
+        """Every residual evaluation, the start's included."""
+        return 1 + sum(self.line_search_trials)
 
 
 def _clamped_inverse(eigs, frames):
@@ -329,8 +327,10 @@ def solve_dirichlet_ma(chart, rhs_density):
     to a sup residual of RESIDUAL_TOL in at most MAX_ITERATIONS steps, with
     ghost values tied to the interior by the chart's radial zero-boundary
     extrapolation (``extend``).
-    Hessian eigenvalues are clamped at EIG_FLOOR during the iteration; a
-    clamp still active at convergence raises DegeneracyError.
+    Each residual takes np.linalg.eigh of the ball Hessian (at n = 2 its
+    planes written as a complex field).  Hessian eigenvalues are clamped at
+    EIG_FLOOR during the iteration; a clamp still active at convergence
+    raises DegeneracyError.
 
     Each Newton step solves tr(inv H(d)) = -r on the ball, inv the clamped
     inverse Hessian (at n = 2 the real weighted sum over the planes of inv
@@ -338,8 +338,7 @@ def solve_dirichlet_ma(chart, rhs_density):
     of tr(Tbar H(.)), Tbar the ball mean of inv (grid.frozen_hessian_inverse,
     as in the periodic solve): the ball residual is zero-extended to the
     grid, its zero mode dropped, and the result restricted to the ball.
-    LGMRES starts from that preconditioned residual, and the operator
-    applications of each step are in ``krylov_iterations``.
+    LGMRES starts from that preconditioned residual.
 
     Parameters
     ----------
@@ -369,11 +368,7 @@ def solve_dirichlet_ma(chart, rhs_density):
         full[chart.ghost_flat] = chart.extend @ values
         return full.reshape(grid.shape)
 
-    residual_evaluations = 0
-
     def evaluate_at(values):
-        nonlocal residual_evaluations
-        residual_evaluations += 1
         H = complex_hessian(fill(values), grid, chart.taps)
         if isinstance(H, HermitianPlanes):
             H = H.matrix()
@@ -382,7 +377,6 @@ def solve_dirichlet_ma(chart, rhs_density):
         return values, r, float(np.max(np.abs(r))), (eigs, frames)
 
     clamp_history = []
-    krylov_iterations = []
 
     def step(state, r, krylov_rtol):
         eigs, frames = state
@@ -395,7 +389,7 @@ def solve_dirichlet_ma(chart, rhs_density):
             matvecs += 1
             return hermitian_trace(inv, complex_hessian(fill(d), grid, chart.taps))
 
-        frozen = frozen_hessian_inverse(hermitian_mean(inv), grid)
+        frozen = frozen_hessian_inverse(inv, grid)
 
         def precond(u):
             full[chart.mask_flat] = u
@@ -404,14 +398,13 @@ def solve_dirichlet_ma(chart, rhs_density):
 
         op = LinearOperator((rho.size, rho.size), matvec=matvec, dtype=float)
         M = LinearOperator((rho.size, rho.size), matvec=precond, dtype=float)
-        result = lgmres(op, -r, x0=precond(-r), M=M, rtol=krylov_rtol, atol=0.0,
-                        maxiter=400)
-        krylov_iterations.append(matvecs)
-        return result
+        direction, info = lgmres(op, -r, x0=precond(-r), M=M, rtol=krylov_rtol, atol=0.0,
+                                 maxiter=400)
+        return direction, info, matvecs
 
     R = chart.radius
     cbar = float(np.mean(rho))
-    psi, sup, (eigs, _), iterations, history, trials = damped_newton(
+    psi, (eigs, _), history, trials, matvecs = damped_newton(
         evaluate_at(cbar ** (1.0 / n) * (chart.dist_sq[mask] - R * R)),
         lambda values, direction, t: evaluate_at(values + t * direction),
         step, RESIDUAL_TOL, MAX_ITERATIONS,
@@ -424,16 +417,15 @@ def solve_dirichlet_ma(chart, rhs_density):
         )
     return AuxiliarySolution(
         psi=fill(psi).copy(),
-        residual_sup=sup,
-        iterations=iterations,
+        residual_sup=history[-1],
+        iterations=len(history) - 1,
         mass=float(np.sum(reduce(np.multiply, [eigs[:, i] for i in range(n)]))
                    * grid.cell_volume),
         min_eigenvalue=min_eig,
         clamp_history=clamp_history,
-        krylov_iterations=krylov_iterations,
+        krylov_iterations=matvecs,
         residual_history=history,
         line_search_trials=trials,
-        residual_evaluations=residual_evaluations,
     )
 
 

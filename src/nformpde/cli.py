@@ -4,6 +4,8 @@ Every subcommand reads a JSON experiment descriptor, writes machine-readable
 artifacts into the output directory, and returns a conventional exit code:
 0 pass, 1 check failure, 2 usage or descriptor error, 3 solver failure.
 Outputs carry no timestamps so a fixed seed reproduces them byte for byte.
+Importing it loads neither scipy.optimize nor scipy.integrate: the few
+functions that need them import them when called.
 """
 
 import argparse

@@ -256,10 +256,15 @@ class ExperimentDescriptor:
         _entry(self.background_g, _BACKGROUNDS, "name", "background_g")
         _entry(self.background_gh, _BACKGROUNDS, "name", "background_gh")
         _entry(self.forcing, _FORCINGS, "name", "forcing")
-        center = self.forcing.get("params", {}).get("center")  # only gaussian takes one
+        params = self.forcing.get("params", {})
+        center = params.get("center")  # only gaussian takes one
         if center is not None and len(center) != 2 * self.grid["n"]:
             raise InconsistentInputError("forcing.params.center: a gaussian center needs one "
                                          "entry per real axis, 2n = %d" % (2 * self.grid["n"]))
+        max_mode = params.get("max_mode")  # only bandlimited takes one
+        if max_mode is not None and max_mode > self.grid["N"] // 2:
+            raise InconsistentInputError("forcing.params.max_mode: a mode above N // 2 = %d "
+                                         "aliases a lower one on the grid" % (self.grid["N"] // 2))
         if self.entropy_exponent is not None and self.entropy_exponent <= self.grid["n"]:
             raise InconsistentInputError("entropy exponent must exceed the complex dimension")
 

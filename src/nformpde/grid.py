@@ -204,22 +204,13 @@ def complex_hessian(phi, grid, taps=None):
     if n == 2:
         (_, _, h00, _), (_, _, re01, im01), (_, _, h11, _) = entries
         return HermitianPlanes(h00, h11, re01, im01)
-    # Each part goes straight into its strided slot of the output: a second
-    # output-sized buffer to transpose from costs more in fresh memory pages
-    # than the strided writes save (except a little at n >= 3).  Diagonal
-    # imaginary parts stay zero; an off-diagonal pair keeps the bytes of
-    # re +- 1j * im, signed zeros included.
     out = np.zeros(shape + (n, n), dtype=complex)
-    parts = out.view(float).reshape(shape + (n, n, 2))
     for i, j, re, im in entries:
         if im is None:
-            parts[..., i, i, 0] = re
+            out[..., i, i] = re
         else:
-            zero = im * 0.0  # what re +- 1j * im adds to re: a zero with im's sign
-            np.add(re, zero, out=parts[..., i, j, 0])
-            np.subtract(re, zero, out=parts[..., j, i, 0])
-            np.add(im, 0.0, out=parts[..., i, j, 1])
-            np.subtract(0.0, parts[..., i, j, 1], out=parts[..., j, i, 1])
+            out[..., i, j] = re + 1j * im
+            out[..., j, i] = re - 1j * im
     return out
 
 
@@ -255,14 +246,20 @@ def hessian_symbol(T, grid):
 
 
 def frozen_hessian_inverse(T, grid):
-    """Exact torus inverse of u -> tr(T H(u)) for one constant Hermitian
-    positive definite (n, n) T, through the symbol of hessian_symbol.
+    """Exact torus inverse of u -> tr(Tbar H(u)), Tbar the batch mean of a
+    Hermitian positive definite coefficient field T (planes, or complex of
+    shape (..., n, n); a constant (n, n) T is its own mean), through the
+    symbol of hessian_symbol.
 
-    Returns solve(f, mean): the field u with tr(T H(u)) = f - mean(f) and
+    Returns solve(f, mean): the field u with tr(Tbar H(u)) = f - mean(f) and
     mean(u) = mean.  The zero mode of f is dropped; the caller sets the zero
     mode of u.  Each call is one rfftn, a division by the symbol and one
     irfftn.
     """
+    if isinstance(T, HermitianPlanes):
+        T = HermitianPlanes(*(np.mean(p) for p in T)).matrix()
+    else:
+        T = np.mean(T, axis=tuple(range(np.ndim(T) - 2)))
     shape = grid.shape
     axes = tuple(range(len(shape)))
     symbol = hessian_symbol(T, grid)
@@ -357,14 +354,6 @@ def hermitian_trace(a, b):
     return out
 
 
-def hermitian_mean(a):
-    """The batch mean of a Hermitian field as one complex (n, n) matrix, as
-    frozen_hessian_inverse takes it: on planes the 2 x 2 of the plane means."""
-    if isinstance(a, HermitianPlanes):
-        return HermitianPlanes(*(np.mean(p) for p in a)).matrix()
-    return a.mean(axis=tuple(range(a.ndim - 2)))
-
-
 def laplacian(phi, g, grid, g_inv=None):
     """Metric trace of the complex Hessian, tr(g^-1 H(phi)); real field.
     At n = 2 on planes: a complex g (and g_inv) is read as plane views."""
@@ -411,7 +400,8 @@ def hermitian_inverse(g):
     """Inverse of a Hermitian positive definite field on its trailing (n, n)
     axes: on planes the adjugate over volume_density, plane by plane (each
     negation 0.0 - x, so a zero entry stays +0.0 as in np.linalg.inv of the
-    identity); np.linalg.inv of a complex field."""
+    identity, and the planes of identity_metric invert to themselves);
+    np.linalg.inv of a complex field.  Every g^-1 of the package is this."""
     if not isinstance(g, HermitianPlanes):
         return np.linalg.inv(g)
     det = volume_density(g)

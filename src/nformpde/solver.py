@@ -20,6 +20,14 @@ returns, with g^-1.  For n = 2 these are grid.HermitianPlanes, so the
 twisted metric, the linearization, its trace reversal (the Newton
 coefficients) and the matvec's tr(T H) take the closed forms on planes,
 with no further check.
+
+damped_newton runs both Newton solves, this one and the chart solve of
+auxiliary, and returns one record per solve: the sup residual history, the
+start's included (the final sup is history[-1] and the number of Newton
+steps len(history) - 1), and per step the trial iterates its line search
+evaluated (trials) and the Krylov operator applications (matvecs).  Each
+solution keeps them as residual_history, line_search_trials and
+krylov_iterations.
 """
 
 from __future__ import annotations
@@ -40,7 +48,9 @@ MIN_STEP = 2.0**-20
 @dataclass
 class PrimaryProblem:
     """Operator, background metrics, forcing, and grid for one instance;
-    metric, reference_metric and g_inv are g, g_h and g^-1 as checked."""
+    metric, reference_metric and g_inv are g, g_h and g^-1 as checked.  A
+    non-finite F or tolerance and a negative or non-integer max_iterations
+    raise ValueError."""
 
     spec: symfun.OperatorSpec
     g: np.ndarray
@@ -79,11 +89,8 @@ class PrimaryProblem:
 
 @dataclass
 class PrimarySolution:
-    """Sup-normalized potential, log-scale constant, and iteration stats.
-
-    krylov_iterations holds the operator applications of each Newton step,
-    line_search_trials the trial iterates each step's line search evaluated.
-    """
+    """Sup-normalized potential, log-scale constant, and the Newton record
+    of damped_newton (see the module docstring)."""
 
     phi: np.ndarray
     b: float
@@ -158,7 +165,7 @@ def _newton_step(problem, coeff, r, krylov_rtol):
         bottom = np.array([dphi.mean()])
         return np.concatenate([top.reshape(-1), bottom])
 
-    frozen = gridmod.frozen_hessian_inverse(gridmod.hermitian_mean(coeff), g)
+    frozen = gridmod.frozen_hessian_inverse(coeff, g)
 
     def precond(u):
         top = u[:m].reshape(shape)
@@ -182,12 +189,13 @@ def damped_newton(start, evaluate, step, tolerance, max_iterations):
 
     ``start`` is the evaluated initial iterate ``(iterate, r, sup, state)``:
     the residual field, its sup norm and whatever ``step`` needs.
-    ``step(state, r, rtol)`` returns the Krylov result ``(direction, info)``
-    for the linearized equation ``J direction = -r`` solved to relative
-    tolerance ``rtol``.  ``evaluate(iterate, direction, t)`` returns the
-    evaluated trial ``iterate + t * direction`` in the same form as
-    ``start`` (the iterate as it is to be kept), or None when the trial
-    leaves the admissible set.
+    ``step(state, r, rtol)`` returns the Krylov result
+    ``(direction, info, matvecs)`` for the linearized equation
+    ``J direction = -r`` solved to relative tolerance ``rtol``, with the
+    Krylov exit flag and the number of operator applications.
+    ``evaluate(iterate, direction, t)`` returns the evaluated trial
+    ``iterate + t * direction`` in the same form as ``start`` (the iterate
+    as it is to be kept), or None when the trial leaves the admissible set.
 
     The Krylov tolerance (Eisenstat and Walker's choice 2, with Kelley's
     guard against over-solving) is 1e-2 on the first step, then
@@ -198,24 +206,26 @@ def damped_newton(start, evaluate, step, tolerance, max_iterations):
     residual decreases; t halves from 1 and a step below MIN_STEP raises
     NonConvergenceError, as does a failed Krylov solve or an iterate still
     above tolerance after max_iterations steps.
-    Every error carries the residual history.  Returns
-    ``(iterate, sup, state, iterations, history, trials)``, trials the
-    number of ``evaluate`` calls of each step's line search.
+    Every error carries the residual history.  Returns the Newton record
+    ``(iterate, state, history, trials, matvecs)`` (see the module
+    docstring).
     """
     iterate, r, sup, state = start
     del start  # only the current iterate stays alive
     history = [sup]
     trials = []
-    for iterations in range(max_iterations + 1):
-        if sup <= tolerance:
-            return iterate, sup, state, iterations, history, trials
-        if iterations == max_iterations:
-            break
+    matvecs = []
+    while sup > tolerance:
+        if len(history) > max_iterations:
+            raise NonConvergenceError(
+                f"no convergence in {max_iterations} iterations (residual {sup:.3e})", history
+            )
         ratio = sup / history[-2] if len(history) > 1 else 1.0  # first step: the cap
         rtol = min(1e-2, max(1e-10, 0.9 * ratio * ratio, 0.1 * tolerance / sup))
-        direction, info = step(state, r, rtol)
+        direction, info, count = step(state, r, rtol)
         if info != 0:
             raise NonConvergenceError(f"inner Krylov solve stalled (info={info})", history)
+        matvecs.append(count)
         t = 1.0
         trials.append(0)
         while True:
@@ -231,9 +241,7 @@ def damped_newton(start, evaluate, step, tolerance, max_iterations):
                 )
         iterate, r, sup, state = trial
         history.append(sup)
-    raise NonConvergenceError(
-        f"no convergence in {max_iterations} iterations (residual {sup:.3e})", history
-    )
+    return iterate, state, history, trials, matvecs
 
 
 def _primary_start(problem, initial):
@@ -278,23 +286,19 @@ def solve_primary(problem, initial=None):
         trial_phi -= trial_phi.mean()
         return (trial_phi, trial_b), r_t, sup_t, trial_phi
 
-    krylov_iterations = []
-
     def step(phi, r, krylov_rtol):
         gt, _ = _eigs_of_twisted(problem, phi)
         # nested, so the linearization is freed before the Krylov solve
         coeff = hermlin.trace_reversal(hermlin.linearization(problem.spec, problem.metric, gt),
                                        problem.metric, g_inv=problem.g_inv)
-        direction, info, matvecs = _newton_step(problem, coeff, r, krylov_rtol)
-        krylov_iterations.append(matvecs)
-        return direction, info
+        return _newton_step(problem, coeff, r, krylov_rtol)
 
-    (phi, b), sup, _, iterations, history, trials = damped_newton(
+    (phi, b), _, history, trials, matvecs = damped_newton(
         _primary_start(problem, initial), evaluate, step,
         problem.tolerance, problem.max_iterations,
     )
-    return PrimarySolution(gridmod.normalize_sup(phi), b, sup, iterations, history,
-                           krylov_iterations, trials)
+    return PrimarySolution(gridmod.normalize_sup(phi), b, history[-1], len(history) - 1,
+                           history, matvecs, trials)
 
 
 @dataclass(frozen=True)

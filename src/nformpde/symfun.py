@@ -205,6 +205,8 @@ class OperatorSpec:
     open cone, and gamma_certified, whether it comes from a closed form or
     from ray sampling (degree-0 homogeneous product, so rays suffice), come
     from one gamma_lower_bound call, made the first time either is read.
+    The index k or p of a family is read from its cone (GammaK.k,
+    PIndexCone.p).
     """
 
     family: str

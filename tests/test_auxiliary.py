@@ -280,6 +280,9 @@ def test_dirichlet_solve_flat_chart_matvec_budget(N):
     rhs[chart.mask] = 1.0 / (chart.num_interior * grid.cell_volume)
     sol = solve_dirichlet_ma(chart, rhs)
     assert sol.residual_sup <= 1e-10
+    # the Newton record of solver.damped_newton
+    assert sol.iterations == len(sol.residual_history) - 1
+    assert sol.residual_sup == sol.residual_history[-1]
     assert len(sol.krylov_iterations) == sol.iterations
     assert min(sol.krylov_iterations) >= 1
     assert sum(sol.krylov_iterations) <= 40

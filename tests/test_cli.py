@@ -156,6 +156,9 @@ def test_usage_errors_exit_two(tmp_path, capsys):
                    {"forcing": {"name": "gaussian", "params": {"amplitude": 0.4, "sigm": 0.05}}},
                    {"forcing": {"name": "constant", "parms": {"value": 0.1}}},
                    {"forcing": {"name": "constant", "params": [0.1]}},
+                   # a mode above N // 2 aliases a lower one on the grid
+                   {"grid": {"n": 2, "N": 8, "L": 1.0},
+                    "forcing": {"name": "bandlimited", "params": {"max_mode": 100}}},
                    {"background_g": {"name": "identity", "params": {"amplitude": 0.1}}},
                    {"background_gh": {"name": ["banded"], "params": {}}},
                    {"grid": {"n": 2, "N": 16, "L": 1.0, "M": 3}},

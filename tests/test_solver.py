@@ -130,7 +130,10 @@ def test_manufactured_recovery():
     assert abs(sol.b - b_true) <= 5e-6
     assert sol.residual_sup <= 1e-9
     assert sol.phi.max() == 0.0
-    assert len(sol.residual_history) == sol.iterations + 1
+    # the Newton record of damped_newton
+    assert sol.iterations == len(sol.residual_history) - 1
+    assert sol.residual_sup == sol.residual_history[-1]
+    assert len(sol.krylov_iterations) == sol.iterations
 
 
 def test_hessian_family_and_combination_backgrounds():
@@ -341,24 +344,28 @@ def test_problem_validation_rejects_bad_limits(limit, value):
 
 
 # toy problem for damped_newton: residual r(x) = x, and a Krylov "solve" that
-# returns half the Newton direction, so every full step halves the residual
+# returns half the Newton direction in 1 / sup(r) operator applications, so
+# every full step halves the residual and doubles the step's matvecs
 def toy_evaluate(x, direction, t):
     trial = x + t * direction
     return trial, trial, float(np.max(np.abs(trial))), None
 
 
 def toy_step(state, r, rtol):
-    return -0.5 * r, 0
+    return -0.5 * r, 0, round(1.0 / np.max(np.abs(r)))
 
 
 def test_damped_newton_converges_on_last_allowed_step():
     start = toy_evaluate(np.array([1.0]), np.zeros(1), 0.0)
-    x, sup, _, iterations, history, trials = damped_newton(
+    x, state, history, trials, matvecs = damped_newton(
         start, toy_evaluate, toy_step, tolerance=0.125, max_iterations=3)
-    assert iterations == 3
-    assert sup == 0.125 and x[0] == 0.125
+    assert x[0] == 0.125 and state is None
     assert history == [1.0, 0.5, 0.25, 0.125]
     assert trials == [1, 1, 1]
+    assert matvecs == [1, 2, 4]
+    # a start already within tolerance takes no step
+    assert damped_newton(start, toy_evaluate, toy_step, tolerance=1.0,
+                         max_iterations=0)[2:] == ([1.0], [], [])
 
 
 def test_damped_newton_budget_error_carries_full_history():
@@ -381,7 +388,7 @@ def test_damped_newton_forcing_term_and_krylov_failure():
 
     def step(state, r, rtol):
         rtols.append(rtol)
-        return None, 0 if len(rtols) < 4 else 7
+        return None, 0 if len(rtols) < 4 else 7, 1
 
     with pytest.raises(NonConvergenceError, match="info=7") as err:
         damped_newton((0, None, sups[0], None), evaluate, step, tolerance=1e-24,
