@@ -62,6 +62,7 @@ from .manufactured import (
 )
 from .solver import (
     L1BoundReport,
+    NewtonRecord,
     PrimaryProblem,
     PrimarySolution,
     l1_bound_check,

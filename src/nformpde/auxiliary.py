@@ -37,7 +37,7 @@ from .grid import (
     volume_density,
 )
 from .hermlin import _eigs_2x2, checked_metric, endomorphism_eigs
-from .solver import damped_newton
+from .solver import NewtonRecord, damped_newton
 from .symfun import plane_sum
 
 # Metric comparability band required on the chart ball, with rounding slack.
@@ -288,24 +288,15 @@ def _chart_geometry(mask, center_index, R, grid):
 
 
 @dataclass
-class AuxiliarySolution:
-    """Solved Dirichlet Monge-Ampere problem on a chart ball, with the
-    Newton record of solver.damped_newton (see the solver module docstring)."""
+class AuxiliarySolution(NewtonRecord):
+    """The NewtonRecord of a Dirichlet Monge-Ampere solve on a chart ball,
+    with its solution, discrete mass, smallest Hessian eigenvalue and
+    clamped points per step."""
 
     psi: np.ndarray
-    residual_sup: float
-    iterations: int
     mass: float
     min_eigenvalue: float
     clamp_history: list
-    krylov_iterations: list
-    residual_history: list
-    line_search_trials: list
-
-    @property
-    def residual_evaluations(self):
-        """Every residual evaluation, the start's included."""
-        return 1 + sum(self.line_search_trials)
 
 
 def _clamped_inverse(eigs, frames):
@@ -374,7 +365,7 @@ def solve_dirichlet_ma(chart, rhs_density):
             H = H.matrix()
         eigs, frames = np.linalg.eigh(H)
         r = plane_sum([np.log(np.maximum(eigs[:, i], EIG_FLOOR)) for i in range(n)]) - log_rho
-        return values, r, float(np.max(np.abs(r))), (eigs, frames)
+        return values, r, (eigs, frames)
 
     clamp_history = []
 
@@ -404,7 +395,7 @@ def solve_dirichlet_ma(chart, rhs_density):
 
     R = chart.radius
     cbar = float(np.mean(rho))
-    psi, (eigs, _), history, trials, matvecs = damped_newton(
+    psi, (eigs, _), record = damped_newton(
         evaluate_at(cbar ** (1.0 / n) * (chart.dist_sq[mask] - R * R)),
         lambda values, direction, t: evaluate_at(values + t * direction),
         step, RESIDUAL_TOL, MAX_ITERATIONS,
@@ -416,16 +407,12 @@ def solve_dirichlet_ma(chart, rhs_density):
             "positivity safeguard active at convergence (min eigenvalue %.3e)" % min_eig
         )
     return AuxiliarySolution(
+        **vars(record),
         psi=fill(psi).copy(),
-        residual_sup=history[-1],
-        iterations=len(history) - 1,
         mass=float(np.sum(reduce(np.multiply, [eigs[:, i] for i in range(n)]))
                    * grid.cell_volume),
         min_eigenvalue=min_eig,
         clamp_history=clamp_history,
-        krylov_iterations=matvecs,
-        residual_history=history,
-        line_search_trials=trials,
     )
 
 

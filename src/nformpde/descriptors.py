@@ -197,7 +197,9 @@ _FORCINGS = {
     "constant": _generator(_forcing_constant, value=_NUMBER),
     "gaussian": _generator(_forcing_gaussian, amplitude=_NUMBER, sigma=_SIGMA,
                            center={"type": "array", "items": _NUMBER}),
-    "bumps": _generator(_forcing_bumps, amplitude=_NUMBER, sigma=_SIGMA, count=_POSITIVE_INTEGER),
+    # 1000 bumps take about 4 s at N = 24; more only exhaust memory or time
+    "bumps": _generator(_forcing_bumps, amplitude=_NUMBER, sigma=_SIGMA,
+                        count={**_POSITIVE_INTEGER, "maximum": 1000}),
     "bandlimited": _generator(_forcing_bandlimited, amplitude=_NUMBER, max_mode=_POSITIVE_INTEGER),
 }
 
@@ -250,6 +252,10 @@ class ExperimentDescriptor:
         _check(vars(self), schemas.DESCRIPTOR_SCHEMA, "descriptor")
         self.grid = {**_GRID_DEFAULTS, **self.grid}
         self.tolerances = {**_TOLERANCE_DEFAULTS, **self.tolerances}
+        try:
+            TorusGrid(**self.grid)
+        except ValueError as exc:  # the schema leaves only L's scale to TorusGrid
+            raise InconsistentInputError("grid.L: %s" % exc) from None
         _check_operator(self.operator)
         if self.make_operator().dim != self.grid["n"]:
             raise InconsistentInputError("operator dimension does not match the grid")

@@ -55,6 +55,13 @@ class TorusGrid:
             raise ValueError("N must be >= 8 to support the stencils")
         if not self.L > 0:
             raise ValueError("L must be positive")
+        try:
+            scales = (self.cell_volume, 1.0 / self.h ** 2)
+        except (OverflowError, ZeroDivisionError):
+            scales = (0.0,)
+        if not all(0.0 < s < math.inf for s in scales):
+            raise ValueError("L = %g gives a cell volume h^2n or a stencil factor 1/h^2 that "
+                             "is not a finite nonzero float" % self.L)
 
     @property
     def h(self):

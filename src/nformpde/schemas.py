@@ -43,7 +43,7 @@ DESCRIPTOR_SCHEMA = {
                 "max_iterations": {"type": "integer", "minimum": 0},
             },
         },
-        "samples": {"type": "integer", "minimum": 1},
+        "samples": {"type": "integer", "minimum": 1, "maximum": 1000000},
         "seed": {"type": "integer", "minimum": 0},
     },
 }

@@ -22,12 +22,8 @@ coefficients) and the matvec's tr(T H) take the closed forms on planes,
 with no further check.
 
 damped_newton runs both Newton solves, this one and the chart solve of
-auxiliary, and returns one record per solve: the sup residual history, the
-start's included (the final sup is history[-1] and the number of Newton
-steps len(history) - 1), and per step the trial iterates its line search
-evaluated (trials) and the Krylov operator applications (matvecs).  Each
-solution keeps them as residual_history, line_search_trials and
-krylov_iterations.
+auxiliary, and reports what each did as a NewtonRecord, which both
+solutions extend.
 """
 
 from __future__ import annotations
@@ -88,17 +84,37 @@ class PrimaryProblem:
 
 
 @dataclass
-class PrimarySolution:
-    """Sup-normalized potential, log-scale constant, and the Newton record
-    of damped_newton (see the module docstring)."""
+class NewtonRecord:
+    """What one damped_newton solve did: the sup residual of the start and
+    of each accepted iterate (residual_history), and per Newton step the
+    trial iterates its line search evaluated (line_search_trials) and the
+    Krylov operator applications (krylov_iterations)."""
+
+    residual_history: list
+    line_search_trials: list
+    krylov_iterations: list
+
+    @property
+    def residual_sup(self):
+        return self.residual_history[-1]
+
+    @property
+    def iterations(self):
+        return len(self.residual_history) - 1
+
+    @property
+    def residual_evaluations(self):
+        """Every residual evaluation, the start's included."""
+        return 1 + sum(self.line_search_trials)
+
+
+@dataclass
+class PrimarySolution(NewtonRecord):
+    """The NewtonRecord of solve_primary, with the sup-normalized potential
+    and the log-scale constant."""
 
     phi: np.ndarray
     b: float
-    residual_sup: float
-    iterations: int
-    residual_history: list = field(default_factory=list)
-    krylov_iterations: list = field(default_factory=list)
-    line_search_trials: list = field(default_factory=list)
 
 
 def _eigs_of_twisted(problem, phi):
@@ -187,8 +203,8 @@ def _newton_step(problem, coeff, r, krylov_rtol):
 def damped_newton(start, evaluate, step, tolerance, max_iterations):
     """Damped inexact Newton iteration shared by the periodic and chart solves.
 
-    ``start`` is the evaluated initial iterate ``(iterate, r, sup, state)``:
-    the residual field, its sup norm and whatever ``step`` needs.
+    ``start`` is the evaluated initial iterate ``(iterate, r, state)``: the
+    residual field (damped_newton takes its sup norm) and whatever ``step`` needs.
     ``step(state, r, rtol)`` returns the Krylov result
     ``(direction, info, matvecs)`` for the linearized equation
     ``J direction = -r`` solved to relative tolerance ``rtol``, with the
@@ -206,15 +222,13 @@ def damped_newton(start, evaluate, step, tolerance, max_iterations):
     residual decreases; t halves from 1 and a step below MIN_STEP raises
     NonConvergenceError, as does a failed Krylov solve or an iterate still
     above tolerance after max_iterations steps.
-    Every error carries the residual history.  Returns the Newton record
-    ``(iterate, state, history, trials, matvecs)`` (see the module
-    docstring).
+    Every error carries the residual history.  Returns
+    ``(iterate, state, NewtonRecord)``.
     """
-    iterate, r, sup, state = start
+    iterate, r, state = start
     del start  # only the current iterate stays alive
-    history = [sup]
-    trials = []
-    matvecs = []
+    sup = float(np.max(np.abs(r)))
+    history, trials, matvecs = [sup], [], []
     while sup > tolerance:
         if len(history) > max_iterations:
             raise NonConvergenceError(
@@ -231,7 +245,8 @@ def damped_newton(start, evaluate, step, tolerance, max_iterations):
         while True:
             trial = evaluate(iterate, direction, t)
             trials[-1] += 1
-            if trial is not None and trial[2] < sup:
+            trial_sup = np.inf if trial is None else float(np.max(np.abs(trial[1])))
+            if trial_sup < sup:
                 break
             t *= 0.5
             if t < MIN_STEP:
@@ -239,9 +254,10 @@ def damped_newton(start, evaluate, step, tolerance, max_iterations):
                     f"line search stalled below the minimum step (residual {sup:.3e})",
                     history,
                 )
-        iterate, r, sup, state = trial
+        iterate, r, state = trial
+        sup = trial_sup
         history.append(sup)
-    return iterate, state, history, trials, matvecs
+    return iterate, state, NewtonRecord(history, trials, matvecs)
 
 
 def _primary_start(problem, initial):
@@ -263,8 +279,7 @@ def _primary_start(problem, initial):
             f"{float(margin.reshape(-1)[idx]):.3e} at flat index {idx})"
         )
     b = float(np.mean(log_f - problem.F))
-    r = log_f - problem.F - b
-    return (phi, b), r, float(np.max(np.abs(r))), phi
+    return (phi, b), log_f - problem.F - b, phi
 
 
 def solve_primary(problem, initial=None):
@@ -282,9 +297,8 @@ def solve_primary(problem, initial=None):
         if log_f is None:
             return None
         r_t = log_f - problem.F - trial_b
-        sup_t = float(np.max(np.abs(r_t)))
         trial_phi -= trial_phi.mean()
-        return (trial_phi, trial_b), r_t, sup_t, trial_phi
+        return (trial_phi, trial_b), r_t, trial_phi
 
     def step(phi, r, krylov_rtol):
         gt, _ = _eigs_of_twisted(problem, phi)
@@ -293,12 +307,11 @@ def solve_primary(problem, initial=None):
                                        problem.metric, g_inv=problem.g_inv)
         return _newton_step(problem, coeff, r, krylov_rtol)
 
-    (phi, b), _, history, trials, matvecs = damped_newton(
+    (phi, b), _, record = damped_newton(
         _primary_start(problem, initial), evaluate, step,
         problem.tolerance, problem.max_iterations,
     )
-    return PrimarySolution(gridmod.normalize_sup(phi), b, history[-1], len(history) - 1,
-                           history, matvecs, trials)
+    return PrimarySolution(**vars(record), phi=gridmod.normalize_sup(phi), b=b)
 
 
 @dataclass(frozen=True)

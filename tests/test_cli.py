@@ -215,6 +215,19 @@ def test_usage_errors_exit_two(tmp_path, capsys):
             "name": "gaussian", "params": {"center": [0.5, 0.5, 0.5]}})
         assert main([command, "--config", config, "--out", str(tmp_path / "o")]) == EXIT_USAGE
         assert "descriptor error: forcing.params.center" in capsys.readouterr().err
+    # a side L whose cell volume h^4 or stencil factor 1/h^2 at N = 16
+    # overflows, underflows or divides by zero, and a size field above its
+    # bound, are refused before anything is allocated
+    for command, fields, name in (
+            ("solve", {"grid": {"L": 1e100}}, "grid.L"),
+            ("solve", {"grid": {"L": 1e-300}}, "grid.L"),
+            ("localize", {"grid": {"L": 1e-150}}, "grid.L"),
+            ("solve", {"forcing": {"name": "bumps", "params": {"count": 1001}}},
+             "forcing.params.count"),
+            ("check-pointwise", {"samples": 1000001}, "descriptor.samples")):
+        config = write_config(tmp_path / "scale.json", **fields)
+        assert main([command, "--config", config, "--out", str(tmp_path / "o")]) == EXIT_USAGE
+        assert "descriptor error: " + name in capsys.readouterr().err
     # a sweep needs a forcing that reads sigma, and every swept value must be
     # a valid sigma; no member runs otherwise
     # and an entropy target it can reach: the entropy integral is positive

@@ -24,6 +24,7 @@ from nformpde.grid import (
 from nformpde.manufactured import forcing_from_hessian, trig_hessian, trig_potential
 from nformpde.solver import (
     MIN_STEP,
+    NewtonRecord,
     PrimaryProblem,
     _newton_step,
     apply_trace_reversed_hessian,
@@ -348,7 +349,7 @@ def test_problem_validation_rejects_bad_limits(limit, value):
 # every full step halves the residual and doubles the step's matvecs
 def toy_evaluate(x, direction, t):
     trial = x + t * direction
-    return trial, trial, float(np.max(np.abs(trial))), None
+    return trial, trial, None
 
 
 def toy_step(state, r, rtol):
@@ -357,15 +358,17 @@ def toy_step(state, r, rtol):
 
 def test_damped_newton_converges_on_last_allowed_step():
     start = toy_evaluate(np.array([1.0]), np.zeros(1), 0.0)
-    x, state, history, trials, matvecs = damped_newton(
+    x, state, record = damped_newton(
         start, toy_evaluate, toy_step, tolerance=0.125, max_iterations=3)
     assert x[0] == 0.125 and state is None
-    assert history == [1.0, 0.5, 0.25, 0.125]
-    assert trials == [1, 1, 1]
-    assert matvecs == [1, 2, 4]
+    assert record == NewtonRecord([1.0, 0.5, 0.25, 0.125], [1, 1, 1], [1, 2, 4])
+    assert record.iterations == 3 and record.residual_sup == 0.125
+    assert record.residual_evaluations == 4
     # a start already within tolerance takes no step
-    assert damped_newton(start, toy_evaluate, toy_step, tolerance=1.0,
-                         max_iterations=0)[2:] == ([1.0], [], [])
+    x, _, record = damped_newton(start, toy_evaluate, toy_step, tolerance=1.0,
+                                 max_iterations=0)
+    assert x[0] == 1.0 and record == NewtonRecord([1.0], [], [])
+    assert record.iterations == 0 and record.residual_sup == 1.0
 
 
 def test_damped_newton_budget_error_carries_full_history():
@@ -384,14 +387,14 @@ def test_damped_newton_forcing_term_and_krylov_failure():
     rtols = []
 
     def evaluate(k, direction, t):
-        return k + 1, None, sups[k + 1], None
+        return k + 1, np.array([-sups[k + 1]]), None
 
     def step(state, r, rtol):
         rtols.append(rtol)
         return None, 0 if len(rtols) < 4 else 7, 1
 
     with pytest.raises(NonConvergenceError, match="info=7") as err:
-        damped_newton((0, None, sups[0], None), evaluate, step, tolerance=1e-24,
+        damped_newton((0, np.array([sups[0]]), None), evaluate, step, tolerance=1e-24,
                       max_iterations=10)
     assert rtols == pytest.approx([1e-2, 0.9e-6, 1e-10, 1e-4], rel=1e-12)
     assert rtols[0] == 1e-2 and rtols[2] == 1e-10
@@ -405,7 +408,7 @@ def test_damped_newton_line_search_stalls_below_min_step(trial_sup):
 
     def evaluate(x, direction, t):
         steps.append(t)
-        return None if trial_sup is None else (x, x, trial_sup, None)
+        return None if trial_sup is None else (x, np.array([trial_sup]), None)
 
     start = toy_evaluate(np.array([1.0]), np.zeros(1), 0.0)
     with pytest.raises(NonConvergenceError, match="line search stalled") as err:
@@ -495,3 +498,4 @@ def test_line_search_rejects_trials_that_leave_the_cone(monkeypatch):
     # one evaluation starts the iteration, each other one is a line-search trial
     assert len(sol.line_search_trials) == sol.iterations
     assert sum(sol.line_search_trials) == len(outside) - 1
+    assert sol.residual_evaluations == len(outside)
