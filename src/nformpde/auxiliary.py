@@ -34,6 +34,7 @@ from .grid import (
     hermitian_planes,
     hermitian_trace,
     neighbour_table,
+    trace_scaling,
     volume_density,
 )
 from .hermlin import _eigs_2x2, checked_metric, endomorphism_eigs
@@ -325,11 +326,12 @@ def solve_dirichlet_ma(chart, rhs_density):
 
     Each Newton step solves tr(inv H(d)) = -r on the ball, inv the clamped
     inverse Hessian (at n = 2 the real weighted sum over the planes of inv
-    and H), by LGMRES preconditioned with the exact torus inverse
-    of tr(Tbar H(.)), Tbar the ball mean of inv (grid.frozen_hessian_inverse,
-    as in the periodic solve): the ball residual is zero-extended to the
-    grid, its zero mode dropped, and the result restricted to the ball.
-    LGMRES starts from that preconditioned residual.
+    and H), by LGMRES with the trace-scaled preconditioner of the periodic
+    solve (grid.trace_scaling): the ball residual is divided by t = tr inv,
+    zero-extended to the grid, its zero mode dropped, passed through the
+    exact torus inverse of tr(Tbar H(.)), Tbar the ball mean of inv / t
+    (grid.frozen_hessian_inverse), and restricted to the ball.  LGMRES
+    starts from that preconditioned residual.
 
     Parameters
     ----------
@@ -380,10 +382,11 @@ def solve_dirichlet_ma(chart, rhs_density):
             matvecs += 1
             return hermitian_trace(inv, complex_hessian(fill(d), grid, chart.taps))
 
-        frozen = frozen_hessian_inverse(inv, grid)
+        inv_t, tbar = trace_scaling(inv)
+        frozen = frozen_hessian_inverse(tbar, grid)
 
         def precond(u):
-            full[chart.mask_flat] = u
+            full[chart.mask_flat] = u * inv_t
             full[chart.ghost_flat] = 0.0
             return frozen(full.reshape(grid.shape), 0.0).reshape(-1)[chart.mask_flat]
 
@@ -468,7 +471,7 @@ def check_comparison(w, psi, eps, chart, c_disc):
 
 # the keys a failed cell holds as null
 _UNMEASURED = ("mass", "epsilon", "max_phi", "location", "tolerance", "argmax_in_sublevel",
-               "quantiles", "mass_error")
+               "quantiles", "mass_error", "line_search_trials", "clamp_history")
 
 
 def run_localization(solution, problem, s_fractions, k_list, c_disc, entropy_exponent):
@@ -479,7 +482,8 @@ def run_localization(solution, problem, s_fractions, k_list, c_disc, entropy_exp
     solves the auxiliary Dirichlet problem and checks the comparison bound.
     Returns the ``localization.json`` object: the chart's figures and one
     cell per (s, k), the ``check_comparison`` verdict with the hinge mass
-    and the chart solve's mass error, residual and iteration counts.  A
+    and the chart solve's mass error, residual and iteration counts, line
+    search trials and clamped points per step (clamp_history).  A
     cell that fails holds its (s, k) and ``error``, ``pass`` false and null
     figures; a chart failure aborts the whole run.
     """
@@ -500,7 +504,9 @@ def run_localization(solution, problem, s_fractions, k_list, c_disc, entropy_exp
                 aux = solve_dirichlet_ma(chart, rhs)
                 eps = comparison_scale(mass, problem.spec.gamma, n)
                 cell = check_comparison(w, aux.psi, eps, chart, c_disc)
-                cell.update(mass=mass, mass_error=abs(aux.mass - 1.0), error=None, residuals={
+                cell.update(mass=mass, mass_error=abs(aux.mass - 1.0), error=None,
+                            line_search_trials=aux.line_search_trials,
+                            clamp_history=aux.clamp_history, residuals={
                     "solver_sup": aux.residual_sup, "iterations": aux.iterations,
                     "krylov_iterations": aux.krylov_iterations})
             except (DegeneracyError, InconsistentInputError, NonConvergenceError, ValueError) as exc:

@@ -149,6 +149,7 @@ def _solve_artifacts(problem, out_dir, descriptor):
         "residual_sup": solution.residual_sup,
         "iterations": solution.iterations,
         "krylov_iterations": solution.krylov_iterations,
+        "line_search_trials": solution.line_search_trials,
         "l1_bound": {**dataclasses.asdict(bound), "passed": bool(bound.passed)},
         "field_file": field_file,
     }

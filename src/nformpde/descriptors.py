@@ -254,8 +254,12 @@ class ExperimentDescriptor:
         self.tolerances = {**_TOLERANCE_DEFAULTS, **self.tolerances}
         try:
             TorusGrid(**self.grid)
-        except ValueError as exc:  # the schema leaves only L's scale to TorusGrid
-            raise InconsistentInputError("grid.L: %s" % exc) from None
+        except ValueError as exc:
+            # the schema leaves TorusGrid L's scale and the count of points,
+            # which it checks last; make_grid refuses the count, so that
+            # check-pointwise, which realizes no grid, takes any n
+            if not str(exc).startswith("N "):
+                raise InconsistentInputError("grid.L: %s" % exc) from None
         _check_operator(self.operator)
         if self.make_operator().dim != self.grid["n"]:
             raise InconsistentInputError("operator dimension does not match the grid")
@@ -293,7 +297,10 @@ class ExperimentDescriptor:
     # ---- realized objects: the fields were checked when the descriptor was built ----
 
     def make_grid(self):
-        return TorusGrid(**self.grid)
+        try:
+            return TorusGrid(**self.grid)
+        except ValueError as exc:  # the one grid field __post_init__ leaves
+            raise InconsistentInputError("grid.N: %s" % exc) from None
 
     def make_operator(self):
         return _operator_from_config(self.operator)

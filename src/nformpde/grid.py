@@ -42,7 +42,8 @@ from .errors import UnsupportedDimensionError
 
 @dataclass(frozen=True)
 class TorusGrid:
-    """Uniform periodic grid on the 2n-torus of side L."""
+    """Uniform periodic grid on the 2n-torus of side L, of fewer than 2**31
+    points.  Each ValueError message starts with the field it refuses."""
 
     n: int
     N: int
@@ -62,6 +63,10 @@ class TorusGrid:
         if not all(0.0 < s < math.inf for s in scales):
             raise ValueError("L = %g gives a cell volume h^2n or a stencil factor 1/h^2 that "
                              "is not a finite nonzero float" % self.L)
+        if self.num_points >= 2**31:
+            raise ValueError("N = %d at n = %d gives N^2n = %d grid points; a grid holds fewer "
+                             "than 2**31, since neighbour_table's flat indices are int32"
+                             % (self.N, self.n, self.num_points))
 
     @property
     def h(self):
@@ -126,8 +131,9 @@ def neighbour_table(points, grid):
     the shift: the zero shift and every one of stencil_offsets, so
     complex_hessian(phi, grid, table) reads phi at the points only through it.
 
-    The indices are int32, half the memory of intp (a grid of 2**31 points
-    would need 16 GB per field), and np.take gathers through them as fast.
+    The indices are int32, half the memory of intp, and np.take gathers
+    through them as fast; TorusGrid refuses a grid of 2**31 points or more,
+    whose flat indices would wrap.
     """
     m = 2 * grid.n
     index = np.unravel_index(np.asarray(points), grid.shape)
@@ -252,21 +258,36 @@ def hessian_symbol(T, grid):
     return out
 
 
-def frozen_hessian_inverse(T, grid):
-    """Exact torus inverse of u -> tr(Tbar H(u)), Tbar the batch mean of a
-    Hermitian positive definite coefficient field T (planes, or complex of
-    shape (..., n, n); a constant (n, n) T is its own mean), through the
-    symbol of hessian_symbol.
+def trace_scaling(T):
+    """(1/t, Tbar) for a Hermitian positive definite coefficient field T
+    (planes, or complex of shape (..., n, n)): t = tr T, a positive field,
+    and Tbar the batch mean of the trace-normalized T/t, a constant complex
+    (n, n) matrix.
 
-    Returns solve(f, mean): the field u with tr(Tbar H(u)) = f - mean(f) and
+    Since tr(T H(u)) = t tr((T/t) H(u)), the map f -> solve(f / t) with
+    solve = frozen_hessian_inverse(Tbar, grid) preconditions u -> tr(T H(u))
+    (Concus and Golub, 1973), exactly whenever T is a scalar field times a
+    constant matrix.  Each plane of T/t is formed and reduced alone, so only
+    1/t outlives the call.
+    """
+    if isinstance(T, HermitianPlanes):
+        inv_t = 1.0 / (T.h00 + T.h11)
+        return inv_t, HermitianPlanes(*(np.mean(p * inv_t) for p in T)).matrix()
+    inv_t = 1.0 / np.einsum("...ii->...", T).real
+    return inv_t, np.tensordot(inv_t, T, axes=inv_t.ndim) / inv_t.size
+
+
+def frozen_hessian_inverse(T, grid):
+    """Exact torus inverse of u -> tr(T H(u)) for one constant Hermitian
+    positive definite (n, n) T, through the symbol of hessian_symbol.  Both
+    Newton solves pass the Tbar of trace_scaling, the mean of their
+    coefficient over its trace, and divide by the trace before the solve.
+
+    Returns solve(f, mean): the field u with tr(T H(u)) = f - mean(f) and
     mean(u) = mean.  The zero mode of f is dropped; the caller sets the zero
     mode of u.  Each call is one rfftn, a division by the symbol and one
     irfftn.
     """
-    if isinstance(T, HermitianPlanes):
-        T = HermitianPlanes(*(np.mean(p) for p in T)).matrix()
-    else:
-        T = np.mean(T, axis=tuple(range(np.ndim(T) - 2)))
     shape = grid.shape
     axes = tuple(range(len(shape)))
     symbol = hessian_symbol(T, grid)

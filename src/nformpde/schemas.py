@@ -51,7 +51,7 @@ DESCRIPTOR_SCHEMA = {
 COMPARISON_REPORT_SCHEMA = {
     "type": "object",
     "required": ["s", "k", "mass", "epsilon", "max_phi", "location", "pass",
-                 "mass_error", "residuals"],
+                 "mass_error", "line_search_trials", "clamp_history", "residuals"],
     "properties": {
         "s": _NUMBER_OR_NULL,
         "k": {"type": ["integer", "null"]},
@@ -64,6 +64,9 @@ COMPARISON_REPORT_SCHEMA = {
         "argmax_in_sublevel": {"type": ["boolean", "null"]},
         "quantiles": {"type": ["object", "null"]},
         "mass_error": _NUMBER_OR_NULL,
+        "line_search_trials": {"type": ["array", "null"],
+                               "items": {"type": "integer", "minimum": 1}},
+        "clamp_history": {"type": ["array", "null"], "items": {"type": "integer", "minimum": 0}},
         "residuals": {
             "type": "object",
             "additionalProperties": False,
@@ -128,7 +131,7 @@ POINTWISE_REPORT_SCHEMA = {
 SOLVE_META_SCHEMA = {
     "type": "object",
     "required": ["grid", "b", "sup_norm", "residual_sup", "iterations",
-                 "krylov_iterations", "l1_bound", "field_file"],
+                 "krylov_iterations", "line_search_trials", "l1_bound", "field_file"],
     "properties": {
         "grid": {"type": "object"},
         "b": {"type": "number"},
@@ -136,6 +139,7 @@ SOLVE_META_SCHEMA = {
         "residual_sup": {"type": "number"},
         "iterations": {"type": "integer"},
         "krylov_iterations": {"type": "array", "items": {"type": "integer", "minimum": 1}},
+        "line_search_trials": {"type": "array", "items": {"type": "integer", "minimum": 1}},
         "l1_bound": {
             "type": "object",
             "required": ["c_prime", "laplacian_margin", "rescaled_trace_min", "l1", "passed"],

@@ -9,10 +9,13 @@ the trace reversal of the linearization coefficients, so each Newton step
 solves an elliptic variable-coefficient problem; the constant mode is fixed
 by a zero-mean constraint and b absorbs the compatibility defect (bordered
 system, matrix-free Krylov).  T is positive definite, so the operator is
-uniformly elliptic; frozen at its grid mean it has constant coefficients,
-np.fft diagonalizes it on the torus, and its exact inverse
-(grid.frozen_hessian_inverse, which the chart solve of auxiliary also
-uses) preconditions the Krylov solve.
+uniformly elliptic, and with t = tr T it is t tr((T/t) H(.)).  The Krylov
+solve is preconditioned by the trace-scaled frozen inverse: divide by t,
+then apply the exact torus inverse of tr(Tbar H(.)), Tbar the grid mean of
+T/t, whose constant coefficients np.fft diagonalizes
+(grid.trace_scaling and grid.frozen_hessian_inverse, which the chart
+solve of auxiliary also uses).  It is exact when T is a scalar field
+times a constant matrix.
 
 g and g_h enter once, when a PrimaryProblem is built: it checks each
 (hermlin.checked_metric, once when g_h is g) and holds what the check
@@ -160,9 +163,11 @@ def _newton_step(problem, coeff, r, krylov_rtol):
     """Solve the bordered system tr(coeff H(dphi)) - db = -r, mean(dphi) = 0.
 
     The preconditioner is the exact inverse of the bordered system with
-    coeff frozen at its grid mean Tbar: db = -mean(top), the mean of dphi
-    is the bordered entry, and the mean-free part of top goes through the
-    torus inverse of tr(Tbar H(.)) (grid.frozen_hessian_inverse).
+    coeff replaced by t Tbar, t = tr coeff and Tbar the grid mean of
+    coeff / t (grid.trace_scaling): db = -mean(top / t) / mean(1 / t), so
+    that (top + db) / t has zero mean, the mean of dphi is the bordered
+    entry, and dphi is the torus inverse of tr(Tbar H(.)) applied to
+    (top + db) / t (grid.frozen_hessian_inverse).
 
     Returns ((dphi, db), info, matvecs) with info the lgmres exit flag and
     matvecs the number of operator applications.
@@ -181,19 +186,22 @@ def _newton_step(problem, coeff, r, krylov_rtol):
         bottom = np.array([dphi.mean()])
         return np.concatenate([top.reshape(-1), bottom])
 
-    frozen = gridmod.frozen_hessian_inverse(coeff, g)
+    inv_t, tbar = gridmod.trace_scaling(coeff)
+    frozen = gridmod.frozen_hessian_inverse(tbar, g)
+    mean_inv_t = float(np.mean(inv_t))
 
     def precond(u):
         top = u[:m].reshape(shape)
-        dphi = frozen(top, u[m])
-        return np.concatenate([dphi.reshape(-1), np.array([-top.mean()])])
+        db = -float(np.mean(top * inv_t)) / mean_inv_t
+        dphi = frozen((top + db) * inv_t, u[m])
+        return np.concatenate([dphi.reshape(-1), np.array([db])])
 
     op = LinearOperator((m + 1, m + 1), matvec=matvec, dtype=float)
     M = LinearOperator((m + 1, m + 1), matvec=precond, dtype=float)
     rhs = np.concatenate([(-r).reshape(-1), np.array([0.0])])
-    # start from the frozen-coefficient solution: exact for constant coeff,
-    # and the first matvec then measures a residual instead of applying the
-    # operator to zero
+    # start from the preconditioned right-hand side: exact when coeff / t is
+    # constant, and the first matvec then measures a residual instead of
+    # applying the operator to zero
     sol, info = lgmres(op, rhs, x0=precond(rhs), M=M, rtol=krylov_rtol, atol=0.0,
                        maxiter=400)
     dphi = sol[:m].reshape(shape)

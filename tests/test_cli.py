@@ -89,6 +89,7 @@ def test_solve_zero_forcing_flat_artifacts(tmp_path):
     assert meta["l1_bound"]["passed"]
     assert meta["l1_bound"]["c_prime"] == pytest.approx(2.0, abs=1e-12)
     assert meta["iterations"] == 0 and meta["krylov_iterations"] == []
+    assert meta["line_search_trials"] == []
     phi = np.fromfile(out / "phi.bin", dtype="<f8")
     assert phi.size == 12**4
     assert np.abs(phi).max() <= 1e-12
@@ -112,9 +113,11 @@ def test_solve_gaussian_deterministic(tmp_path):
     meta = json.loads(read(a / "solve_meta.json"))
     assert meta["sup_norm"] > 1e-3
     assert meta["residual_sup"] <= 1e-9
-    # one operator-application count per Newton step
+    # one operator-application count and one line-search trial count per Newton step
     assert len(meta["krylov_iterations"]) == meta["iterations"] > 0
     assert all(count >= 1 for count in meta["krylov_iterations"])
+    assert len(meta["line_search_trials"]) == meta["iterations"]
+    assert all(count >= 1 for count in meta["line_search_trials"])
 
 
 def test_usage_errors_exit_two(tmp_path, capsys):
@@ -216,9 +219,11 @@ def test_usage_errors_exit_two(tmp_path, capsys):
         assert main([command, "--config", config, "--out", str(tmp_path / "o")]) == EXIT_USAGE
         assert "descriptor error: forcing.params.center" in capsys.readouterr().err
     # a side L whose cell volume h^4 or stencil factor 1/h^2 at N = 16
-    # overflows, underflows or divides by zero, and a size field above its
-    # bound, are refused before anything is allocated
+    # overflows, underflows or divides by zero, a grid of 2**31 points or
+    # more, and a size field above its bound, are refused before anything is
+    # allocated
     for command, fields, name in (
+            ("solve", {"grid": {"N": 100000}}, "grid.N"),
             ("solve", {"grid": {"L": 1e100}}, "grid.L"),
             ("solve", {"grid": {"L": 1e-300}}, "grid.L"),
             ("localize", {"grid": {"L": 1e-150}}, "grid.L"),
@@ -390,9 +395,14 @@ def test_localize_round_trip(tmp_path, monkeypatch):
     cell = payload["reports"][0]
     assert cell["pass"] and cell["error"] is None
     assert cell["max_phi"] <= cell["tolerance"]
-    # one matvec count per chart Newton step
+    # one matvec and one line-search trial count per chart Newton step, and
+    # one clamped-point count per step and at convergence
     residuals = cell["residuals"]
     assert len(residuals["krylov_iterations"]) == residuals["iterations"] > 0
+    assert len(cell["line_search_trials"]) == residuals["iterations"]
+    assert all(count >= 1 for count in cell["line_search_trials"])
+    assert len(cell["clamp_history"]) == residuals["iterations"] + 1
+    assert cell["clamp_history"][-1] == 0
     lines = read(out / "comparisons.csv").decode().strip().splitlines()
     assert lines[0] == "s,k,mass,epsilon,max_phi,tolerance,pass"
     assert len(lines) == 2

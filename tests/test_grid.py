@@ -52,6 +52,15 @@ def test_grid_basic_properties():
         TorusGrid(n=0, N=16, L=1.0)
 
 
+@pytest.mark.parametrize("n, largest", [(2, 215), (3, 35), (5, 8)])
+def test_grid_refuses_2_to_the_31_points(n, largest):
+    # neighbour_table's flat indices are int32: one more point per axis
+    # would wrap them, so the grid is refused before anything is allocated
+    assert TorusGrid(n=n, N=largest, L=1.0).num_points < 2**31
+    with pytest.raises(ValueError, match=r"fewer than 2\*\*31.*int32"):
+        TorusGrid(n=n, N=largest + 1, L=1.0)
+
+
 def test_distance_sq_fold():
     grid = TorusGrid(n=1, N=16, L=1.0)
     d2f = grid.distance_sq((0, 0))

@@ -423,10 +423,10 @@ def test_damped_newton_line_search_stalls_below_min_step(trial_sup):
 STEP_GRID = TorusGrid(n=2, N=8, L=1.0)
 
 
-def step_problem():
-    g = identity_metric(STEP_GRID)
-    return PrimaryProblem(spec=monge_ampere(2), g=g, g_h=g, F=np.zeros(STEP_GRID.shape),
-                          grid=STEP_GRID)
+def step_problem(grid=STEP_GRID):
+    g = identity_metric(grid)
+    return PrimaryProblem(spec=monge_ampere(grid.n), g=g, g_h=g, F=np.zeros(grid.shape),
+                          grid=grid)
 
 
 def random_hermitian(shape, rng):
@@ -434,9 +434,17 @@ def random_hermitian(shape, rng):
     return 0.5 * (A + np.conj(np.swapaxes(A, -1, -2)))
 
 
-def bordered_residual(coeff, r, step):
+def scalar_multiple_coefficients(grid, rng):
+    """c(x) T0: c = exp(0.5 normal) and T0 random positive definite, a complex field."""
+    n = grid.n
+    A = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    T0 = A @ A.conj().T + 0.1 * np.eye(n)
+    return np.exp(0.5 * rng.normal(size=grid.shape))[..., None, None] * T0
+
+
+def bordered_residual(coeff, r, step, grid=STEP_GRID):
     dphi, db = step
-    top = apply_trace_reversed_hessian(coeff, dphi, STEP_GRID) - db + r
+    top = apply_trace_reversed_hessian(coeff, dphi, grid) - db + r
     residual = np.concatenate([top.reshape(-1), [dphi.mean()]])
     return float(np.linalg.norm(residual) / np.linalg.norm(r))
 
@@ -454,6 +462,31 @@ def test_newton_step_constant_coefficients_is_one_preconditioner_solve(seed, rto
     assert info == 0 and matvecs <= 2
     assert bordered_residual(coeff, r, step) <= 1e-11
     assert step[0].mean() == pytest.approx(0.0, abs=1e-15)
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), rtol=st.sampled_from([1e-10, 1e-6, 1e-2]))
+def test_newton_step_scalar_multiple_coefficients_is_one_preconditioner_solve(seed, rtol):
+    # tr(c T0 H(u)) = c tr(T0 H(u)): the trace-scaled preconditioner is its
+    # exact inverse, however much the scalar c varies
+    rng = np.random.default_rng(seed)
+    coeff = checked_planes(scalar_multiple_coefficients(STEP_GRID, rng), "coefficient")
+    r = rng.normal(size=STEP_GRID.shape)
+    step, info, matvecs = _newton_step(step_problem(), coeff, r, rtol)
+    assert info == 0 and matvecs <= 2
+    assert bordered_residual(coeff, r, step) <= 1e-11
+    assert step[0].mean() == pytest.approx(0.0, abs=1e-15)
+
+
+def test_newton_step_scalar_multiple_coefficients_is_exact_at_n3():
+    # the complex-field path: t is the real trace of the (..., 3, 3) coefficient
+    grid = TorusGrid(n=3, N=8, L=1.0)
+    rng = np.random.default_rng(3)
+    coeff = scalar_multiple_coefficients(grid, rng)
+    r = rng.normal(size=grid.shape)
+    step, info, matvecs = _newton_step(step_problem(grid), coeff, r, 1e-6)
+    assert info == 0 and matvecs <= 2
+    assert bordered_residual(coeff, r, step, grid) <= 1e-11
 
 
 @settings(max_examples=15, deadline=None)
