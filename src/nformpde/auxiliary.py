@@ -11,6 +11,7 @@ smoothing indices.
 """
 
 import itertools
+import time
 from dataclasses import dataclass
 from functools import reduce
 
@@ -105,7 +106,9 @@ def build_chart(phi, g, g_h, grid):
     """Cut the largest admissible coordinate ball around the argmin of phi.
 
     g and g_h come checked, as a PrimaryProblem's metric and reference_metric
-    (planes run the closed forms, complex fields eigvalsh).  The center is
+    (planes run the closed forms, complex fields eigvalsh).  The chart masks
+    them, so a constant metric's 0-d planes are broadcast to grid.shape
+    first, as views with no copy.  The center is
     the grid argmin of phi (lowest flat index on ties).  The radius r0 is
     the largest multiple of h, at most L/4, such that the eigenvalues of g
     lie in [1/2, 2] on the open ball of radius 2*r0.
@@ -125,6 +128,9 @@ def build_chart(phi, g, g_h, grid):
     dist_sq = grid.distance_sq(center)
 
     planes = isinstance(g, HermitianPlanes)
+    if planes:
+        g, g_h = (HermitianPlanes(*(np.broadcast_to(p, grid.shape) for p in m))
+                  for m in (g, g_h))
     eigs = _eigs_2x2(*g)[0] if planes else np.linalg.eigvalsh(g)
     emin, emax = eigs[..., 0], eigs[..., -1]
     jmax = min(grid.N // 4, int(np.floor(grid.L / 4.0 / grid.h + 1e-12)))
@@ -474,7 +480,8 @@ _UNMEASURED = ("mass", "epsilon", "max_phi", "location", "tolerance", "argmax_in
                "quantiles", "mass_error", "line_search_trials", "clamp_history")
 
 
-def run_localization(solution, problem, s_fractions, k_list, c_disc, entropy_exponent):
+def run_localization(solution, problem, s_fractions, k_list, c_disc, entropy_exponent,
+                     phases=None):
     """Run the full comparison loop on a solved primary instance.
 
     Builds the chart at the argmin of the solved potential, then for every
@@ -485,17 +492,23 @@ def run_localization(solution, problem, s_fractions, k_list, c_disc, entropy_exp
     and the chart solve's mass error, residual and iteration counts, line
     search trials and clamped points per step (clamp_history).  A
     cell that fails holds its (s, k) and ``error``, ``pass`` false and null
-    figures; a chart failure aborts the whole run.
+    figures; a chart failure aborts the whole run.  When a list phases is
+    given, the wall time of the chart and of each cell (time.perf_counter)
+    is appended to it, as the trace.json phases of cli.
     """
     grid = problem.grid
     n = grid.n
+    phases = [] if phases is None else phases
+    started = time.perf_counter()
     chart = build_chart(solution.phi, problem.metric, problem.reference_metric, grid)
+    phases.append({"name": "chart", "seconds": time.perf_counter() - started})
     entropy = entropy_norm(problem.F, problem.metric, grid, entropy_exponent)
 
     cells = []
     for fraction in s_fractions:
         s = fraction * chart.depth_cap
         for k in k_list:
+            started = time.perf_counter()
             try:
                 w = tilted_potential(solution.phi, chart, s)
                 density, mass = _hinge_density(w, problem.F, k, chart)
@@ -514,6 +527,8 @@ def run_localization(solution, problem, s_fractions, k_list, c_disc, entropy_exp
                 cell.update({"pass": False, "error": str(exc), "residuals": dict.fromkeys(
                     ("solver_sup", "iterations", "krylov_iterations"))})
             cells.append({"s": s, "k": k, **cell})
+            phases.append({"name": "cell", "s": s, "k": k,
+                           "seconds": time.perf_counter() - started})
 
     return {
         "depth": float(-solution.phi.min()),

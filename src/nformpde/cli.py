@@ -3,7 +3,9 @@
 Every subcommand reads a JSON experiment descriptor, writes machine-readable
 artifacts into the output directory, and returns a conventional exit code:
 0 pass, 1 check failure, 2 usage or descriptor error, 3 solver failure.
-Outputs carry no timestamps so a fixed seed reproduces them byte for byte.
+Outputs carry no timestamps so a fixed seed reproduces them byte for byte;
+the wall times of solve, localize and sweep and of their phases, measured
+with time.perf_counter, go to a separate trace.json.
 Importing it loads neither scipy.optimize nor scipy.integrate: the few
 functions that need them import them when called.
 """
@@ -15,6 +17,7 @@ import json
 import math
 import os
 import sys
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -60,6 +63,18 @@ def _write_artifact(out_dir, name, payload):
     schemas.validate(payload, schema)
     _write_json(os.path.join(out_dir, name), payload)
     return verdict(payload)
+
+
+def _phase(name, started):
+    """A trace.json phase: its name and wall time since started."""
+    return {"name": name, "seconds": time.perf_counter() - started}
+
+
+def _write_trace(out_dir, command, started, phases):
+    """trace.json (schemas.TRACE_SCHEMA): the command's wall time since
+    started and its phases', apart from the reproducible artifacts."""
+    _write_json(os.path.join(out_dir, "trace.json"),
+                {"command": command, "wall_s": time.perf_counter() - started, "phases": phases})
 
 
 def _write_csv(path, header, rows):
@@ -124,16 +139,21 @@ def _build_problem(descriptor, forcing_params=None):
                           max_iterations=descriptor.tolerances["max_iterations"])
 
 
-def _solve_artifacts(problem, out_dir, descriptor):
-    """Solve and write phi.bin, solve_meta.json and residuals.csv.
+def _solve_artifacts(problem, out_dir, descriptor, phases):
+    """Solve and write phi.bin, solve_meta.json and residuals.csv, appending
+    the solve and L1 check phases that completed to phases.
 
     Returns (solution, whether the L1 bound check passed), or None after
     writing solve_error.json when the solve raises any NFormError.
     """
     try:
+        started = time.perf_counter()
         solution = solve_primary(problem)
+        phases.append(_phase("solve", started))
+        started = time.perf_counter()
         bound = l1_bound_check(solution.phi, problem.metric, problem.reference_metric,
                                problem.grid, g_inv=problem.g_inv)
+        phases.append(_phase("l1_check", started))
     except NFormError as exc:
         _write_json(os.path.join(out_dir, "solve_error.json"), {
             "error": str(exc),
@@ -162,16 +182,21 @@ def _solve_artifacts(problem, out_dir, descriptor):
     return solution, passed
 
 
-def cmd_solve(descriptor, out_dir):
-    result = _solve_artifacts(_build_problem(descriptor), out_dir, descriptor)
+def cmd_solve(descriptor, out_dir, phases=None):
+    """The solve subcommand; its phases go to the list phases when given."""
+    phases = [] if phases is None else phases
+    result = _solve_artifacts(_build_problem(descriptor), out_dir, descriptor, phases)
     if result is None:
         return EXIT_SOLVER
     return EXIT_PASS if result[1] else EXIT_CHECK_FAILURE
 
 
-def cmd_localize(descriptor, out_dir):
+def cmd_localize(descriptor, out_dir, phases=None):
+    """The localize subcommand; its phases (the solve's, the chart's and one
+    per (s, k) cell) go to the list phases when given."""
+    phases = [] if phases is None else phases
     problem = _build_problem(descriptor)
-    result = _solve_artifacts(problem, out_dir, descriptor)
+    result = _solve_artifacts(problem, out_dir, descriptor, phases)
     if result is None:
         return EXIT_SOLVER
     solution = result[0]
@@ -182,6 +207,7 @@ def cmd_localize(descriptor, out_dir):
             k_list=descriptor.k_list,
             c_disc=descriptor.tolerances["c_disc"],
             entropy_exponent=descriptor.entropy_exponent_or_default(problem.grid.n),
+            phases=phases,
         )
     except NFormError as exc:
         _write_json(os.path.join(out_dir, "localize_error.json"), {"error": str(exc)})
@@ -250,7 +276,10 @@ def _sweep_member(problem, parameter, p, target):
     }
 
 
-def cmd_sweep(descriptor, out_dir, workers=1):
+def cmd_sweep(descriptor, out_dir, workers=1, phases=None):
+    """The sweep subcommand; one phase per member goes to the list phases
+    when given, in member order whatever the workers."""
+    phases = [] if phases is None else phases
     concentrations = descriptor.concentrations
     # every member's forcing must read the swept sigma and accept its value
     for value in concentrations:
@@ -270,16 +299,21 @@ def cmd_sweep(descriptor, out_dir, workers=1):
             raise InconsistentInputError("entropy of the first sweep member is not finite "
                                          "on the grid")
 
+    seconds = [None] * len(concentrations)
+
     def member(index):
+        started = time.perf_counter()
         value = concentrations[index]
         problem, problems[index] = problems[index], None
         try:
             if problem is None:
                 problem = _build_problem(descriptor, {"sigma": value})
-            return _sweep_member(problem, value, p, target)
+            row = _sweep_member(problem, value, p, target)
         except NFormError as exc:
-            return dict(dict.fromkeys(_SWEEP_COLUMNS), parameter=float(value),
-                        converged=False, error=str(exc))
+            row = dict(dict.fromkeys(_SWEEP_COLUMNS), parameter=float(value),
+                       converged=False, error=str(exc))
+        seconds[index] = time.perf_counter() - started
+        return row
 
     indices = range(len(concentrations))
     if workers > 1:
@@ -287,6 +321,8 @@ def cmd_sweep(descriptor, out_dir, workers=1):
             rows = list(pool.map(member, indices))
     else:
         rows = [member(index) for index in indices]
+    phases.extend({"name": "member", "parameter": row["parameter"], "seconds": t}
+                  for row, t in zip(rows, seconds))
 
     sup_norms = [row["sup_norm"] for row in rows if row["converged"]]
     ratio = None
@@ -416,21 +452,25 @@ def main(argv=None):
         os.makedirs(args.out, exist_ok=True)
     except OSError as exc:
         parser.error("--out must name a directory: %s (%s)" % (args.out, exc.strerror))
+    started, phases = time.perf_counter(), []
     try:
         if args.command == "check-pointwise":
             return cmd_check_pointwise(descriptor, args.out)
         if args.command == "solve":
-            return cmd_solve(descriptor, args.out)
-        if args.command == "localize":
-            return cmd_localize(descriptor, args.out)
-        return cmd_sweep(descriptor, args.out, workers=args.workers)
+            code = cmd_solve(descriptor, args.out, phases)
+        elif args.command == "localize":
+            code = cmd_localize(descriptor, args.out, phases)
+        else:
+            code = cmd_sweep(descriptor, args.out, workers=args.workers, phases=phases)
     except InconsistentInputError as exc:
         # three descriptor errors show only after the descriptor is built: a
         # sweep sigma the forcing rejects, a forcing that overflows on the grid
         # and a sweep entropy target that does; every solve-time error is
-        # mapped inside the commands
+        # mapped inside the commands, and nothing is written
         print("descriptor error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
+    _write_trace(args.out, args.command, started, phases)
+    return code
 
 
 if __name__ == "__main__":

@@ -445,7 +445,7 @@ def volume_density(g):
     the closed form g_00 g_11 - |g_01|^2, np.linalg.det of a complex field."""
     if not isinstance(g, HermitianPlanes):
         return np.linalg.det(g).real
-    return g.h00 * g.h11 - (g.re01**2 + g.im01**2)
+    return g.h00 * g.h11 - (g.re01 * g.re01 + g.im01 * g.im01)
 
 
 def integrate(field, density, grid):

@@ -21,7 +21,9 @@ over grid.volume_density).  Complex fields in run the general path
 included, which checks its inputs on every call and is the reference the
 closed forms are tested against.  A metric enters the program once,
 through checked_metric: finite, Hermitian and positive definite, and read
-as planes at n = 2.
+as planes at n = 2; an n = 2 metric that is one matrix at every point, bit
+for bit, enters as four 0-d planes, which every closed form broadcasts, so
+a constant metric is four numbers and not four fields.
 
 All functions broadcast over leading batch axes; matrices live on the last
 two axes.  Matrix-valued tensors with upper indices (the linearization, its
@@ -120,17 +122,22 @@ def _schur_2x2(g, name="metric"):
     """g11 - |g01|^2 / g00 of planes g; MetricDegeneracyError unless it and
     g00 are positive, that is unless g is positive definite."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        schur = g.h11 - (g.re01**2 + g.im01**2) / g.h00
+        schur = g.h11 - (g.re01 * g.re01 + g.im01 * g.im01) / g.h00
     if not (np.all(g.h00 > 0.0) and np.all(schur > 0.0)):
         raise MetricDegeneracyError(f"{name} is not positive definite")
     return schur
 
 
 def checked_metric(a, name="metric"):
-    """A metric as it enters the program: planes (views of a) at n = 2, the
-    complex field otherwise.  MetricDegeneracyError naming it if it is not
-    finite, not Hermitian to 1e-12 or not positive definite (at n = 2 the
-    Schur test of the closed form, otherwise cholesky_pd)."""
+    """A metric as it enters the program: planes at n = 2, the complex field
+    otherwise.  MetricDegeneracyError naming it if it is not finite, not
+    Hermitian to 1e-12 or not positive definite (at n = 2 the Schur test of
+    the closed form, otherwise cholesky_pd), each checked on the whole field.
+
+    The planes are views of a, except that a field whose planes each hold
+    one value bit for bit at every point (a +0.0 and a -0.0 differ) gives
+    four 0-d planes: every closed form broadcasts them and computes the
+    bytes of the full planes, so a constant metric is never streamed."""
     a = _as_matrix(a, name)
     if not np.all(np.isfinite(a)):
         raise MetricDegeneracyError(f"{name} is not finite")
@@ -139,6 +146,9 @@ def checked_metric(a, name="metric"):
         return a
     planes = checked_planes(a, name)
     _schur_2x2(planes, name)
+    if planes.h00.size and all(np.all(bits == bits.flat[0])
+                               for bits in (p.view(np.int64) for p in planes)):
+        return HermitianPlanes(*(np.array(p.flat[0]) for p in planes))
     return planes
 
 
@@ -185,7 +195,10 @@ def _reduce_pencil_2x2(g, gt):
     m00 = a * a * h00
     m01r = a * (h00 * cr + d * gt.re01)
     m01i = a * (d * gt.im01 - h00 * ci)
-    m11 = (cr**2 + ci**2) * h00 + 2.0 * d * (cr * gt.re01 - ci * gt.im01) + d * d * gt.h11
+    # x * x, not x**2: from a constant metric's 0-d planes cr and ci are
+    # numpy scalars, whose ** is libm pow and may round otherwise than the
+    # np.square of an array (as it may in _schur_2x2 and volume_density)
+    m11 = (cr * cr + ci * ci) * h00 + 2.0 * d * (cr * gt.re01 - ci * gt.im01) + d * d * gt.h11
     return (a, cr, ci, d), (m00, m11, m01r, m01i)
 
 
@@ -243,7 +256,7 @@ def linearization(spec, g, gt):
     p00, p11 = s + kd, s - kd
     p01r, p01i = k * m01r, k * m01i
     return HermitianPlanes(
-        a * a * p00 + 2.0 * a * (p01r * cr - p01i * ci) + (cr**2 + ci**2) * p11,
+        a * a * p00 + 2.0 * a * (p01r * cr - p01i * ci) + (cr * cr + ci * ci) * p11,
         d * d * p11,
         d * (a * p01r + cr * p11),
         d * (a * p01i - ci * p11),

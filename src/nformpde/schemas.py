@@ -181,6 +181,34 @@ SWEEP_REPORT_SCHEMA = {
     },
 }
 
+# trace.json of solve, localize and sweep: wall times (time.perf_counter),
+# which no other artifact holds; a cell phase carries its (s, k), a member
+# phase its parameter
+TRACE_SCHEMA = {
+    "type": "object",
+    "required": ["command", "wall_s", "phases"],
+    "additionalProperties": False,
+    "properties": {
+        "command": {"enum": ["solve", "localize", "sweep"]},
+        "wall_s": {"type": "number", "minimum": 0},
+        "phases": {
+            "type": "array",
+            "items": {
+                "type": "object",
+                "required": ["name", "seconds"],
+                "additionalProperties": False,
+                "properties": {
+                    "name": {"enum": ["solve", "l1_check", "chart", "cell", "member"]},
+                    "seconds": {"type": "number", "minimum": 0},
+                    "s": {"type": "number"},
+                    "k": {"type": "integer"},
+                    "parameter": {"type": "number"},
+                },
+            },
+        },
+    },
+}
+
 REPORT_SUMMARY_SCHEMA = {
     "type": "object",
     "required": ["artifacts", "all_passed"],

@@ -22,7 +22,10 @@ g and g_h enter once, when a PrimaryProblem is built: it checks each
 returns, with g^-1.  For n = 2 these are grid.HermitianPlanes, so the
 twisted metric, the linearization, its trace reversal (the Newton
 coefficients) and the matvec's tr(T H) take the closed forms on planes,
-with no further check.
+with no further check.  A metric that is one matrix at every point comes
+as four 0-d planes, and its g^-1 as four numbers, which the closed forms
+broadcast: the pencil of every Newton step reads four numbers, not four
+fields.
 
 damped_newton runs both Newton solves, this one and the chart solve of
 auxiliary, and reports what each did as a NewtonRecord, which both
@@ -47,7 +50,8 @@ MIN_STEP = 2.0**-20
 @dataclass
 class PrimaryProblem:
     """Operator, background metrics, forcing, and grid for one instance;
-    metric, reference_metric and g_inv are g, g_h and g^-1 as checked.  A
+    metric, reference_metric and g_inv are g, g_h and g^-1 as checked (at
+    n = 2 planes, 0-d for a constant metric: hermlin.checked_metric).  A
     non-finite F or tolerance and a negative or non-integer max_iterations
     raise ValueError."""
 
@@ -78,8 +82,9 @@ class PrimaryProblem:
             raise ValueError("max_iterations must be a non-negative integer")
         self.metric = hermlin.checked_metric(self.g, "metric")
         if isinstance(self.metric, gridmod.HermitianPlanes):
-            # copied contiguous, as the pencil reads g several times a call;
-            # g_h's planes stay views, which each twisted metric reads once
+            # copied contiguous, as the pencil reads g several times a call
+            # (a constant g's 0-d planes stay 0-d); g_h's planes stay views,
+            # which each twisted metric reads once
             self.metric = gridmod.HermitianPlanes(*(p.copy() for p in self.metric))
         self.reference_metric = (self.metric if self.g_h is self.g
                                  else hermlin.checked_metric(self.g_h, "reference metric"))

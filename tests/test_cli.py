@@ -484,6 +484,39 @@ def test_sweep_workers_parity(tmp_path):
     assert read(a / "sweep.csv") == read(b / "sweep.csv")
 
 
+def test_trace_holds_the_phase_wall_times(tmp_path):
+    # solve, localize and sweep write trace.json beside their artifacts, with
+    # the wall time of the command and of each phase; no other artifact does
+    config = write_config(
+        tmp_path / "desc.json",
+        grid={"n": 2, "N": 16, "L": 1.0},
+        forcing={"name": "gaussian", "params": {"amplitude": 0.4, "sigma": 0.18}},
+        s_fractions=[0.5],
+        k_list=[10, 20],
+        concentrations=[0.18, 0.16],
+        seed=3,
+    )
+    expected = {"solve": ["solve", "l1_check"],
+                "localize": ["solve", "l1_check", "chart", "cell", "cell"],
+                "sweep": ["member", "member"]}
+    for command, names in expected.items():
+        out = tmp_path / command
+        argv = [command, "--config", config, "--out", str(out)]
+        assert main(argv + (["--grid", "8"] if command == "sweep" else [])) == EXIT_PASS
+        trace = schemas.validate(json.loads(read(out / "trace.json")), schemas.TRACE_SCHEMA)
+        assert trace["command"] == command
+        assert [phase["name"] for phase in trace["phases"]] == names
+        assert sum(phase["seconds"] for phase in trace["phases"]) <= trace["wall_s"]
+        for name in os.listdir(out):
+            if name != "trace.json":
+                assert b"seconds" not in read(out / name) and b"wall_s" not in read(out / name)
+    cells = json.loads(read(tmp_path / "localize" / "localization.json"))["reports"]
+    assert [(p["s"], p["k"]) for p in json.loads(read(tmp_path / "localize" / "trace.json"))[
+        "phases"][3:]] == [(cell["s"], cell["k"]) for cell in cells]
+    assert [p["parameter"] for p in json.loads(read(tmp_path / "sweep" / "trace.json"))[
+        "phases"]] == [0.18, 0.16]
+
+
 def sweep_config(path, **overrides):
     return write_config(
         path,

@@ -199,6 +199,6 @@ def test_every_schema_and_rule_is_a_valid_schema():
     published = [value for name, value in vars(schemas).items() if name.endswith("_SCHEMA")]
     tables = (descriptors._OPERATORS, descriptors._BACKGROUNDS, descriptors._FORCINGS)
     rules = [rule for table in tables for _, rule in table.values()]
-    assert len(published) == 7 and len(rules) == 11
+    assert len(published) == 8 and len(rules) == 11
     for schema in published + rules:
         schemas.Validator.check_schema(schema)

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nformpde.errors import MetricDegeneracyError
@@ -10,14 +10,17 @@ from nformpde.grid import (
     HermitianPlanes,
     TorusGrid,
     complex_hessian,
+    hermitian_inverse,
     hermitian_planes,
     hermitian_trace,
     laplacian,
     twisted_from_hessian,
+    volume_density,
 )
 from nformpde.hermlin import (
     CHAIN_SLACK_TOL,
     DET_SLACK_TOL,
+    checked_metric,
     checked_planes,
     endomorphism_eigs,
     g_orthonormal_eigenframe,
@@ -28,6 +31,7 @@ from nformpde.hermlin import (
     random_admissible_parts,
 )
 from nformpde.symfun import hessian, monge_ampere, p_monge_ampere
+from test_grid import differing_bytes
 
 
 def test_endomorphism_eigs_example():
@@ -331,3 +335,103 @@ def test_closed_form_raises_as_general_path_on_non_hermitian_twisted_metric(seed
     for call in (lambda: endomorphism_eigs(g, gt), lambda: linearization(spec, g, gt)):
         with pytest.raises(ValueError, match="twisted metric must be Hermitian"):
             call()
+
+
+# ---------------------------------------------------------------------------
+# a constant n = 2 metric enters as four 0-d planes
+
+def _full(planes, shape):
+    """The planes broadcast to shape and copied: the full field of a constant."""
+    return HermitianPlanes(*(np.broadcast_to(p, shape).copy() for p in planes))
+
+
+def _differing_bytes_broadcast(value, full):
+    """differing_bytes of a result computed on 0-d planes, broadcast to the
+    shape of the result computed on full planes, against that result."""
+    if isinstance(full, HermitianPlanes):
+        return sum(_differing_bytes_broadcast(v, f) for v, f in zip(value, full))
+    return differing_bytes(np.broadcast_to(value, full.shape).copy(), full)
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), diagonal=st.booleans(),
+       constant_reference=st.booleans(), spec=st.sampled_from(SPECS_2))
+# seeds with a metric whose 0-d cr ** 2 (libm pow on this numpy) is not cr * cr
+@example(seed=10, diagonal=False, constant_reference=True, spec=SPECS_2[0])
+@example(seed=51, diagonal=False, constant_reference=True, spec=SPECS_2[0])
+def test_constant_metric_planes_give_the_bytes_of_full_planes(seed, diagonal,
+                                                              constant_reference, spec):
+    # many metrics per example: a product of two numbers that rounds
+    # otherwise than the same product of two arrays shows about once in a
+    # thousand operations
+    rng = np.random.default_rng(seed)
+    for _ in range(50):
+        _check_constant_metric_bytes(rng, diagonal, constant_reference, spec)
+
+
+def _check_constant_metric_bytes(rng, diagonal, constant_reference, spec):
+    m = 16
+    g = np.broadcast_to(_metric(rng, 1, diagonal), (m, 2, 2))
+    g_h = (np.broadcast_to(_metric(rng, 1, diagonal), (m, 2, 2)) if constant_reference
+           else _metric(rng, m, diagonal))
+    # small enough that the twisted metric stays near g_h, inside every cone
+    H = hermitian_planes(1e-3 * hermitian_part(rng.normal(size=(m, 2, 2))
+                                               + 1j * rng.normal(size=(m, 2, 2))))
+    metric, reference = checked_metric(g), checked_metric(g_h, "reference metric")
+    assert all(np.ndim(p) == 0 for p in metric)
+    assert all(np.ndim(p) == (0 if constant_reference else 1) for p in reference)
+    full, full_reference = _full(metric, (m,)), _full(reference, (m,))
+    assert differing_bytes(full, HermitianPlanes(*(p.copy() for p in checked_planes(g)))) == 0
+
+    inverse, full_inverse = hermitian_inverse(metric), hermitian_inverse(full)
+    assert _differing_bytes_broadcast(inverse, full_inverse) == 0
+    assert _differing_bytes_broadcast(volume_density(metric), volume_density(full)) == 0
+    assert _differing_bytes_broadcast(hermitian_trace(inverse, reference),
+                                      hermitian_trace(full_inverse, full_reference)) == 0
+    assert differing_bytes(hermitian_trace(inverse, H), hermitian_trace(full_inverse, H)) == 0
+    gt = twisted_from_hessian(H, full, full_reference)
+    for g_inv, full_g_inv in ((None, None), (inverse, full_inverse)):
+        assert differing_bytes(twisted_from_hessian(H, metric, reference, g_inv=g_inv),
+                               gt) == 0
+        assert differing_bytes(twisted_from_hessian(H, full, full_reference,
+                                                    g_inv=full_g_inv), gt) == 0
+    assert differing_bytes(endomorphism_eigs(metric, gt), endomorphism_eigs(full, gt)) == 0
+    G = linearization(spec, full, gt)
+    assert differing_bytes(linearization(spec, metric, gt), G) == 0
+    T = trace_reversal(G, full)
+    assert differing_bytes(trace_reversal(G, metric), T) == 0
+    assert differing_bytes(trace_reversal(G, metric, g_inv=inverse), T) == 0
+    assert differing_bytes(trace_reversal(G, full, g_inv=full_inverse), T) == 0
+
+
+def test_constant_metric_rule_keeps_full_planes_at_its_edges():
+    g = np.broadcast_to(np.array([[2.0, 0.5 - 0.25j], [0.5 + 0.25j, 1.0]]), (6, 2, 2)).copy()
+    assert all(np.ndim(p) == 0 for p in checked_metric(g))
+    # one point off by one unit in the last place
+    g[4, 1, 1] = np.nextafter(1.0, 2.0)
+    assert all(np.shape(p) == (6,) for p in checked_metric(g))
+    # only the sign of one zero differs: the field is not one value bit for bit
+    eye = np.broadcast_to(np.eye(2, dtype=complex), (6, 2, 2)).copy()
+    assert all(np.ndim(p) == 0 for p in checked_metric(eye))
+    for upper in (complex(-0.0, 0.0), complex(0.0, -0.0)):
+        signed = eye.copy()
+        signed[2, 0, 1] = upper
+        planes = checked_metric(signed)
+        assert all(np.shape(p) == (6,) for p in planes)
+        assert np.signbit(planes.re01[2]) or np.signbit(planes.im01[2])
+    # n = 3 is the complex field, constant or not
+    eye3 = np.broadcast_to(np.eye(3, dtype=complex), (6, 3, 3))
+    assert checked_metric(eye3).shape == (6, 3, 3)
+
+
+@pytest.mark.parametrize("matrix, message", [
+    ([[1.0, 2.0], [2.0, 1.0]], "metric is not positive definite"),
+    ([[1.0, 0.0], [0.0, 0.0]], "metric is not positive definite"),
+    ([[1.0, np.nan], [np.nan, 1.0]], "metric is not finite"),
+    ([[1.0, np.inf], [0.0, 1.0]], "metric is not finite"),
+    ([[1.0, 0.5], [0.0, 1.0]], "metric is not Hermitian"),
+])
+def test_constant_bad_metric_raises_as_a_full_one(matrix, message):
+    g = np.broadcast_to(np.asarray(matrix, dtype=complex), (5, 2, 2))
+    with pytest.raises(MetricDegeneracyError, match="^%s$" % message):
+        checked_metric(g)

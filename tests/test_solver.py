@@ -1,5 +1,6 @@
 """Damped Newton solver for the periodic potential-and-constant problem."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -34,6 +35,7 @@ from nformpde.solver import (
     solve_primary,
 )
 from nformpde.symfun import combine, hessian, monge_ampere
+from test_grid import differing_bytes
 
 
 def manufactured_problem(grid, spec=None, b_true=0.3):
@@ -228,6 +230,60 @@ def test_n2_run_never_reaches_the_general_path(monkeypatch):
     assert calls == []
     assert hessians and set(hessians) == {HermitianPlanes}
     assert written and set(written) == {()}
+
+
+def test_identity_metric_problem_holds_four_numbers():
+    # a constant metric enters as 0-d planes, and g^-1 as four numbers, so no
+    # Newton step streams a constant field
+    grid = TorusGrid(n=2, N=8, L=1.0)
+    for shared in (True, False):
+        g = identity_metric(grid)
+        problem = PrimaryProblem(spec=monge_ampere(2), g=g, g_h=g if shared else g.copy(),
+                                 F=np.zeros(grid.shape), grid=grid)
+        for field in (problem.metric, problem.reference_metric, problem.g_inv):
+            assert isinstance(field, HermitianPlanes)
+            assert [np.ndim(p) for p in field] == [0, 0, 0, 0]
+        assert [float(p) for p in problem.g_inv] == [1.0, 1.0, 0.0, 0.0]
+
+
+def _full_planes(planes, grid):
+    return HermitianPlanes(*(np.broadcast_to(p, grid.shape).copy() for p in planes))
+
+
+def test_constant_metric_solve_and_chart_match_full_planes():
+    # the solve and the chart on a constant non-identity metric's 0-d planes
+    # against the same problem with the planes written out at every point
+    grid = TorusGrid(n=2, N=16, L=1.0)
+    spec = monge_ampere(2)
+    ones = np.ones(grid.shape + (1, 1))
+    g = ones * np.array([[1.2, 0.1 + 0.2j], [0.1 - 0.2j, 0.9]])
+    g_h = ones * np.array([[1.0, -0.05j], [0.05j, 1.1]])
+    F = forcing_from_hessian(spec, g, g_h, trig_hessian(grid), b=0.1)
+    constant = PrimaryProblem(spec=spec, g=g, g_h=g_h, F=F, grid=grid)
+    full = PrimaryProblem(spec=spec, g=g, g_h=g_h, F=F, grid=grid)
+    for name in ("metric", "reference_metric", "g_inv"):
+        assert all(np.ndim(p) == 0 for p in getattr(constant, name))
+        setattr(full, name, _full_planes(getattr(full, name), grid))
+    sol, ref = solve_primary(constant), solve_primary(full)
+    assert sol.iterations > 0
+    assert differing_bytes(sol.phi, ref.phi) == 0 and sol.b == ref.b
+    assert NewtonRecord(sol.residual_history, sol.line_search_trials, sol.krylov_iterations) \
+        == NewtonRecord(ref.residual_history, ref.line_search_trials, ref.krylov_iterations)
+    chart = build_chart(sol.phi, constant.metric, constant.reference_metric, grid)
+    ref_chart = build_chart(ref.phi, full.metric, full.reference_metric, grid)
+    assert chart.num_interior > 0
+    for item in dataclasses.fields(chart):
+        a, b = getattr(chart, item.name), getattr(ref_chart, item.name)
+        if item.name == "taps":
+            assert a.keys() == b.keys()
+            assert all(differing_bytes(a[k], b[k]) == 0 for k in a)
+        elif item.name == "extend":
+            assert all(differing_bytes(getattr(a, k), getattr(b, k)) == 0
+                       for k in ("data", "indices", "indptr"))
+        elif isinstance(a, np.ndarray):
+            assert differing_bytes(a, b) == 0, item.name
+        else:
+            assert a == b, item.name
 
 
 def test_solution_satisfies_equation_pointwise():
