@@ -340,7 +340,7 @@ def test_closed_form_raises_as_general_path_on_non_hermitian_twisted_metric(seed
 # ---------------------------------------------------------------------------
 # a constant n = 2 metric enters as four 0-d planes
 
-def _full(planes, shape):
+def full_planes(planes, shape):
     """The planes broadcast to shape and copied: the full field of a constant."""
     return HermitianPlanes(*(np.broadcast_to(p, shape).copy() for p in planes))
 
@@ -361,9 +361,9 @@ def _differing_bytes_broadcast(value, full):
 @example(seed=51, diagonal=False, constant_reference=True, spec=SPECS_2[0])
 def test_constant_metric_planes_give_the_bytes_of_full_planes(seed, diagonal,
                                                               constant_reference, spec):
-    # many metrics per example: a product of two numbers that rounds
-    # otherwise than the same product of two arrays shows about once in a
-    # thousand operations
+    # many metrics per example: a numpy scalar operation that rounds
+    # otherwise than its array form (** is libm pow on a scalar) shows about
+    # once in a thousand operations
     rng = np.random.default_rng(seed)
     for _ in range(50):
         _check_constant_metric_bytes(rng, diagonal, constant_reference, spec)
@@ -380,7 +380,7 @@ def _check_constant_metric_bytes(rng, diagonal, constant_reference, spec):
     metric, reference = checked_metric(g), checked_metric(g_h, "reference metric")
     assert all(np.ndim(p) == 0 for p in metric)
     assert all(np.ndim(p) == (0 if constant_reference else 1) for p in reference)
-    full, full_reference = _full(metric, (m,)), _full(reference, (m,))
+    full, full_reference = full_planes(metric, (m,)), full_planes(reference, (m,))
     assert differing_bytes(full, HermitianPlanes(*(p.copy() for p in checked_planes(g)))) == 0
 
     inverse, full_inverse = hermitian_inverse(metric), hermitian_inverse(full)

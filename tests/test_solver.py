@@ -36,6 +36,7 @@ from nformpde.solver import (
 )
 from nformpde.symfun import combine, hessian, monge_ampere
 from test_grid import differing_bytes
+from test_hermlin import full_planes
 
 
 def manufactured_problem(grid, spec=None, b_true=0.3):
@@ -246,10 +247,6 @@ def test_identity_metric_problem_holds_four_numbers():
         assert [float(p) for p in problem.g_inv] == [1.0, 1.0, 0.0, 0.0]
 
 
-def _full_planes(planes, grid):
-    return HermitianPlanes(*(np.broadcast_to(p, grid.shape).copy() for p in planes))
-
-
 def test_constant_metric_solve_and_chart_match_full_planes():
     # the solve and the chart on a constant non-identity metric's 0-d planes
     # against the same problem with the planes written out at every point
@@ -263,7 +260,7 @@ def test_constant_metric_solve_and_chart_match_full_planes():
     full = PrimaryProblem(spec=spec, g=g, g_h=g_h, F=F, grid=grid)
     for name in ("metric", "reference_metric", "g_inv"):
         assert all(np.ndim(p) == 0 for p in getattr(constant, name))
-        setattr(full, name, _full_planes(getattr(full, name), grid))
+        setattr(full, name, full_planes(getattr(full, name), grid.shape))
     sol, ref = solve_primary(constant), solve_primary(full)
     assert sol.iterations > 0
     assert differing_bytes(sol.phi, ref.phi) == 0 and sol.b == ref.b
