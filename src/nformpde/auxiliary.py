@@ -223,20 +223,25 @@ def smooth_hinge(x, k):
 
 
 def _hinge_density(w, F, k, chart):
-    """smooth_hinge(-w, k) * exp(n F) * det(g) on the chart ball, and its mass."""
+    """smooth_hinge(-w, k) * exp(n F) * det(g) on the chart ball, and its finite mass."""
     grid = chart.grid
     mask = chart.mask
     w = np.asarray(w, dtype=float)
     F = np.asarray(F, dtype=float)
-    density = smooth_hinge(-w[mask], k) * np.exp(grid.n * F[mask]) * chart.vol_density[mask]
-    return density, float(np.sum(density) * grid.cell_volume)
+    with np.errstate(over="ignore"):
+        density = smooth_hinge(-w[mask], k) * np.exp(grid.n * F[mask]) * chart.vol_density[mask]
+        mass = float(np.sum(density) * grid.cell_volume)
+    if not np.isfinite(mass):
+        raise InconsistentInputError("hinge mass is not finite: exp(n F) overflows")
+    return density, mass
 
 
 def hinge_mass(w, F, k, chart):
     """Discrete mass of the smoothed negative part of w over the chart ball.
 
     Integrates smooth_hinge(-w, k) * exp(n F) against the metric volume
-    element; strictly positive since the hinge is bounded below by 1/(2k).
+    element; strictly positive since the hinge is bounded below by 1/(2k),
+    and InconsistentInputError when it is not finite.
     """
     return _hinge_density(w, F, k, chart)[1]
 
@@ -350,8 +355,8 @@ def solve_dirichlet_ma(chart, rhs_density):
     if rhs_density.shape != grid.shape:
         raise InconsistentInputError("rhs density shape does not match the grid")
     rho = rhs_density.ravel()[chart.mask_flat]
-    if rho.min() <= 0.0:
-        raise InconsistentInputError("rhs density must be positive on the chart ball")
+    if not np.all(np.isfinite(rho)) or rho.min() <= 0.0:
+        raise InconsistentInputError("rhs density must be finite and positive on the chart ball")
     mass_defect = abs(float(np.sum(rho) * grid.cell_volume) - 1.0)
     if mass_defect > MASS_TOL:
         raise InconsistentInputError(
@@ -490,11 +495,11 @@ def run_localization(solution, problem, s_fractions, k_list, c_disc, entropy_exp
     Returns the ``localization.json`` object: the chart's figures and one
     cell per (s, k), the ``check_comparison`` verdict with the hinge mass
     and the chart solve's mass error, residual and iteration counts, line
-    search trials and clamped points per step (clamp_history).  A
-    cell that fails holds its (s, k) and ``error``, ``pass`` false and null
-    figures; a chart failure aborts the whole run.  When a list phases is
-    given, the wall time of the chart and of each cell (time.perf_counter)
-    is appended to it, as the trace.json phases of cli.
+    search trials and clamped points per step (clamp_history).  A cell that
+    fails holds its (s, k) and ``error``, ``pass`` false and null figures; a
+    chart failure or an entropy that is not finite aborts the whole run.
+    When a list phases is given, the wall time of the chart and of each cell
+    (time.perf_counter) is appended to it, as the trace.json phases of cli.
     """
     grid = problem.grid
     n = grid.n
@@ -502,7 +507,10 @@ def run_localization(solution, problem, s_fractions, k_list, c_disc, entropy_exp
     started = time.perf_counter()
     chart = build_chart(solution.phi, problem.metric, problem.reference_metric, grid)
     phases.append({"name": "chart", "seconds": time.perf_counter() - started})
-    entropy = entropy_norm(problem.F, problem.metric, grid, entropy_exponent)
+    with np.errstate(over="ignore"):
+        entropy = entropy_norm(problem.F, problem.metric, grid, entropy_exponent)
+    if not np.isfinite(entropy):
+        raise InconsistentInputError("entropy of the forcing is not finite on the grid")
 
     cells = []
     for fraction in s_fractions:

@@ -42,9 +42,10 @@ GAMMA_SLACK = 1e-9
 
 
 def _write_json(path, payload):
+    # JSON has no NaN or Infinity: one raises here, before the file is opened
+    text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
     with open(path, "w") as handle:
-        json.dump(payload, handle, sort_keys=True, indent=2)
-        handle.write("\n")
+        handle.write(text + "\n")
 
 
 # each JSON artifact: the schema it is published under and its verdict
@@ -157,7 +158,8 @@ def _solve_artifacts(problem, out_dir, descriptor, phases):
     except NFormError as exc:
         _write_json(os.path.join(out_dir, "solve_error.json"), {
             "error": str(exc),
-            "history": getattr(exc, "history", None) or [],
+            "history": [h if math.isfinite(h) else None  # JSON has no NaN
+                        for h in getattr(exc, "history", None) or []],
         })
         return None
     field_file = "phi.bin"

@@ -24,14 +24,15 @@ parts of its entries, and a complex field otherwise.  The type of a field
 picks the pointwise formula (inverse, determinant, the trace pairing
 tr(A B), the twisted metric): planes in run the n = 2 closed form and give
 planes out; a complex (..., n, n) field in runs the general np.linalg path
-at any n, n = 2 included, and gives a complex field out.  The functions
-that take a Hessian of the grid (laplacian, twisted_metric) read a complex
-n = 2 metric as plane views where it enters (hermitian_field).
+at any n, n = 2 included, and gives a complex field out.  Nothing here
+converts a field: an n = 2 metric becomes planes through
+hermlin.checked_metric, and planes paired with a complex field raise.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -50,6 +51,9 @@ class TorusGrid:
     L: float
 
     def __post_init__(self):
+        for name, value in (("n", self.n), ("N", self.N)):
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError("%s must be an integer, got %r" % (name, value))
         if self.n < 1:
             raise ValueError("n must be >= 1")
         if self.N < 8:
@@ -356,21 +360,18 @@ def hermitian_planes(a):
     return HermitianPlanes(a[..., 0, 0].real, a[..., 1, 1].real, upper.real, upper.imag)
 
 
-def hermitian_field(a, n):
-    """A Hermitian field as the pointwise layer reads it at dimension n: at
-    n = 2 its planes (a complex field read through the views of
-    hermitian_planes, with no copy and no check), otherwise a itself.
-    None stays None."""
-    if n != 2 or a is None or isinstance(a, HermitianPlanes):
-        return a
-    return hermitian_planes(a)
+def _one_kind(*fields):
+    if len({isinstance(a, HermitianPlanes) for a in fields}) > 1:
+        raise ValueError("planes and a complex field do not pair: an n = 2 metric enters "
+                         "as planes through hermlin.checked_metric")
 
 
 def hermitian_trace(a, b):
     """tr(A B) of two Hermitian fields, a real field.  On planes
     A_00 B_00 + A_11 B_11 + 2 (Re A_01 Re B_01 + Im A_01 Im B_01), the sum
     hessian_symbol takes; on complex (..., n, n) fields the real part of
-    the matrix trace."""
+    the matrix trace.  Planes and a complex field raise ValueError."""
+    _one_kind(a, b)
     if not isinstance(a, HermitianPlanes):
         return np.einsum("...ij,...ji->...", a, b).real
     cross = a.re01 * b.re01
@@ -384,9 +385,8 @@ def hermitian_trace(a, b):
 
 def laplacian(phi, g, grid, g_inv=None):
     """Metric trace of the complex Hessian, tr(g^-1 H(phi)); real field.
-    At n = 2 on planes: a complex g (and g_inv) is read as plane views."""
+    At n = 2 on planes, so g (and g_inv) must be planes."""
     H = complex_hessian(phi, grid)
-    g, g_inv = hermitian_field(g, grid.n), hermitian_field(g_inv, grid.n)
     if g_inv is None:
         g_inv = hermitian_inverse(g)
     return hermitian_trace(g_inv, H)
@@ -397,8 +397,9 @@ def twisted_from_hessian(phi_h, g, g_h, g_inv=None):
 
     Pointwise on the trailing (n, n) axes; requires n >= 2.  Planes in (H,
     g, g_h and g_inv all planes) give planes out; complex fields in give a
-    complex field out.
+    complex field out; planes and a complex field raise ValueError.
     """
+    _one_kind(phi_h, g, g_h)
     if g_inv is None:
         g_inv = hermitian_inverse(g)
     lap = hermitian_trace(g_inv, phi_h)
@@ -419,8 +420,7 @@ def twisted_from_hessian(phi_h, g, g_h, g_inv=None):
 
 def twisted_metric(phi, g, g_h, grid, g_inv=None):
     """Twisted metric of a potential on the grid; see twisted_from_hessian.
-    At n = 2 planes out: complex metrics are read as plane views."""
-    g, g_h, g_inv = (hermitian_field(a, grid.n) for a in (g, g_h, g_inv))
+    At n = 2 on planes, so the metrics must be planes."""
     return twisted_from_hessian(complex_hessian(phi, grid), g, g_h, g_inv=g_inv)
 
 

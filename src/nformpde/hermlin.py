@@ -90,32 +90,19 @@ def cholesky_pd(g, name="metric"):
         raise MetricDegeneracyError(f"{name} is not positive definite") from exc
 
 
-def _twisted_matrix(gt):
-    gt = _as_matrix(gt, "twisted metric")
-    if not is_hermitian(gt, tol=1e-10):
-        raise ValueError("twisted metric must be Hermitian")
-    return gt
-
-
 def _reduce_pencil(g, gt):
     """Cholesky reduction of the pair (g, gt) to a standard Hermitian matrix.
 
     Returns (L, M) with g = L L^H and M = L^-1 gt L^-H.  The general-n
     reference path; _reduce_pencil_2x2 is its closed form for n = 2.
     """
-    gt = _twisted_matrix(gt)
+    gt = _as_matrix(gt, "twisted metric")
+    if not is_hermitian(gt, tol=1e-10):
+        raise ValueError("twisted metric must be Hermitian")
     L = cholesky_pd(g)
     tmp = np.linalg.solve(L, gt)
     M = np.conj(np.swapaxes(np.linalg.solve(L, np.conj(np.swapaxes(tmp, -1, -2))), -1, -2))
     return L, hermitian_part(M)
-
-
-def checked_planes(a, name="metric"):
-    """The planes of an n = 2 field, MetricDegeneracyError if it is not
-    Hermitian to 1e-12."""
-    if np.shape(a)[-1:] != (2,):
-        raise ValueError(f"{name} must be 2 x 2 to be read as planes")
-    return hermitian_planes(_checked_hermitian(a, name))
 
 
 def _schur_2x2(g, name="metric"):
@@ -144,7 +131,7 @@ def checked_metric(a, name="metric"):
     if a.shape[-1] != 2:
         cholesky_pd(a, name)
         return a
-    planes = checked_planes(a, name)
+    planes = hermitian_planes(_checked_hermitian(a, name))
     _schur_2x2(planes, name)
     if planes.h00.size and all(np.all(bits == bits.flat[0])
                                for bits in (p.view(np.int64) for p in planes)):

@@ -25,7 +25,7 @@ coefficients) and the matvec's tr(T H) take the closed forms on planes,
 with no further check.  A metric that is one matrix at every point comes
 as four 0-d planes, and its g^-1 as four numbers, which the closed forms
 broadcast: the pencil of every Newton step reads four numbers, not four
-fields.
+fields.  l1_bound_check reads complex metrics through the same check.
 
 damped_newton runs both Newton solves, this one and the chart solve of
 auxiliary, and reports what each did as a NewtonRecord, which both
@@ -156,14 +156,6 @@ def _evaluate_iterate(problem, phi):
     return np.log(symfun.evaluate(problem.spec, lam)), margin
 
 
-def apply_trace_reversed_hessian(coeff, dphi, grid):
-    """tr(coeff @ H(dphi)) evaluated with the periodic stencils; real field.
-    At n = 2 the real weighted sum over the planes of coeff and H (a complex
-    coeff is read as plane views)."""
-    H = gridmod.complex_hessian(dphi, grid)
-    return gridmod.hermitian_trace(gridmod.hermitian_field(coeff, grid.n), H)
-
-
 def _newton_step(problem, coeff, r, krylov_rtol):
     """Solve the bordered system tr(coeff H(dphi)) - db = -r, mean(dphi) = 0.
 
@@ -187,7 +179,7 @@ def _newton_step(problem, coeff, r, krylov_rtol):
         matvecs += 1
         dphi = u[:m].reshape(shape)
         db = u[m]
-        top = apply_trace_reversed_hessian(coeff, dphi, g) - db
+        top = gridmod.hermitian_trace(coeff, gridmod.complex_hessian(dphi, g)) - db
         bottom = np.array([dphi.mean()])
         return np.concatenate([top.reshape(-1), bottom])
 
@@ -233,15 +225,17 @@ def damped_newton(start, evaluate, step, tolerance, max_iterations):
     accurately as the Newton convergence can use, and never much below
     what reaching ``tolerance`` needs.  A trial is accepted once its sup
     residual decreases; t halves from 1 and a step below MIN_STEP raises
-    NonConvergenceError, as does a failed Krylov solve or an iterate still
-    above tolerance after max_iterations steps.
-    Every error carries the residual history.  Returns
-    ``(iterate, state, NewtonRecord)``.
+    NonConvergenceError, as does a start whose sup residual is not finite,
+    a failed Krylov solve or an iterate still above tolerance after
+    max_iterations steps.  Every error carries the residual history.
+    Returns ``(iterate, state, NewtonRecord)``.
     """
     iterate, r, state = start
     del start  # only the current iterate stays alive
     sup = float(np.max(np.abs(r)))
     history, trials, matvecs = [sup], [], []
+    if not np.isfinite(sup):
+        raise NonConvergenceError(f"start residual is not finite ({sup})", history)
     while sup > tolerance:
         if len(history) > max_iterations:
             raise NonConvergenceError(
@@ -327,6 +321,10 @@ def solve_primary(problem, initial=None):
     return PrimarySolution(**vars(record), phi=gridmod.normalize_sup(phi), b=b)
 
 
+def _metric_planes(a, name):
+    return a if isinstance(a, gridmod.HermitianPlanes) else hermlin.checked_metric(a, name)
+
+
 @dataclass(frozen=True)
 class L1BoundReport:
     """Premises and output of the final L1 bound chain for one solution.
@@ -352,11 +350,14 @@ def l1_bound_check(phi, g, g_h, grid, g_inv=None):
 
     Both checks are trace conditions: membership of the rescaled twisted
     eigenvalues in the largest cone only constrains the metric trace.  For
-    n = 2 they run on planes: the metrics come as planes (a PrimaryProblem's,
-    with its g_inv) or as complex fields, read here as plane views.
+    n = 2 they run on planes: a PrimaryProblem's (with its g_inv), or complex
+    metrics read through hermlin.checked_metric (once when g_h is g).
     """
     phi = np.asarray(phi, dtype=float)
-    g, g_h, g_inv = (gridmod.hermitian_field(a, grid.n) for a in (g, g_h, g_inv))
+    if grid.n == 2:
+        metric = _metric_planes(g, "metric")
+        g_h = metric if g_h is g else _metric_planes(g_h, "reference metric")
+        g = metric
     if g_inv is None:
         g_inv = gridmod.hermitian_inverse(g)
     lap = gridmod.laplacian(phi, g, grid, g_inv=g_inv)

@@ -30,7 +30,11 @@ from nformpde.grid import (
     laplacian,
     normalize_sup,
 )
-from nformpde.hermlin import random_admissible_parts, verify_trace_reversal_identities
+from nformpde.hermlin import (
+    checked_metric,
+    random_admissible_parts,
+    verify_trace_reversal_identities,
+)
 from nformpde.manufactured import (
     forcing_from_hessian,
     radial_field,
@@ -206,7 +210,8 @@ def test_criterion_04_discretization_order(capsys):
         H = complex_hessian(phi, grid)
         exact00 = -0.5 * k * k * phi
         hess_errs.append(float(np.abs(H.h00 - exact00).max()))
-        g = identity_metric(grid)
+        # the metric enters through checked_metric, as planes at n = 2
+        g = checked_metric(identity_metric(grid))
         lap = laplacian(phi, g, grid)
         lap_errs.append(float(np.abs(lap - (-0.75 * k * k * phi)).max()))
     hess_ratio = hess_errs[0] / hess_errs[1]

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -94,6 +94,9 @@ def test_chart_stencil_geometry(center):
 # no shrinking: the fields are drawn from the seed, and a seed does not shrink
 @settings(max_examples=10, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
 @given(seed=st.integers(0, 2**32 - 1), center=st.tuples(*[st.integers(0, 15)] * 4))
+# both eigenvalues clamped at a point: einsum's inv_10 is conj(inv_01) only to
+# 1e8 * eps, and that defect times a large |H_01| exceeded 1e-14 of the scale
+@example(seed=133066385, center=(14, 2, 15, 8))
 def test_chart_matvec_on_planes_matches_the_complex_einsum(seed, center):
     # a chart Newton step's operator, tr(inv H(d)) on planes with the step's
     # clamped inverse, against the complex einsum statement of the same
@@ -109,6 +112,9 @@ def test_chart_matvec_on_planes_matches_the_complex_einsum(seed, center):
     assert all(p.flags.c_contiguous and p.shape == (chart.num_interior,) for p in inv)
     reference = np.einsum("pik,pk,pjk->pij", frames,
                           1.0 / np.maximum(eigs, auxiliary.EIG_FLOOR), frames.conj())
+    # the planes hold the upper entry: the Hermitian field they are is the
+    # reference with inv_10 = conj(inv_01), not einsum's rounded inv_10
+    reference[:, 1, 0] = reference[:, 0, 1].conj()
     dH = complex_hessian(rng.normal(size=grid.shape), grid, chart.taps)
     value = hermitian_trace(inv, dH)
     expected = np.einsum("pij,pji->p", reference, dH.matrix()).real
@@ -339,6 +345,26 @@ def test_dirichlet_solve_input_validation():
         solve_dirichlet_ma(chart, 1.5 * rhs)
     with pytest.raises(InconsistentInputError):
         solve_dirichlet_ma(chart, np.ones((4, 4)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_dirichlet_solve_refuses_a_density_that_is_not_finite(bad):
+    # NaN <= 0 and a NaN mass defect > MASS_TOL are both False: unrefused, a
+    # NaN density came back as a converged solve with NaN mass
+    chart, grid = flat_chart()
+    rhs = np.zeros(grid.shape)
+    rhs[chart.mask] = 1.0 / (chart.num_interior * grid.cell_volume)
+    rhs[chart.center_index] = bad
+    with pytest.raises(InconsistentInputError, match="must be finite and positive"):
+        solve_dirichlet_ma(chart, rhs)
+
+
+def test_hinge_mass_that_overflows_is_refused():
+    # exp(n F) overflows at F = 400, n = 2; the mass would be infinite and
+    # the normalized density NaN
+    chart, grid = flat_chart()
+    with pytest.raises(InconsistentInputError, match="hinge mass is not finite"):
+        hinge_mass(np.zeros(grid.shape), np.full(grid.shape, 400.0), 10, chart)
 
 
 def test_comparison_scale_frozen_values():

@@ -14,7 +14,7 @@ import nformpde
 from nformpde import cli, schemas
 from nformpde.cli import EXIT_CHECK_FAILURE, EXIT_PASS, EXIT_SOLVER, EXIT_USAGE, main
 from nformpde.descriptors import ExperimentDescriptor
-from nformpde.errors import DegeneratePointError
+from nformpde.errors import DegeneratePointError, NonConvergenceError
 from nformpde.grid import TorusGrid, entropy_norm, identity_metric
 
 
@@ -411,6 +411,54 @@ def test_localize_round_trip(tmp_path, monkeypatch):
     summary = json.loads(read(out / "report.json"))
     assert summary == {"artifacts": ["localization.json", "solve_meta.json"],
                        "all_passed": True}
+
+
+def strict_json(path):
+    """The JSON document at path; a NaN or an infinity in it raises."""
+    def refuse(constant):
+        raise ValueError("%s in %s" % (constant, path))
+    return json.loads(read(path), parse_constant=refuse)
+
+
+def test_localize_forcing_that_overflows_writes_json_and_exits_one(tmp_path):
+    # e^(n F) at a constant F = 400 overflows the hinge mass, so the cell
+    # fails with null figures; at F = 800 the entropy overflows too, so the
+    # run fails; either way every artifact is JSON with no NaN or Infinity
+    for value in (400, 800):
+        config = write_config(tmp_path / ("%d.json" % value), s_fractions=[0.5], k_list=[10],
+                              forcing={"name": "constant", "params": {"value": value}})
+        out = tmp_path / str(value)
+        assert main(["localize", "--config", config, "--out", str(out)]) == EXIT_CHECK_FAILURE
+        docs = {name: strict_json(out / name) for name in os.listdir(out)
+                if name.endswith(".json")}
+        if value == 400:
+            assert set(docs) == {"solve_meta.json", "localization.json", "trace.json"}
+            payload = docs["localization.json"]
+            assert not payload["all_passed"]
+            [cell] = payload["reports"]
+            assert cell["pass"] is False and "hinge mass" in cell["error"]
+            assert cell["mass"] is None and cell["epsilon"] is None
+            assert cell["max_phi"] is None and cell["quantiles"] is None
+        else:
+            assert set(docs) == {"solve_meta.json", "localize_error.json", "trace.json"}
+            assert "entropy" in docs["localize_error.json"]["error"]
+
+
+def test_json_artifacts_hold_no_nan(tmp_path, monkeypatch):
+    # JSON has no NaN: _write_json refuses one before it opens the file, and
+    # a start residual that is not finite goes into solve_error.json as null
+    with pytest.raises(ValueError):
+        cli._write_json(tmp_path / "nan.json", {"x": float("nan")})
+    assert not os.path.exists(tmp_path / "nan.json")
+
+    def fail(problem):
+        raise NonConvergenceError("start residual is not finite (nan)", [float("nan")])
+
+    monkeypatch.setattr(cli, "solve_primary", fail)
+    config = write_config(tmp_path / "desc.json", grid={"n": 2, "N": 8, "L": 1.0})
+    out = tmp_path / "out"
+    assert main(["solve", "--config", config, "--out", str(out)]) == EXIT_SOLVER
+    assert strict_json(out / "solve_error.json")["history"] == [None]
 
 
 def test_localize_chart_failure_exits_one(tmp_path):

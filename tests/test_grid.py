@@ -18,6 +18,7 @@ from nformpde.grid import (
     frozen_hessian_inverse,
     hermitian_inverse,
     hermitian_planes,
+    hermitian_trace,
     hessian_symbol,
     identity_metric,
     integrate,
@@ -30,8 +31,8 @@ from nformpde.grid import (
     twisted_metric,
     volume_density,
 )
+from nformpde.hermlin import checked_metric
 from nformpde.manufactured import trig_hessian, trig_potential
-from nformpde.solver import apply_trace_reversed_hessian
 
 
 def trig_field(grid, shift=0.0):
@@ -50,6 +51,16 @@ def test_grid_basic_properties():
         TorusGrid(n=2, N=4, L=1.0)
     with pytest.raises(ValueError):
         TorusGrid(n=0, N=16, L=1.0)
+
+
+@pytest.mark.parametrize("field, n, N", [("N", 2, 8.5), ("N", 2, 16.0), ("n", 2.0, 16),
+                                         ("n", True, 16), ("N", 2, np.float64(16.0))])
+def test_grid_refuses_a_dimension_or_side_that_is_not_an_integer(field, n, N):
+    # a float would fail later, at the first array built on the grid, and a
+    # bool would build a torus with n = 1
+    with pytest.raises(ValueError, match="^%s must be an integer" % field):
+        TorusGrid(n=n, N=N, L=1.0)
+    assert TorusGrid(n=np.int64(2), N=np.int32(8), L=1.0).shape == (8,) * 4
 
 
 @pytest.mark.parametrize("n, largest", [(2, 215), (3, 35), (5, 8)])
@@ -152,7 +163,7 @@ def test_laplacian_matches_trace():
     grid = TorusGrid(n=2, N=10, L=1.0)
     rng = np.random.default_rng(8)
     phi = rng.normal(size=grid.shape)
-    g = identity_metric(grid)
+    g = checked_metric(identity_metric(grid))
     lap = laplacian(phi, g, grid)
     H = complex_hessian(phi, grid)
     assert np.abs(lap - (H.h00 + H.h11)).max() <= 1e-12
@@ -164,13 +175,30 @@ def test_twisted_metric_matches_parts():
     phi = 0.05 * rng.normal(size=grid.shape)
     g = identity_metric(grid)
     g_h = identity_metric(grid)
-    # complex metrics in, read as planes: planes out
-    gt = twisted_metric(phi, g, g_h, grid)
+    # at n = 2 the metrics enter through checked_metric: planes in, planes out
+    gt = twisted_metric(phi, checked_metric(g), checked_metric(g_h), grid)
     assert isinstance(gt, HermitianPlanes)
     H = complex_hessian(phi, grid).matrix()
     lap = (H[..., 0, 0] + H[..., 1, 1]).real
     manual = g_h + lap[..., None, None] * g - H
     assert np.abs(gt.matrix() - manual).max() <= 1e-13
+
+
+def test_planes_and_a_complex_field_do_not_pair():
+    # an n = 2 Hessian of the grid is planes, so a complex metric given to
+    # the grid raises, naming the check through which it becomes planes
+    grid = TorusGrid(n=2, N=8, L=1.0)
+    phi = np.random.default_rng(4).normal(size=grid.shape)
+    g = identity_metric(grid)
+    planes = checked_metric(g)
+    for call in (lambda: laplacian(phi, g, grid),
+                 lambda: laplacian(phi, planes, grid, g_inv=g),
+                 lambda: twisted_metric(phi, g, g, grid),
+                 lambda: twisted_metric(phi, planes, g, grid),
+                 lambda: hermitian_trace(planes, g),
+                 lambda: hermitian_trace(g, complex_hessian(phi, grid))):
+        with pytest.raises(ValueError, match="checked_metric"):
+            call()
 
 
 def test_volume_and_integration():
@@ -245,6 +273,13 @@ def random_hermitian_pd(n, rng):
     return A @ A.conj().T + 0.1 * np.eye(n)
 
 
+def frozen_operator(T, u, grid):
+    """tr(T H(u)) for one constant positive definite T, by the stencils: T
+    enters as a metric does (planes at n = 2), since it pairs with H."""
+    coeff = checked_metric(np.broadcast_to(T, grid.shape + (grid.n, grid.n)), "coefficient")
+    return hermitian_trace(coeff, complex_hessian(u, grid))
+
+
 @pytest.mark.parametrize("n", [2, 3])
 @pytest.mark.parametrize("N", [8, 9])
 def test_hessian_symbol_diagonalizes_the_frozen_operator(n, N):
@@ -258,7 +293,7 @@ def test_hessian_symbol_diagonalizes_the_frozen_operator(n, N):
     u = rng.normal(size=grid.shape)
     spectral = np.fft.irfftn(np.fft.rfftn(u, s=grid.shape, axes=axes) * symbol,
                              s=grid.shape, axes=axes)
-    stencil = apply_trace_reversed_hessian(np.broadcast_to(T, grid.shape + (n, n)), u, grid)
+    stencil = frozen_operator(T, u, grid)
     assert np.abs(spectral - stencil).max() <= 1e-12 * np.abs(stencil).max()
     # positive definite T: zero only at the zero mode, so the frozen operator
     # is invertible off the constants
@@ -277,7 +312,7 @@ def test_frozen_hessian_inverse_is_exact_on_mean_free_fields(n, N):
     f -= f.mean()
     for mean in (0.0, 0.7):
         u = solve(f, mean)
-        back = apply_trace_reversed_hessian(np.broadcast_to(T, grid.shape + (n, n)), u, grid)
+        back = frozen_operator(T, u, grid)
         assert np.abs(back - f).max() <= 1e-12 * np.abs(f).max()
         assert u.mean() == pytest.approx(mean, abs=1e-12)
     # the zero mode of the right-hand side is dropped

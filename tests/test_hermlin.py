@@ -21,7 +21,6 @@ from nformpde.hermlin import (
     CHAIN_SLACK_TOL,
     DET_SLACK_TOL,
     checked_metric,
-    checked_planes,
     endomorphism_eigs,
     g_orthonormal_eigenframe,
     hermitian_part,
@@ -217,7 +216,7 @@ def _plane_case(kind, rng, diagonal, spec):
     """A checked pencil as complex fields and as planes, the linearization on
     planes, and the eigenvalue-dependent tolerance of the closed form."""
     g, gt = _pencils(kind, rng, 32, diagonal)
-    gp, gtp = checked_planes(g), checked_planes(gt, "twisted metric")
+    gp, gtp = checked_metric(g), hermitian_planes(gt)
     lam = endomorphism_eigs(g, gt)
     # both paths round the smallest eigenvalue to about eps * largest, so
     # d log f / d lam, and with it G, agree to about eps * lam1 / lam0
@@ -281,14 +280,14 @@ def test_plane_laplacian_matches_einsum(seed, diagonal):
     g_inv = np.linalg.inv(g)
     ref = _einsum_trace(g_inv, H)
     scale = np.abs(np.einsum("...ij,...ji->...ij", g_inv, H)).sum(axis=(-2, -1))
-    for metric in (g, checked_planes(g)):
-        assert np.all(np.abs(laplacian(phi, metric, grid) - ref) <= 1e-13 * scale)
+    # the metric enters through checked_metric: laplacian takes planes at n = 2
+    assert np.all(np.abs(laplacian(phi, checked_metric(g), grid) - ref) <= 1e-13 * scale)
 
 
 def test_closed_form_exact_repeated_eigenvalue_is_the_limit():
     # rad = 0 exactly: U diag(d) U^H = s I, with no division by zero
     g = np.eye(2, dtype=complex)
-    gp, gtp = checked_planes(g), checked_planes(2.0 * g, "twisted metric")
+    gp, gtp = checked_metric(g), hermitian_planes(2.0 * g)
     with np.errstate(all="raise"):
         assert endomorphism_eigs(gp, gtp).tolist() == [2.0, 2.0]
         G = linearization(monge_ampere(2), gp, gtp)
@@ -311,10 +310,12 @@ def test_closed_form_raises_as_general_path_on_bad_metric(seed, diagonal, defect
         # exactly singular, so neither factorization is decided by roundoff
         g[bad] = np.diag([1.0, 0.0]) if diagonal else [[4.0, 2j], [-2j, 1.0]]
     spec = monge_ampere(2)
-    # on planes a non-Hermitian g fails checked_planes, where it enters, and
-    # an indefinite or singular one the closed form's own factorization
+    # on planes a non-Hermitian g fails checked_metric, where it enters, and
+    # an indefinite or singular one, read through unchecked views, the
+    # closed form's own Schur test
     def planes():
-        return checked_planes(g), checked_planes(gt, "twisted metric")
+        metric = checked_metric(g) if defect == "non-hermitian" else hermitian_planes(g)
+        return metric, hermitian_planes(gt)
 
     for call in (lambda: endomorphism_eigs(g, gt), lambda: linearization(spec, g, gt),
                  lambda: endomorphism_eigs(*planes()), lambda: linearization(spec, *planes())):
@@ -381,7 +382,7 @@ def _check_constant_metric_bytes(rng, diagonal, constant_reference, spec):
     assert all(np.ndim(p) == 0 for p in metric)
     assert all(np.ndim(p) == (0 if constant_reference else 1) for p in reference)
     full, full_reference = full_planes(metric, (m,)), full_planes(reference, (m,))
-    assert differing_bytes(full, HermitianPlanes(*(p.copy() for p in checked_planes(g)))) == 0
+    assert differing_bytes(full, HermitianPlanes(*(p.copy() for p in hermitian_planes(g)))) == 0
 
     inverse, full_inverse = hermitian_inverse(metric), hermitian_inverse(full)
     assert _differing_bytes_broadcast(inverse, full_inverse) == 0

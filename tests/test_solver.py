@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,11 +14,12 @@ from nformpde import hermlin, solver
 from nformpde.auxiliary import build_chart
 from nformpde.descriptors import ExperimentDescriptor
 from nformpde.errors import InfeasibleStartError, MetricDegeneracyError, NonConvergenceError
-from nformpde.hermlin import checked_planes
 from nformpde.grid import (
     HermitianPlanes,
     TorusGrid,
     complex_hessian,
+    hermitian_planes,
+    hermitian_trace,
     identity_metric,
     normalize_sup,
     twisted_metric,
@@ -28,7 +30,6 @@ from nformpde.solver import (
     NewtonRecord,
     PrimaryProblem,
     _newton_step,
-    apply_trace_reversed_hessian,
     damped_newton,
     l1_bound_check,
     residual,
@@ -310,6 +311,48 @@ def test_l1_bound_report_flat_case():
     assert report.passed
 
 
+def test_l1_bound_check_reads_complex_metrics_through_checked_metric():
+    # at n = 2 a complex g and g_h enter through checked_metric: the report is
+    # the one on the checked planes with their g^-1, field for field, for the
+    # identity (0-d planes) and for a banded g_h (full planes)
+    desc = ExperimentDescriptor(grid={"N": 10},
+                                background_gh={"name": "banded", "params": {"amplitude": 0.3}})
+    grid = desc.make_grid()
+    g, banded = desc.make_backgrounds(grid)
+    phi = trig_potential(grid)
+    for g_h in (g, banded):
+        metric = hermlin.checked_metric(g)
+        reference = metric if g_h is g else hermlin.checked_metric(g_h, "reference metric")
+        expected = l1_bound_check(phi, metric, reference, grid,
+                                  g_inv=gridmod.hermitian_inverse(metric))
+        assert l1_bound_check(phi, g, g_h, grid) == expected
+
+
+@pytest.mark.parametrize("defect", ["indefinite", "singular", "non-hermitian", "nan"])
+def test_l1_bound_check_refuses_a_bad_complex_metric(defect):
+    # the L1 premises read traces only: diag(1, -1) passes them with c' = 2,
+    # and one NaN makes every figure NaN; so a complex metric is refused where
+    # it enters, with checked_metric's message, as g (g_h the same field) and
+    # as g_h
+    grid = TorusGrid(n=2, N=8, L=1.0)
+    bad = identity_metric(grid)
+    if defect == "indefinite":
+        bad[...] = np.diag([1.0, -1.0])
+    elif defect == "singular":
+        bad[1, 2, 3, 4] = np.diag([1.0, 0.0])
+    elif defect == "non-hermitian":
+        bad[1, 2, 3, 4, 0, 1] = 0.5
+    else:
+        bad[1, 2, 3, 4, 1, 1] = np.nan
+    phi = np.zeros(grid.shape)
+    for g, g_h, name in ((bad, bad, "metric"),
+                         (identity_metric(grid), bad, "reference metric")):
+        with pytest.raises(MetricDegeneracyError) as expected:
+            hermlin.checked_metric(bad, name)
+        with pytest.raises(MetricDegeneracyError, match="^%s$" % re.escape(str(expected.value))):
+            l1_bound_check(phi, g, g_h, grid)
+
+
 def test_l1_bound_tracks_solution_norm():
     grid = TorusGrid(n=2, N=12, L=1.0)
     problem, _ = manufactured_problem(grid)
@@ -454,6 +497,16 @@ def test_damped_newton_forcing_term_and_krylov_failure():
     assert err.value.history == sups
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_damped_newton_refuses_a_start_that_is_not_finite(bad):
+    # a NaN sup is not above the tolerance, so without the check a NaN start
+    # came back converged after no step
+    start = toy_evaluate(np.array([1.0, bad]), np.zeros(2), 0.0)
+    with pytest.raises(NonConvergenceError, match="start residual is not finite") as err:
+        damped_newton(start, toy_evaluate, toy_step, tolerance=1e-9, max_iterations=5)
+    assert np.array_equal(err.value.history, [bad], equal_nan=True)
+
+
 @pytest.mark.parametrize("trial_sup", [None, 1.0])
 def test_damped_newton_line_search_stalls_below_min_step(trial_sup):
     # an always infeasible trial, or one whose residual never decreases
@@ -497,7 +550,7 @@ def scalar_multiple_coefficients(grid, rng):
 
 def bordered_residual(coeff, r, step, grid=STEP_GRID):
     dphi, db = step
-    top = apply_trace_reversed_hessian(coeff, dphi, grid) - db + r
+    top = hermitian_trace(coeff, complex_hessian(dphi, grid)) - db + r
     residual = np.concatenate([top.reshape(-1), [dphi.mean()]])
     return float(np.linalg.norm(residual) / np.linalg.norm(r))
 
@@ -509,7 +562,7 @@ def test_newton_step_constant_coefficients_is_one_preconditioner_solve(seed, rto
     rng = np.random.default_rng(seed)
     T = random_hermitian((), rng)
     T = T @ T + 0.1 * np.eye(2)
-    coeff = checked_planes(np.broadcast_to(T, STEP_GRID.shape + (2, 2)), "coefficient")
+    coeff = hermitian_planes(np.broadcast_to(T, STEP_GRID.shape + (2, 2)))
     r = rng.normal(size=STEP_GRID.shape)
     step, info, matvecs = _newton_step(step_problem(), coeff, r, rtol)
     assert info == 0 and matvecs <= 2
@@ -523,7 +576,7 @@ def test_newton_step_scalar_multiple_coefficients_is_one_preconditioner_solve(se
     # tr(c T0 H(u)) = c tr(T0 H(u)): the trace-scaled preconditioner is its
     # exact inverse, however much the scalar c varies
     rng = np.random.default_rng(seed)
-    coeff = checked_planes(scalar_multiple_coefficients(STEP_GRID, rng), "coefficient")
+    coeff = hermitian_planes(scalar_multiple_coefficients(STEP_GRID, rng))
     r = rng.normal(size=STEP_GRID.shape)
     step, info, matvecs = _newton_step(step_problem(), coeff, r, rtol)
     assert info == 0 and matvecs <= 2
@@ -552,7 +605,7 @@ def test_newton_step_meets_rtol_on_perturbed_coefficients(seed, amplitude, rtol)
     P = random_hermitian(STEP_GRID.shape, rng)
     # a perturbation below the smallest eigenvalue of T keeps the field positive definite
     P *= amplitude * np.linalg.eigvalsh(T)[0] / np.linalg.norm(P, ord=2, axis=(-2, -1)).max()
-    coeff = checked_planes(T + P, "coefficient")
+    coeff = hermitian_planes(T + P)
     r = rng.normal(size=STEP_GRID.shape)
     step, info, matvecs = _newton_step(step_problem(), coeff, r, rtol)
     assert info == 0 and matvecs >= 1
