@@ -323,13 +323,15 @@ def _clamped_inverse(eigs, frames):
     return HermitianPlanes(*(p.copy() for p in hermitian_planes(inv)))
 
 
-def solve_dirichlet_ma(chart, rhs_density):
+def solve_dirichlet_ma(chart, rhs_density, initial=None):
     """Solve det of the complex Hessian of psi = rhs on the chart ball.
 
     Damped Newton iteration in log-determinant form on the interior values,
     to a sup residual of RESIDUAL_TOL in at most MAX_ITERATIONS steps, with
     ghost values tied to the interior by the chart's radial zero-boundary
-    extrapolation (``extend``).
+    extrapolation (``extend``).  It starts from the ball values of the grid
+    field ``initial`` when given (a solution on the same chart), otherwise
+    from the paraboloid of the mean density.
     Each residual takes np.linalg.eigh of the ball Hessian (at n = 2 its
     planes written as a complex field).  Hessian eigenvalues are clamped at
     EIG_FLOOR during the iteration; a clamp still active at convergence
@@ -408,9 +410,12 @@ def solve_dirichlet_ma(chart, rhs_density):
         return direction, info, matvecs
 
     R = chart.radius
-    cbar = float(np.mean(rho))
+    if initial is None:
+        start = float(np.mean(rho)) ** (1.0 / n) * (chart.dist_sq[mask] - R * R)
+    else:
+        start = np.asarray(initial, dtype=float).ravel()[chart.mask_flat]
     psi, (eigs, _), record = damped_newton(
-        evaluate_at(cbar ** (1.0 / n) * (chart.dist_sq[mask] - R * R)),
+        evaluate_at(start),
         lambda values, direction, t: evaluate_at(values + t * direction),
         step, RESIDUAL_TOL, MAX_ITERATIONS,
     )
@@ -498,6 +503,9 @@ def run_localization(solution, problem, s_fractions, k_list, c_disc, entropy_exp
     search trials and clamped points per step (clamp_history).  A cell that
     fails holds its (s, k) and ``error``, ``pass`` false and null figures; a
     chart failure or an entropy that is not finite aborts the whole run.
+    Each chart solve starts from the solution of the last cell with the same
+    k, when that cell is the last one run with it and did not fail; the
+    first cell of each k and the next one after a failure start cold.
     When a list phases is given, the wall time of the chart and of each cell
     (time.perf_counter) is appended to it, as the trace.json phases of cli.
     """
@@ -513,16 +521,18 @@ def run_localization(solution, problem, s_fractions, k_list, c_disc, entropy_exp
         raise InconsistentInputError("entropy of the forcing is not finite on the grid")
 
     cells = []
+    warm = {}  # the last solved psi of each k, the start of its next cell
     for fraction in s_fractions:
         s = fraction * chart.depth_cap
         for k in k_list:
-            started = time.perf_counter()
+            started, initial = time.perf_counter(), warm.pop(k, None)
             try:
                 w = tilted_potential(solution.phi, chart, s)
                 density, mass = _hinge_density(w, problem.F, k, chart)
                 rhs = np.zeros(grid.shape)
                 rhs[chart.mask] = density / mass
-                aux = solve_dirichlet_ma(chart, rhs)
+                aux = solve_dirichlet_ma(chart, rhs, initial=initial)
+                warm[k] = aux.psi
                 eps = comparison_scale(mass, problem.spec.gamma, n)
                 cell = check_comparison(w, aux.psi, eps, chart, c_disc)
                 cell.update(mass=mass, mass_error=abs(aux.mass - 1.0), error=None,

@@ -300,6 +300,9 @@ def cmd_sweep(descriptor, out_dir, workers=1, phases=None):
         if not math.isfinite(target):
             raise InconsistentInputError("entropy of the first sweep member is not finite "
                                          "on the grid")
+        if not target > 0.0:  # e^F underflows at every point
+            raise InconsistentInputError("entropy of the first sweep member is not positive "
+                                         "on the grid")
 
     seconds = [None] * len(concentrations)
 

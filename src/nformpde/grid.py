@@ -11,9 +11,13 @@ The complex Hessian of a real field combines the real second differences
 
 with centered second-order stencils (the mixed terms use the symmetrized
 four-point cross), so H is exactly Hermitian and exact on local quadratics.
-A stencil reads the field through a tap source: on the whole grid, views of
-one periodic pad of the field; at chosen points, gathers through a table of
-flat neighbour indices.
+One table of signed taps is its only stencil (hessian_taps): each part
+H_ii, Re H_ij and Im H_ij is a list of (offset, integer weight) pairs and
+one scale 1/(c h^2), summed in table order by one evaluator.  It reads the
+field through a tap source: on the whole grid, contiguous slices of one
+flattened periodic pad of the field; at chosen points, int32 gathers
+through a table of flat neighbour indices; both give the same bytes.  The Fourier symbol of the
+frozen operator and the stencil footprint are read off the same table.
 Integrals use the flat normalization: cell volume h^{2n}, metric volume
 density det(g).
 
@@ -31,6 +35,7 @@ hermlin.checked_metric, and planes paired with a complex field raise.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -115,19 +120,82 @@ class TorusGrid:
         return total
 
 
+@functools.lru_cache(maxsize=None)
+def hessian_taps(n):
+    """The complex Hessian as one table of signed taps: a tuple of parts
+    (i, j, imag, c, taps), each part of H equal to
+    (1 / (c h^2)) sum_{(o, w) in taps} w f(x + o h), summed in table order.
+
+      H_ii     (imag False, i == j): -4 at 0, +1 at +-e_xi and +-e_yi; c = 4.
+      Re H_ij  (imag False, i < j):  +1 at +-(e_xi + e_xj) and +-(e_yi + e_yj),
+                                     -1 at +-(e_xi - e_xj) and +-(e_yi - e_yj); c = 16.
+      Im H_ij  (imag True, i < j):   +1 at +-(e_xi + e_yj) and +-(e_yi - e_xj),
+                                     -1 at +-(e_xi - e_yj) and +-(e_yi + e_xj); c = 16.
+
+    These are (f_xixj + f_yiyj)/4 + i (f_xiyj - f_yixj)/4 with the
+    three-point second difference on the diagonal and the symmetrized
+    four-point cross off it.  Only the zero offset, first in a diagonal
+    part, weighs other than +-1, and an off-diagonal part's first two
+    weights are +1.  Parts come as H_ii, then Re H_ij and Im H_ij for each
+    j > i.
+    """
+    def e(*steps):  # the offset of (axis, sign) steps
+        offset = [0] * (2 * n)
+        for axis, sign in steps:
+            offset[axis] += sign
+        return tuple(offset)
+
+    def pm(weight, *steps):  # weight at +-(the offset of the steps)
+        return ((e(*steps), weight), (e(*((a, -s) for a, s in steps)), weight))
+
+    parts = []
+    for i in range(n):
+        xi, yi = 2 * i, 2 * i + 1
+        parts.append((i, i, False, 4.0, ((e(), -4),) + pm(1, (xi, 1)) + pm(1, (yi, 1))))
+        for j in range(i + 1, n):
+            xj, yj = 2 * j, 2 * j + 1
+            parts.append((i, j, False, 16.0, pm(1, (xi, 1), (xj, 1)) + pm(1, (yi, 1), (yj, 1))
+                          + pm(-1, (xi, 1), (xj, -1)) + pm(-1, (yi, 1), (yj, -1))))
+            parts.append((i, j, True, 16.0, pm(1, (xi, 1), (yj, 1)) + pm(1, (yi, 1), (xj, -1))
+                          + pm(-1, (xi, 1), (yj, -1)) + pm(-1, (yi, 1), (xj, 1))))
+    return tuple(parts)
+
+
+def stencil_offsets(n):
+    """Every nonzero offset over the 2n real axes in the table of hessian_taps,
+    the points complex_hessian reads besides x."""
+    return sorted({o for *_, taps in hessian_taps(n) for o, _ in taps if any(o)})
+
+
+@functools.lru_cache(maxsize=None)
+def _pad_layout(shape):
+    """For a one-layer pad of a field of this shape: the flat shift of each
+    offset of hessian_taps, the pad's shape, and the flat index of the
+    first grid point in it."""
+    padded = tuple(size + 2 for size in shape)
+    steps = np.cumprod((1,) + padded[:0:-1])[::-1]
+    offsets = {o for *_, taps in hessian_taps(len(shape) // 2) for o, _ in taps}
+    return {o: int(np.dot(o, steps)) for o in offsets}, padded, int(steps.sum())
+
+
 def periodic_taps(f):
-    """Tap source of a whole periodic field: tap(*steps) is f at x + shift for
-    every grid point x, the shift summing the (axis, +-1) steps; each tap is
-    a view of one wrap-around pad of f."""
-    padded = np.pad(f, 1, mode="wrap")
+    """Tap source of a whole periodic field: (tap, acc, points).  f is
+    padded by one wrap-around layer and flattened; tap(offset) is the
+    contiguous slice of the pad holding f at x + offset for each x of the
+    pad's inner range (the grid points and the pad cells between them), acc
+    a fresh array over that range, and points the view of its grid points.
+    Contiguous taps stream about twice as fast as strided views of the pad
+    at N = 12, whose innermost runs are N values long."""
+    shifts, padded_shape, start = _pad_layout(f.shape)
+    flat = np.pad(f, 1, mode="wrap").reshape(-1)
+    stop = flat.size - start
+    whole = np.empty(flat.size)
 
-    def tap(*steps):
-        index = [slice(1, -1)] * f.ndim
-        for axis, step in steps:
-            index[axis] = slice(1 + step, f.shape[axis] + 1 + step)
-        return padded[tuple(index)]
+    def tap(offset):
+        shift = shifts[offset]
+        return flat[start + shift:stop + shift]
 
-    return tap
+    return tap, whole[start:stop], whole.reshape(padded_shape)[(slice(1, -1),) * f.ndim]
 
 
 def neighbour_table(points, grid):
@@ -148,97 +216,83 @@ def neighbour_table(points, grid):
 
 
 def _table_taps(f, table):
-    """Tap source at the points of a neighbour_table: gathers from f, the
-    zero shift once (every diagonal second difference reads it)."""
+    """Tap source at the points of a neighbour_table, as periodic_taps:
+    tap(offset) gathers f at x + offset for each of the points x (the zero
+    offset gathered once, as every diagonal part reads it), and acc is its
+    own points."""
     flat = f.reshape(-1)
     centre = np.take(flat, table[(0,) * f.ndim])
 
-    def tap(*steps):
-        if not steps:
-            return centre
-        shift = [0] * f.ndim
-        for axis, step in steps:
-            shift[axis] += step
-        return np.take(flat, table[tuple(shift)])
+    def tap(offset):
+        return centre if not any(offset) else np.take(flat, table[offset])
 
-    return tap
+    acc = np.empty(centre.size)
+    return tap, acc, acc
 
 
-def second_difference(tap, a, b, h):
-    """Periodic second-order d^2 f / dx_a dx_b from a tap source (tap(*steps)
-    is f shifted by the (axis, +-1) steps): the three-point difference when
-    a == b, otherwise the symmetrized four-point cross."""
-    # in place, with the operations of (f+ - 2 f + f-) / h^2 and
-    # (pp - pm - mp + mm) / (4 h^2) in that order, so the bytes are theirs
-    if a == b:
-        d = np.multiply(tap(), 2.0)
-        np.subtract(tap((a, 1)), d, out=d)
-        d += tap((a, -1))
-        d /= h**2
-        return d
-    d = np.subtract(tap((a, 1), (b, 1)), tap((a, 1), (b, -1)))
-    d -= tap((a, -1), (b, 1))
-    d += tap((a, -1), (b, -1))
-    d /= 4.0 * h**2
-    return d
-
-
-def _second_difference_multiplier(theta, a, b, h):
-    """Fourier multiplier of second_difference(., a, b, h) at angles theta."""
-    if a == b:
-        return (2.0 * np.cos(theta[a]) - 2.0) / h**2
-    return -np.sin(theta[a]) * np.sin(theta[b]) / h**2
-
-
-def _hessian_entries(D, n):
-    """Yield (i, j, re, im), H_ij = re + 1j * im for i <= j (im None if i == j),
-    from D(a, b), a second difference along real axes a and b."""
-    for i in range(n):
-        xi, yi = 2 * i, 2 * i + 1
-        yield i, i, 0.25 * (D(xi, xi) + D(yi, yi)), None
-        for j in range(i + 1, n):
-            xj, yj = 2 * j, 2 * j + 1
-            yield (i, j, 0.25 * (D(xi, xj) + D(yi, yj)),
-                   0.25 * (D(xi, yj) - D(yi, xj)))
+def _tap_sum(source, taps, scale):
+    """scale * sum of w tap(o) over the (o, w) taps in order, from a tap
+    source (tap, acc, points): the first tap times its weight, or the sum
+    of the first two when the first weighs +1, goes to acc, the rest (each
+    +-1) are added to it in place, and one multiply applies the scale as it
+    writes the points out to a fresh array, so either tap source gives the
+    same bytes."""
+    tap, acc, points = source
+    (o0, w0), *rest = taps
+    if w0 == 1:
+        (o1, _), *rest = rest
+        np.add(tap(o0), tap(o1), out=acc)
+    else:
+        np.multiply(tap(o0), w0, out=acc)
+    for offset, weight in rest:
+        (np.add if weight == 1 else np.subtract)(acc, tap(offset), out=acc)
+    return np.multiply(points, scale)
 
 
 def complex_hessian(phi, grid, taps=None):
     """Discrete complex Hessian field, Hermitian, at every grid point or at
     the K points of a neighbour_table ``taps`` (there the bytes of the
-    whole-grid Hessian).  At n = 2 its HermitianPlanes: the four contiguous
-    real parts of _hessian_entries, each of shape grid.shape or (K,).
-    Otherwise the complex field of shape grid.shape + (n, n) or (K, n, n),
-    each off-diagonal pair written as re +- 1j * im."""
+    whole-grid Hessian), each part summed from the table of hessian_taps.
+    At n = 2 its HermitianPlanes: the four parts H_00, H_11, Re H_01 and
+    Im H_01, contiguous, each of shape grid.shape or (K,).  Otherwise the
+    complex field of shape grid.shape + (n, n) or (K, n, n), written as
+    HermitianPlanes.matrix writes one: imaginary diagonal 0.0, and
+    H_ji = Re H_ij + 1j (0.0 - Im H_ij)."""
     phi = np.asarray(phi, dtype=float)
     if phi.shape != grid.shape:
         raise ValueError("field shape does not match the grid")
     n, h = grid.n, grid.h
     if taps is None:
-        tap, shape = periodic_taps(phi), grid.shape
+        source, shape = periodic_taps(phi), grid.shape
     else:
-        tap, shape = _table_taps(phi, taps), (taps[(0,) * phi.ndim].size,)
-    entries = _hessian_entries(lambda a, b: second_difference(tap, a, b, h), n)
+        source, shape = _table_taps(phi, taps), (taps[(0,) * phi.ndim].size,)
+    scales = {c: 1.0 / (c * h**2) for c in (4.0, 16.0)}
     if n == 2:
-        (_, _, h00, _), (_, _, re01, im01), (_, _, h11, _) = entries
-        return HermitianPlanes(h00, h11, re01, im01)
+        part = {(i, j, imag): _tap_sum(source, part_taps, scales[c])
+                for i, j, imag, c, part_taps in hessian_taps(2)}
+        return HermitianPlanes(part[0, 0, False], part[1, 1, False],
+                               part[0, 1, False], part[0, 1, True])
     out = np.zeros(shape + (n, n), dtype=complex)
-    for i, j, re, im in entries:
-        if im is None:
-            out[..., i, i] = re
-        else:
-            out[..., i, j] = re + 1j * im
-            out[..., j, i] = re - 1j * im
+    parts = out.view(float).reshape(shape + (n, n, 2))
+    for i, j, imag, c, part_taps in hessian_taps(n):
+        value = _tap_sum(source, part_taps, scales[c])
+        parts[..., i, j, int(imag)] = value
+        if i != j:
+            if imag:
+                np.subtract(0.0, value, out=parts[..., j, i, 1])
+            else:
+                parts[..., j, i, 0] = value
     return out
 
 
 def hessian_symbol(T, grid):
     """Fourier symbol of u -> tr(T H(u)) for one constant Hermitian (n, n) T.
 
-    On the mode exp(i sum_a theta_a x_a / h) each second difference acts by
-    multiplication: along (a, a) by (2 cos theta_a - 2)/h^2, along a != b by
-    -sin theta_a sin theta_b / h^2.  These combine into H_ii, Re H_ij and
-    Im H_ij as in complex_hessian, and tr(T H) = sum_i T_ii H_ii
-    + 2 sum_{i<j} (Re T_ij Re H_ij + Im T_ij Im H_ij).  Returns the real
+    On the mode exp(i sum_a theta_a x_a / h) the tap at offset o multiplies
+    by exp(i theta . o); a part's taps come in pairs +-o of one weight, so
+    the part acts by (1 / (c h^2)) sum_{(o, w)} w cos(theta . o)
+    (hessian_taps).  With tr(T H) = sum_i T_ii H_ii
+    + 2 sum_{i<j} (Re T_ij Re H_ij + Im T_ij Im H_ij) this gives the real
     symbol on the np.fft.rfftn modes, shape (N,)*(2n-1) + (N//2 + 1,): zero
     at the zero mode, strictly negative at every other mode when T is
     positive definite.
@@ -253,12 +307,19 @@ def hessian_symbol(T, grid):
         theta.append(2.0 * math.pi * freq.reshape(shape))
 
     out = 0.0
-    for i, j, re, im in _hessian_entries(
-            lambda a, b: _second_difference_multiplier(theta, a, b, h), n):
-        if im is None:
-            out = out + T[i, i].real * re
-        else:
-            out = out + 2.0 * (T[i, j].real * re + T[i, j].imag * im)
+    for i, j, imag, c, taps in hessian_taps(n):
+        # cos is even, so each pair +-o counts once, twice; taps on the
+        # same axes sum on their small broadcast shape first
+        groups = {}
+        for offset, weight in taps:
+            axes = [a for a, o in enumerate(offset) if o]
+            if not axes:
+                groups[()] = groups.get((), 0.0) + weight
+            elif offset[axes[0]] > 0:
+                term = 2 * weight * np.cos(sum(offset[a] * theta[a] for a in axes))
+                groups[tuple(axes)] = groups.get(tuple(axes), 0.0) + term
+        coefficient = T[i, i].real if i == j else 2.0 * (T[i, j].imag if imag else T[i, j].real)
+        out = out + (coefficient / (c * h**2)) * sum(groups.values())
     return out
 
 
@@ -303,22 +364,6 @@ def frozen_hessian_inverse(T, grid):
         return np.fft.irfftn(modes, s=shape, axes=axes)
 
     return solve
-
-
-def stencil_offsets(n):
-    """Every nonzero index offset over the 2n real axes read by complex_hessian:
-    the nonzero taps of the Hessian entries of a centered 3^(2n) impulse."""
-    center = (1,) * (2 * n)
-    kernel = np.zeros((3,) * (2 * n))
-    kernel[center] = 1.0
-    taps = np.zeros(kernel.shape, dtype=bool)
-    tap = periodic_taps(kernel)
-    for _, _, re, im in _hessian_entries(lambda a, b: second_difference(tap, a, b, 1.0), n):
-        taps |= re != 0.0
-        if im is not None:
-            taps |= im != 0.0
-    taps[center] = False
-    return [tuple(1 - int(i) for i in idx) for idx in np.argwhere(taps)]
 
 
 class HermitianPlanes(NamedTuple):

@@ -19,7 +19,12 @@ inverse and determinant under the trace reversal (grid.hermitian_inverse
 over grid.volume_density).  Complex fields in run the general path
 (Cholesky reduction, eigvalsh/eigh, np.linalg.inv) at any n, n = 2
 included, which checks its inputs on every call and is the reference the
-closed forms are tested against.  A metric enters the program once,
+closed forms are tested against.  The radius rad = sqrt(half^2 + |m01|^2)
+is the square root of a sum of squares, taken in place; where that sum
+overflows or falls below symfun.SQUARES_FLOOR (its squares may have
+underflowed), the nested hypot stands in (Blue 1978), so rad keeps
+hypot's range, and it is exactly 0 where the eigenvalues merge.  The
+linearization reads grad f / f from symfun.log_gradient, one cone check.  A metric enters the program once,
 through checked_metric: finite, Hermitian and positive definite, and read
 as planes at n = 2; an n = 2 metric that is one matrix at every point, bit
 for bit, enters as four 0-d planes, which every closed form broadcasts, so
@@ -191,11 +196,30 @@ def _reduce_pencil_2x2(g, gt):
 
 def _eigs_2x2(m00, m11, m01r, m01i):
     """Ascending eigenvalues mean -/+ rad of a Hermitian 2x2 matrix given as
-    planes, rad, and half = (m00 - m11) / 2."""
-    mean = 0.5 * (m00 + m11)
-    half = 0.5 * (m00 - m11)
-    rad = np.hypot(half, np.hypot(m01r, m01i))
-    return np.stack([mean - rad, mean + rad], axis=-1), rad, half
+    planes (0-d or read-only views included), rad, and half = (m00 - m11) / 2.
+
+    rad = sqrt(half^2 + |m01|^2), written in place into fresh arrays and
+    guarded as symfun.root_sum_squares guards a norm; the eigenvalues are
+    written into one (..., 2) array.  rad is exactly 0 only where half and
+    m01 are 0, where linearization takes its s I branch."""
+    shape = np.broadcast_shapes(*(np.shape(p) for p in (m00, m11, m01r, m01i)))
+    lam = np.empty(shape + (2,))
+    lo, hi = lam[..., 0], lam[..., 1]
+    half, rad = np.empty(shape), np.empty(shape)
+    np.subtract(m00, m11, out=half)
+    half *= 0.5
+    with np.errstate(over="ignore"):
+        np.multiply(half, half, out=rad)
+        np.multiply(m01r, m01r, out=lo)  # lo is scratch until the last line
+        rad += lo
+        np.multiply(m01i, m01i, out=lo)
+        rad += lo
+    symfun.root_sum_squares(rad, (half, m01r, m01i))
+    np.add(m00, m11, out=hi)
+    hi *= 0.5  # mean
+    np.subtract(hi, rad, out=lo)
+    hi += rad
+    return lam, rad, half
 
 
 def endomorphism_eigs(g, gt):
@@ -231,11 +255,11 @@ def linearization(spec, g, gt):
     """
     if not isinstance(g, HermitianPlanes):
         lam, V = g_orthonormal_eigenframe(g, gt)
-        dlog = symfun.gradient(spec, lam) / symfun.evaluate(spec, lam)[..., None]
+        dlog = symfun.log_gradient(spec, lam)
         return hermitian_part(np.einsum("...ik,...k,...jk->...ij", V, dlog, np.conj(V)))
     (a, cr, ci, d), (m00, m11, m01r, m01i) = _reduce_pencil_2x2(g, gt)
     lam, rad, half = _eigs_2x2(m00, m11, m01r, m01i)
-    dlog = symfun.gradient(spec, lam) / symfun.evaluate(spec, lam)[..., None]
+    dlog = symfun.log_gradient(spec, lam)
     s = 0.5 * (dlog[..., 0] + dlog[..., 1])
     k = np.divide(0.5 * (dlog[..., 1] - dlog[..., 0]), rad,
                   out=np.zeros_like(rad), where=rad > 0.0)

@@ -147,13 +147,23 @@ def residual(problem, phi, b):
 
 
 def _evaluate_iterate(problem, phi):
-    """(log f(lam), margin) for the twisted eigenvalues lam of phi: margin is
-    their interior margin field, and log f is None off the strict interior."""
-    _, lam = _eigs_of_twisted(problem, phi)
-    margin = symfun.interior_margin(lam, problem.spec.cone)
-    if not np.all(margin > 0.0):
+    """(log f(lam), margin) for the twisted eigenvalues lam of phi, margin
+    their interior margin field (all NaN when lam is not finite).  log f is
+    None, the iterate outside the admissible set, unless lam, margin and
+    log f are finite and margin is positive everywhere: an iterate that
+    overflows is outside as one off the interior is, and no overflow warning
+    escapes.  f is evaluated once, unchecked, after the margin test."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, lam = _eigs_of_twisted(problem, phi)
+        if not np.all(np.isfinite(lam)):
+            return None, np.full(lam.shape[:-1], np.nan)
+        margin = symfun.interior_margin(lam, problem.spec.cone)
+        if not np.all((margin > 0.0) & (margin < np.inf)):
+            return None, margin
+        log_f = np.log(symfun.evaluate(problem.spec, lam, checked=False))
+    if not np.all(np.isfinite(log_f)):
         return None, margin
-    return np.log(symfun.evaluate(problem.spec, lam)), margin
+    return log_f, margin
 
 
 def _newton_step(problem, coeff, r, krylov_rtol):

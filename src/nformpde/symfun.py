@@ -30,6 +30,10 @@ from .errors import ConeViolationError, DegeneratePointError
 # INTERIOR_RTOL * (1 + |lam|)
 INTERIOR_RTOL = 1e-10
 
+# a sum of squares below this may hold squares that underflowed, so its
+# square root would lose precision (root_sum_squares)
+SQUARES_FLOOR = 1e-290
+
 _GAMMA_SAMPLES = 20000
 _GAMMA_SEED = 20260816
 
@@ -165,10 +169,34 @@ def in_cone(lam, cone):
     return cone_margin(lam, cone) > 0.0
 
 
+def root_sum_squares(total, planes):
+    """sqrt(total), total the sum of the squares of the planes, taken in
+    place when total is an array.  Where total is not finite (a square
+    overflowed) or below SQUARES_FLOOR (its squares may have underflowed),
+    the nested hypot of the planes stands in (Blue 1978), so the result
+    keeps hypot's range; 0 stays exactly 0."""
+    total = np.asarray(total)
+    suspect = None
+    if not (np.min(total, initial=np.inf) >= SQUARES_FLOOR
+            and np.max(total, initial=0.0) < np.inf):  # NaN fails both
+        suspect = ~((total >= SQUARES_FLOOR) & (total < np.inf))
+        suspect &= reduce(np.logical_or, [p != 0.0 for p in planes])  # 0 of zeros is exact
+    np.sqrt(total, out=total)
+    if suspect is not None and suspect.any():
+        with np.errstate(over="ignore"):
+            total[suspect] = reduce(np.hypot, [np.broadcast_to(p, total.shape)[suspect]
+                                               for p in planes])
+    return total
+
+
 def interior_margin(lam, cone):
-    """cone_margin minus the interior tolerance INTERIOR_RTOL*(1+|lam|)."""
+    """cone_margin minus the interior tolerance INTERIOR_RTOL*(1+|lam|), the
+    norm that of np.linalg.norm with root_sum_squares' guard."""
     lam = _as_tuples(lam)
-    scale = 1.0 + np.sqrt(plane_sum([x * x for x in _planes(lam)]))  # np.linalg.norm
+    planes = _planes(lam)
+    with np.errstate(over="ignore"):
+        total = plane_sum([x * x for x in planes])
+    scale = 1.0 + root_sum_squares(total, planes)
     return cone_margin(lam, cone) - INTERIOR_RTOL * scale
 
 
@@ -305,8 +333,12 @@ def _require_in_cone(spec, lam):
         )
 
 
-def evaluate(spec, lam):
-    """Operator value f(lam); raises ConeViolationError outside the cone."""
+def evaluate(spec, lam, checked=True):
+    """Operator value f(lam); raises ConeViolationError outside the cone.
+    checked=False skips every check, for a caller that has found the
+    interior margin of lam positive."""
+    if not checked:
+        return _evaluate_unchecked(spec, np.asarray(lam, dtype=float))
     lam = _as_tuples(lam)
     _check_dim(spec, lam)
     _require_in_cone(spec, lam)
@@ -331,8 +363,8 @@ def _evaluate_unchecked(spec, lam):
     raise ValueError(f"unknown family {spec.family!r}")
 
 
-def gradient(spec, lam):
-    """Gradient of f at lam, shape (..., n); requires strict interior."""
+def _interior_tuples(spec, lam):
+    """lam as tuples, DegeneratePointError unless strictly interior."""
     lam = _as_tuples(lam)
     _check_dim(spec, lam)
     margin = interior_margin(lam, spec.cone)
@@ -343,7 +375,23 @@ def gradient(spec, lam):
             f"boundary (margin {float(margin.reshape(-1)[idx]):.3e} at flat "
             f"index {idx})"
         )
-    return _gradient_unchecked(spec, lam)
+    return lam
+
+
+def gradient(spec, lam):
+    """Gradient of f at lam, shape (..., n); requires strict interior."""
+    return _gradient_unchecked(spec, _interior_tuples(spec, lam))
+
+
+def log_gradient(spec, lam):
+    """grad f / f = grad log f at lam, shape (..., n), after one interior
+    check (DegeneratePointError, as gradient): 1 / (n lam_j) for
+    Monge-Ampere, otherwise the gradient over the value."""
+    lam = _interior_tuples(spec, lam)
+    if spec.family == "monge-ampere":
+        out = np.multiply(lam, float(spec.dim))
+        return np.divide(1.0, out, out=out)
+    return _gradient_unchecked(spec, lam) / _evaluate_unchecked(spec, lam)[..., None]
 
 
 def _gradient_unchecked(spec, lam):

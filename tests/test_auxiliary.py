@@ -24,6 +24,7 @@ from nformpde.errors import (
     ChartFailureError,
     InconsistentInputError,
     MetricDegeneracyError,
+    NonConvergenceError,
 )
 from nformpde.grid import (
     HermitianPlanes,
@@ -33,6 +34,7 @@ from nformpde.grid import (
     identity_metric,
     stencil_offsets,
 )
+from nformpde.hermlin import hermitian_part
 from nformpde.manufactured import radial_field, radial_profile
 from nformpde.solver import PrimaryProblem, solve_primary
 from nformpde.symfun import monge_ampere
@@ -275,6 +277,77 @@ def test_dirichlet_solve_constant_rhs_closed_form():
     assert sol.psi[chart.mask].max() <= 1e-12
     assert sol.psi[chart.center_index] == pytest.approx(-a * R * R, abs=10.0 * grid.h**2)
     assert np.abs(sol.psi[chart.ring]).max() <= 3.0 * a * R * grid.h
+
+
+def test_dirichlet_solve_starts_from_initial():
+    # started from its own solution, the solve is done before its first step
+    chart, grid = flat_chart()
+    rhs = np.zeros(grid.shape)
+    rhs[chart.mask] = 1.0 / (chart.num_interior * grid.cell_volume)
+    cold = solve_dirichlet_ma(chart, rhs)
+    warm = solve_dirichlet_ma(chart, rhs, initial=cold.psi)
+    assert cold.iterations > 0 and warm.iterations == 0
+    assert warm.residual_history == [cold.residual_sup]
+    assert warm.psi.tobytes() == cold.psi.tobytes()
+
+
+def test_run_localization_warm_starts_each_k_from_its_last_cell(monkeypatch):
+    # cells run s-major: (s0, 5), (s0, 10), (s1, 5), ...; each starts from the
+    # psi of the last cell with its k, and a failed cell leaves its k cold
+    grid = TorusGrid(n=2, N=16, L=1.0)
+    g = identity_metric(grid)
+    problem = PrimaryProblem(
+        spec=monge_ampere(2), g=g, g_h=g, F=np.zeros(grid.shape), grid=grid
+    )
+    solution = solve_primary(problem)
+    real, starts, psis = auxiliary.solve_dirichlet_ma, [], []
+
+    def solve(chart, rhs, initial=None):
+        starts.append(initial)
+        if len(starts) == 3:
+            psis.append(None)
+            raise NonConvergenceError("scripted failure", [1.0])
+        aux = real(chart, rhs, initial=initial)
+        psis.append(aux.psi)
+        return aux
+
+    monkeypatch.setattr(auxiliary, "solve_dirichlet_ma", solve)
+    payload = run_localization(solution, problem, s_fractions=(0.2, 0.4, 0.6), k_list=(5, 10),
+                               c_disc=10.0, entropy_exponent=3)
+    assert [cell["error"] is None for cell in payload["reports"]] == [True, True, False,
+                                                                      True, True, True]
+    assert starts[0] is None and starts[1] is None and starts[4] is None
+    assert starts[2] is psis[0] and starts[3] is psis[1] and starts[5] is psis[3]
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([2, 3]))
+def test_clamped_inverse_is_the_inverse_of_the_clamped_matrix(seed, n):
+    # Hermitian fields whose spectra span at most a factor 100 at scales from
+    # 1e-10 to 1, so that some fall below EIG_FLOOR: those are raised to it,
+    # and the result is np.linalg.inv of the matrix with its spectrum so
+    # clamped (its condition number stays below 100)
+    rng = np.random.default_rng(seed)
+    count = 40
+    scale = np.logspace(-10.0, 0.0, count)[:, None]
+    spectrum = scale * np.exp(rng.uniform(0.0, np.log(100.0), size=(count, n)))
+    a = rng.normal(size=(count, n, n)) + 1j * rng.normal(size=(count, n, n))
+    frames = np.linalg.qr(a)[0]
+    field = hermitian_part(np.einsum("pik,pk,pjk->pij", frames, spectrum, frames.conj()))
+    eigs, frames = np.linalg.eigh(field)
+    assert np.any(eigs < auxiliary.EIG_FLOOR) and np.any(eigs > auxiliary.EIG_FLOOR)
+    clamped = np.einsum("pik,pk,pjk->pij", frames, np.maximum(eigs, auxiliary.EIG_FLOOR),
+                        frames.conj())
+    reference = np.linalg.inv(clamped)
+    inv = auxiliary._clamped_inverse(eigs, frames)
+    if n == 2:
+        assert isinstance(inv, HermitianPlanes)
+        assert all(p.flags.c_contiguous for p in inv)
+        inv = inv.matrix()
+    else:
+        assert inv.shape == (count, n, n) and inv.dtype == complex
+    size = np.abs(reference).max(axis=(-2, -1))
+    assert np.all(np.abs(inv - reference).max(axis=(-2, -1)) <= 1e-12 * size)
 
 
 @pytest.mark.parametrize("N", [16, 20])

@@ -300,6 +300,32 @@ def test_sweep_entropy_target_that_overflows(tmp_path, capsys):
     assert os.listdir(out) == []
 
 
+def test_sweep_entropy_target_that_underflows(tmp_path, capsys):
+    # e^F of the first member underflows at every point, so the entropy that
+    # would become the sweep's target is 0.0, whose log has no value
+    config = tmp_path / "cold.json"
+    config.write_text(json.dumps({"grid": {"n": 2, "N": 8, "L": 0.01}, "forcing": {
+        "name": "gaussian", "params": {"amplitude": -1e300, "sigma": 1.0}}, "seed": 16}))
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(config), "--out", str(out)]) == EXIT_USAGE
+    assert ("descriptor error: entropy of the first sweep member is not positive"
+            in capsys.readouterr().err)
+    assert os.listdir(out) == []
+
+
+def test_solve_forcing_that_overflows_the_trials_exits_three(tmp_path):
+    # every line-search trial overflows the eigenvalues' norm or f; each is
+    # outside the admissible set, the solve fails as documented, and no
+    # RuntimeWarning escapes (the test suite turns warnings into errors)
+    config = tmp_path / "huge.json"
+    config.write_text(json.dumps({"grid": {"n": 2, "N": 8, "L": 1.0}, "forcing": {
+        "name": "bandlimited", "params": {"amplitude": -1e300}}, "seed": 1}))
+    out = tmp_path / "out"
+    assert main(["solve", "--config", str(config), "--out", str(out)]) == EXIT_SOLVER
+    with open(out / "solve_error.json") as handle:
+        assert "line search stalled" in json.load(handle)["error"]
+
+
 def test_negative_seed_unusable_out_and_bad_artifacts_exit_two(tmp_path, capsys):
     # a negative seed is a descriptor error, in the descriptor or from --seed
     config = write_config(tmp_path / "negative.json", seed=-1)

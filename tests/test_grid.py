@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from hypothesis import strategies as st
 from nformpde.grid import (
     HermitianPlanes,
     TorusGrid,
-    _hessian_entries,
     complex_hessian,
     entropy_integrand,
     entropy_norm,
@@ -20,13 +20,12 @@ from nformpde.grid import (
     hermitian_planes,
     hermitian_trace,
     hessian_symbol,
+    hessian_taps,
     identity_metric,
     integrate,
     laplacian,
     neighbour_table,
     normalize_sup,
-    periodic_taps,
-    second_difference,
     stencil_offsets,
     twisted_metric,
     volume_density,
@@ -82,20 +81,59 @@ def test_distance_sq_fold():
     assert d2f[15, 0] == d2f[1, 0]
 
 
-@pytest.mark.parametrize("a,b", [(0, 0), (0, 1)])
-def test_second_difference_converges_at_second_order(a, b):
-    # trig_field = sin(kx) cos(ky): d_xx = -k^2 trig_field, d_xy = -k^2 cos(kx) sin(ky)
-    errs = []
+PARTS = {"H_00": (0, 0, False), "H_11": (1, 1, False), "Re H_01": (0, 1, False),
+         "Im H_01": (0, 1, True)}
+
+
+@pytest.mark.parametrize("part", list(PARTS))
+def test_hessian_part_converges_at_second_order(part):
+    # the plane wave phi = sin(k a.x), a = (1, 1, 1, 2) over (x0, y0, x1, y1):
+    # phi_ab = -k^2 a_a a_b phi, so H_00 = -k^2 (2/4) phi, H_11 = -k^2 (5/4) phi,
+    # Re H_01 = -k^2 (3/4) phi and Im H_01 = -k^2 (1/4) phi, none zero
+    a = (1.0, 1.0, 1.0, 2.0)
+    exact_over_phi = {"H_00": 2.0, "H_11": 5.0, "Re H_01": 3.0, "Im H_01": 1.0}[part]
+    plane = {"H_00": "h00", "H_11": "h11", "Re H_01": "re01", "Im H_01": "im01"}[part]
     k = 2.0 * math.pi
+    errs = []
     for N in (16, 32):
-        grid = TorusGrid(n=1, N=N, L=1.0)
-        f = trig_field(grid)
-        x = grid.axis_coordinates(0)
-        y = grid.axis_coordinates(1)
-        exact = -k * k * (f if a == b else np.cos(k * x) * np.sin(k * y))
-        errs.append(np.abs(second_difference(periodic_taps(f), a, b, grid.h) - exact).max())
+        grid = TorusGrid(n=2, N=N, L=1.0)
+        phi = np.sin(k * sum(c * grid.axis_coordinates(axis) for axis, c in enumerate(a)))
+        exact = -0.25 * k * k * exact_over_phi * phi
+        errs.append(np.abs(getattr(complex_hessian(phi, grid), plane) - exact).max())
     ratio = errs[0] / errs[1]
     assert 3.5 <= ratio <= 4.5
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_hessian_taps_state_the_complex_hessian(n):
+    # H_ij = (f_xixj + f_yiyj)/4 + i (f_xiyj - f_yixj)/4, with the three-point
+    # second difference and the four-point cross, as (offset, weight) sets
+    def e(*steps):
+        offset = [0] * (2 * n)
+        for axis, sign in steps:
+            offset[axis] += sign
+        return tuple(offset)
+
+    def pm(weight, *steps):
+        return {(e(*steps), weight), (e(*((a, -s) for a, s in steps)), weight)}
+
+    stated = []
+    for i in range(n):
+        xi, yi = 2 * i, 2 * i + 1
+        stated.append((i, i, False, 4.0, {(e(), -4)} | pm(1, (xi, 1)) | pm(1, (yi, 1))))
+        for j in range(i + 1, n):
+            xj, yj = 2 * j, 2 * j + 1
+            stated.append((i, j, False, 16.0, pm(1, (xi, 1), (xj, 1)) | pm(1, (yi, 1), (yj, 1))
+                           | pm(-1, (xi, 1), (xj, -1)) | pm(-1, (yi, 1), (yj, -1))))
+            stated.append((i, j, True, 16.0, pm(1, (xi, 1), (yj, 1)) | pm(1, (yi, 1), (xj, -1))
+                           | pm(-1, (xi, 1), (yj, -1)) | pm(-1, (yi, 1), (xj, 1))))
+    table = hessian_taps(n)
+    assert [(i, j, imag, c, set(taps)) for i, j, imag, c, taps in table] == stated
+    # no offset twice in a part; the evaluator's order: the zero offset first
+    # in a diagonal part, two +1 taps first in an off-diagonal one
+    for i, j, _, _, taps in table:
+        assert len({o for o, _ in taps}) == len(taps)
+        assert taps[0][1] == -4 if i == j else taps[0][1] == taps[1][1] == 1
 
 
 def test_complex_hessian_exact_on_quadratics():
@@ -320,33 +358,31 @@ def test_frozen_hessian_inverse_is_exact_on_mean_free_fields(n, N):
     assert np.abs(solve(f + 2.0, 0.0) - u).max() <= 1e-12 * np.abs(u).max()
 
 
-def roll_second_difference(f, a, b, h):
-    """The np.roll form of second_difference on a whole field: the reference."""
-    if a == b:
-        return (np.roll(f, -1, a) - 2.0 * f + np.roll(f, 1, a)) / h**2
-    pp = np.roll(f, (-1, -1), (a, b))
-    pm = np.roll(f, (-1, 1), (a, b))
-    mp = np.roll(f, (1, -1), (a, b))
-    mm = np.roll(f, (1, 1), (a, b))
-    return (pp - pm - mp + mm) / (4.0 * h**2)
+def roll_part(phi, taps, c, h):
+    """One part of the complex Hessian by np.roll, the reference: the sum
+    of w phi(x + o h) over its taps in table order, times 1 / (c h^2)."""
+    axes = tuple(range(phi.ndim))
+    terms = [w * np.roll(phi, tuple(-o for o in offset), axes) for offset, w in taps]
+    return reduce(np.add, terms) * (1.0 / (c * h**2))
 
 
 def roll_complex_hessian(phi, grid):
-    """The np.roll complex Hessian, the reference: at n = 2 the planes of the
-    parts of its entries (h_00, h_11, Re h_01, Im h_01), otherwise the complex
-    field with entries written as re +- 1j * im."""
+    """The np.roll complex Hessian, the reference: at n = 2 the planes of its
+    parts (h_00, h_11, Re h_01, Im h_01), otherwise the complex field with
+    imaginary diagonal 0.0 and h_ji = Re h_ij + 1j (0.0 - Im h_ij)."""
     n, h = grid.n, grid.h
-    entries = _hessian_entries(lambda a, b: roll_second_difference(phi, a, b, h), n)
+    parts = {(i, j, imag): roll_part(phi, taps, c, h) for i, j, imag, c, taps in hessian_taps(n)}
     if n == 2:
-        parts = {(i, j): (re, im) for i, j, re, im in entries}
-        return HermitianPlanes(parts[0, 0][0], parts[1, 1][0], *parts[0, 1])
+        return HermitianPlanes(parts[0, 0, False], parts[1, 1, False],
+                               parts[0, 1, False], parts[0, 1, True])
     out = np.zeros(grid.shape + (n, n), dtype=complex)
-    for i, j, re, im in entries:
-        if im is None:
-            out[..., i, i] = re
+    for (i, j, imag), value in parts.items():
+        if imag:
+            out.imag[..., i, j] = value
+            out.imag[..., j, i] = 0.0 - value
         else:
-            out[..., i, j] = re + 1j * im
-            out[..., j, i] = re - 1j * im
+            out.real[..., i, j] = value
+            out.real[..., j, i] = value
     return out
 
 

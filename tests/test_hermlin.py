@@ -20,6 +20,7 @@ from nformpde.grid import (
 from nformpde.hermlin import (
     CHAIN_SLACK_TOL,
     DET_SLACK_TOL,
+    _eigs_2x2,
     checked_metric,
     endomorphism_eigs,
     g_orthonormal_eigenframe,
@@ -292,6 +293,44 @@ def test_closed_form_exact_repeated_eigenvalue_is_the_limit():
         assert endomorphism_eigs(gp, gtp).tolist() == [2.0, 2.0]
         G = linearization(monge_ampere(2), gp, gtp)
     assert np.array_equal(G.matrix(), 0.25 * g)
+
+
+# decimal exponents of the entries: around 1, and at and beyond the limits
+# 1e+-154 where a square overflows or underflows
+EXPONENTS = [0, 150, 154, 155, 160, 300, -150, -154, -155, -160, -200, -300, -310]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), shape=st.sampled_from([(), (1,), (7,), (3, 5)]),
+       exponents=st.lists(st.sampled_from(EXPONENTS), min_size=1, max_size=3),
+       merged=st.floats(0.0, 1.0), view=st.booleans())
+@example(seed=0, shape=(), exponents=[0], merged=1.0, view=False)
+@example(seed=1, shape=(7,), exponents=[300, -300], merged=0.5, view=True)
+def test_eigs_2x2_match_eigvalsh(seed, shape, exponents, merged, view):
+    # each point's entries share a scale drawn from the exponents; a share
+    # `merged` of the points are s I, whose eigenvalues merge with rad 0
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** rng.choice(exponents, size=shape)
+    planes = [scale * rng.normal(size=shape) for _ in range(4)]
+    same = rng.random(shape) < merged
+    planes[1] = np.where(same, planes[0], planes[1])
+    planes[2] = np.where(same, 0.0, planes[2])
+    planes[3] = np.where(same, 0.0, planes[3])
+    if view:  # build_chart's read-only views of a constant metric's 0-d planes
+        planes = [np.broadcast_to(p.reshape(-1)[:1].reshape(()), (4,) + shape) for p in planes]
+    lam, rad, half = _eigs_2x2(*planes)  # a RuntimeWarning fails the test
+    full = np.broadcast_shapes(*(p.shape for p in planes))
+    assert lam.shape == full + (2,) and rad.shape == half.shape == full
+    reference = np.linalg.eigvalsh(HermitianPlanes(*planes).matrix())
+    # to a few ulps of the largest entry; a few subnormal steps near 1e-310
+    size = np.max([np.abs(np.broadcast_to(p, full)) for p in planes], axis=0)
+    tolerance = 16.0 * np.spacing(size) + 4.0 * np.spacing(0.0)
+    assert np.all(np.abs(lam - reference) <= tolerance[..., None])
+    # rad is hypot's to a few ulps, and 0 exactly where the eigenvalues merge
+    hyp = np.hypot(half, np.hypot(*np.broadcast_arrays(planes[2], planes[3])))
+    assert np.all(np.abs(rad - hyp) <= 4.0 * np.spacing(hyp))
+    assert np.array_equal(rad == 0.0, hyp == 0.0)
+    assert np.array_equal(lam[..., 0] == lam[..., 1], rad == 0.0)
 
 
 @settings(max_examples=20, deadline=None)

@@ -24,6 +24,7 @@ from nformpde.symfun import (
     hessian,
     in_cone,
     interior_margin,
+    log_gradient,
     monge_ampere,
     p_monge_ampere,
     sample_cone,
@@ -73,6 +74,30 @@ def test_gradient_matches_finite_differences():
             bump[j] = eps
             fd = (evaluate(spec, lam + bump) - evaluate(spec, lam - bump)) / (2 * eps)
             assert np.allclose(grad[:, j], fd, rtol=1e-5, atol=1e-8)
+
+
+def test_log_gradient_is_the_gradient_over_the_value():
+    # one interior check, then grad f / f (1 / (n lam_j) for Monge-Ampere)
+    rng = np.random.default_rng(12)
+    for spec in FAMILIES:
+        lam = sample_cone(spec.cone, spec.dim, 200, rng)
+        reference = gradient(spec, lam) / evaluate(spec, lam)[..., None]
+        assert np.all(np.abs(log_gradient(spec, lam) - reference) <= 1e-14 * np.abs(reference))
+        # evaluate unchecked is evaluate, bit for bit
+        assert evaluate(spec, lam, checked=False).tobytes() == evaluate(spec, lam).tobytes()
+    with pytest.raises(DegeneratePointError):
+        log_gradient(monge_ampere(2), np.array([1.0, 0.0]))
+
+
+def test_interior_margin_of_huge_and_tiny_tuples_is_hypot_scaled():
+    # the norm's squares overflow above 1e154 and underflow below 1e-154;
+    # the guard takes hypot there, so no warning escapes and the tolerance
+    # keeps its scale
+    cone = PIndexCone(1)  # its margin min(lam) forms no product to overflow
+    for x in (1e200, 1e300, 1e-200, 0.0):
+        lam = np.array([[x, 3.0 * x]])
+        scale = 1.0 + math.hypot(x, 3.0 * x)
+        assert interior_margin(lam, cone)[0] == x - INTERIOR_RTOL * scale
 
 
 def test_euler_relation_and_homogeneity():
