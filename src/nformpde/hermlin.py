@@ -210,7 +210,7 @@ def _eigs_2x2(m00, m11, m01r, m01i):
     half *= 0.5
     with np.errstate(over="ignore"):
         np.multiply(half, half, out=rad)
-        np.multiply(m01r, m01r, out=lo)  # lo is scratch until the last line
+        np.multiply(m01r, m01r, out=lo)  # lo holds a square until it takes mean - rad
         rad += lo
         np.multiply(m01i, m01i, out=lo)
         rad += lo
