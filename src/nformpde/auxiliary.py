@@ -35,7 +35,6 @@ from .grid import (
     hermitian_planes,
     hermitian_trace,
     neighbour_table,
-    trace_scaling,
     volume_density,
 )
 from .hermlin import _eigs_2x2, checked_metric, endomorphism_eigs
@@ -223,7 +222,8 @@ def smooth_hinge(x, k):
 
 
 def _hinge_density(w, F, k, chart):
-    """smooth_hinge(-w, k) * exp(n F) * det(g) on the chart ball, and its finite mass."""
+    """smooth_hinge(-w, k) * exp(n F) * det(g) on the chart ball, and its
+    mass, which must be finite and positive (InconsistentInputError)."""
     grid = chart.grid
     mask = chart.mask
     w = np.asarray(w, dtype=float)
@@ -233,6 +233,9 @@ def _hinge_density(w, F, k, chart):
         mass = float(np.sum(density) * grid.cell_volume)
     if not np.isfinite(mass):
         raise InconsistentInputError("hinge mass is not finite: exp(n F) overflows")
+    if not mass > 0.0:
+        raise InconsistentInputError(
+            "hinge mass is not positive: exp(n F) underflows on the chart ball")
     return density, mass
 
 
@@ -240,8 +243,8 @@ def hinge_mass(w, F, k, chart):
     """Discrete mass of the smoothed negative part of w over the chart ball.
 
     Integrates smooth_hinge(-w, k) * exp(n F) against the metric volume
-    element; strictly positive since the hinge is bounded below by 1/(2k),
-    and InconsistentInputError when it is not finite.
+    element; InconsistentInputError when it is not finite, or when it is
+    not positive, as where exp(n F) underflows on the whole ball.
     """
     return _hinge_density(w, F, k, chart)[1]
 
@@ -302,12 +305,10 @@ def _chart_geometry(mask, center_index, R, grid):
 @dataclass
 class AuxiliarySolution(NewtonRecord):
     """The NewtonRecord of a Dirichlet Monge-Ampere solve on a chart ball,
-    with its solution, discrete mass, smallest Hessian eigenvalue and
-    clamped points per step."""
+    with its solution, discrete mass and clamped points per step."""
 
     psi: np.ndarray
     mass: float
-    min_eigenvalue: float
     clamp_history: list
 
 
@@ -340,11 +341,11 @@ def solve_dirichlet_ma(chart, rhs_density, initial=None):
     Each Newton step solves tr(inv H(d)) = -r on the ball, inv the clamped
     inverse Hessian (at n = 2 the real weighted sum over the planes of inv
     and H), by LGMRES with the trace-scaled preconditioner of the periodic
-    solve (grid.trace_scaling): the ball residual is divided by t = tr inv,
-    zero-extended to the grid, its zero mode dropped, passed through the
-    exact torus inverse of tr(Tbar H(.)), Tbar the ball mean of inv / t
-    (grid.frozen_hessian_inverse), and restricted to the ball.  LGMRES
-    starts from that preconditioned residual.
+    solve, both parts from one grid.frozen_hessian_inverse(inv, grid) call:
+    the ball residual is divided by t = tr inv, zero-extended to the grid,
+    its zero mode dropped, passed through the exact torus inverse of
+    tr(Tbar H(.)), Tbar the ball mean of inv / t, and restricted to the
+    ball.  LGMRES starts from that preconditioned residual.
 
     Parameters
     ----------
@@ -395,8 +396,7 @@ def solve_dirichlet_ma(chart, rhs_density, initial=None):
             matvecs += 1
             return hermitian_trace(inv, complex_hessian(fill(d), grid, chart.taps))
 
-        inv_t, tbar = trace_scaling(inv)
-        frozen = frozen_hessian_inverse(tbar, grid)
+        inv_t, frozen = frozen_hessian_inverse(inv, grid)
 
         def precond(u):
             full[chart.mask_flat] = u * inv_t
@@ -430,7 +430,6 @@ def solve_dirichlet_ma(chart, rhs_density, initial=None):
         psi=fill(psi).copy(),
         mass=float(np.sum(reduce(np.multiply, [eigs[:, i] for i in range(n)]))
                    * grid.cell_volume),
-        min_eigenvalue=min_eig,
         clamp_history=clamp_history,
     )
 
@@ -468,7 +467,7 @@ def check_comparison(w, psi, eps, chart, c_disc):
     phi_test = -eps * depth ** (n / (n + 1.0)) - w
 
     arg = int(np.argmax(phi_test))
-    flat = np.flatnonzero(mask.ravel())[arg]
+    flat = chart.mask_flat[arg]
     tolerance = c_disc * grid.h ** 2
     max_phi = float(phi_test[arg])
     qs = np.percentile(phi_test, [0.0, 25.0, 50.0, 75.0, 100.0])

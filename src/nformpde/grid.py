@@ -323,39 +323,29 @@ def hessian_symbol(T, grid):
     return out
 
 
-def trace_scaling(T):
-    """(1/t, Tbar) for a Hermitian positive definite coefficient field T
-    (planes, or complex of shape (..., n, n)): t = tr T, a positive field,
-    and Tbar the batch mean of the trace-normalized T/t, a constant complex
-    (n, n) matrix.
+def frozen_hessian_inverse(T, grid):
+    """(inv_t, solve), the preconditioner of u -> tr(T H(u)) for a Hermitian
+    positive definite coefficient field T (planes, or complex of shape
+    (..., n, n)); both Newton solves build theirs with this one call.
 
-    Since tr(T H(u)) = t tr((T/t) H(u)), the map f -> solve(f / t) with
-    solve = frozen_hessian_inverse(Tbar, grid) preconditions u -> tr(T H(u))
-    (Concus and Golub, 1973), exactly whenever T is a scalar field times a
-    constant matrix.  Each plane of T/t is formed and reduced alone, so only
-    1/t outlives the call.
+    inv_t = 1/t for t = tr T, and solve(f, mean) is the field u with
+    tr(Tbar H(u)) = f - mean(f) and mean(u) = mean, Tbar the batch mean of
+    T/t, one constant matrix, inverted exactly through the symbol of
+    hessian_symbol: one rfftn, a division and one irfftn per call.  Since
+    tr(T H(u)) = t tr((T/t) H(u)), f -> solve(f inv_t, mean) is exact
+    whenever T is a scalar field times a constant matrix (Concus and Golub,
+    1973).  Each plane of T/t is formed and reduced alone, so only 1/t
+    outlives the call.
     """
     if isinstance(T, HermitianPlanes):
         inv_t = 1.0 / (T.h00 + T.h11)
-        return inv_t, HermitianPlanes(*(np.mean(p * inv_t) for p in T)).matrix()
-    inv_t = 1.0 / np.einsum("...ii->...", T).real
-    return inv_t, np.tensordot(inv_t, T, axes=inv_t.ndim) / inv_t.size
-
-
-def frozen_hessian_inverse(T, grid):
-    """Exact torus inverse of u -> tr(T H(u)) for one constant Hermitian
-    positive definite (n, n) T, through the symbol of hessian_symbol.  Both
-    Newton solves pass the Tbar of trace_scaling, the mean of their
-    coefficient over its trace, and divide by the trace before the solve.
-
-    Returns solve(f, mean): the field u with tr(T H(u)) = f - mean(f) and
-    mean(u) = mean.  The zero mode of f is dropped; the caller sets the zero
-    mode of u.  Each call is one rfftn, a division by the symbol and one
-    irfftn.
-    """
+        tbar = HermitianPlanes(*(np.mean(p * inv_t) for p in T)).matrix()
+    else:
+        inv_t = 1.0 / np.einsum("...ii->...", T).real
+        tbar = np.tensordot(inv_t, T, axes=inv_t.ndim) / inv_t.size
     shape = grid.shape
     axes = tuple(range(len(shape)))
-    symbol = hessian_symbol(T, grid)
+    symbol = hessian_symbol(tbar, grid)
     symbol.flat[0] = 1.0  # no 0/0: solve overwrites the zero mode
 
     def solve(f, mean):
@@ -363,7 +353,7 @@ def frozen_hessian_inverse(T, grid):
         modes.flat[0] = mean * grid.num_points
         return np.fft.irfftn(modes, s=shape, axes=axes)
 
-    return solve
+    return inv_t, solve
 
 
 class HermitianPlanes(NamedTuple):

@@ -26,7 +26,8 @@ underflowed), the nested hypot stands in (Blue 1978), so rad keeps
 hypot's range, and it is exactly 0 where the eigenvalues merge.  The
 linearization reads grad f / f from symfun.log_gradient, one cone check.  A metric enters the program once,
 through checked_metric: finite, Hermitian and positive definite, and read
-as planes at n = 2; an n = 2 metric that is one matrix at every point, bit
+as planes at n = 2 (checked_metric also takes planes, as solver's L1 check
+reads them); an n = 2 metric that is one matrix at every point, bit
 for bit, enters as four 0-d planes, which every closed form broadcasts, so
 a constant metric is four numbers and not four fields.
 
@@ -121,22 +122,28 @@ def _schur_2x2(g, name="metric"):
 
 
 def checked_metric(a, name="metric"):
-    """A metric as it enters the program: planes at n = 2, the complex field
-    otherwise.  MetricDegeneracyError naming it if it is not finite, not
-    Hermitian to 1e-12 or not positive definite (at n = 2 the Schur test of
-    the closed form, otherwise cholesky_pd), each checked on the whole field.
+    """A metric, a complex field at any n or planes, as the program reads
+    it: planes at n = 2, the complex field otherwise.  MetricDegeneracyError
+    naming it if it is not finite, not Hermitian to 1e-12 (planes are by
+    construction) or not positive definite (at n = 2 the Schur test of the
+    closed form, otherwise cholesky_pd), each checked on the whole field.
 
-    The planes are views of a, except that a field whose planes each hold
-    one value bit for bit at every point (a +0.0 and a -0.0 differ) gives
-    four 0-d planes: every closed form broadcasts them and computes the
-    bytes of the full planes, so a constant metric is never streamed."""
-    a = _as_matrix(a, name)
-    if not np.all(np.isfinite(a)):
-        raise MetricDegeneracyError(f"{name} is not finite")
-    if a.shape[-1] != 2:
-        cholesky_pd(a, name)
-        return a
-    planes = hermitian_planes(_checked_hermitian(a, name))
+    The planes are a or views of it, except that a field whose planes each
+    hold one value bit for bit at every point (a +0.0 and a -0.0 differ)
+    gives four 0-d planes: every closed form broadcasts them and computes
+    the bytes of the full planes, so a constant metric is never streamed."""
+    if isinstance(a, HermitianPlanes):
+        if not all(np.all(np.isfinite(p)) for p in a):
+            raise MetricDegeneracyError(f"{name} is not finite")
+        planes = a
+    else:
+        a = _as_matrix(a, name)
+        if not np.all(np.isfinite(a)):
+            raise MetricDegeneracyError(f"{name} is not finite")
+        if a.shape[-1] != 2:
+            cholesky_pd(a, name)
+            return a
+        planes = hermitian_planes(_checked_hermitian(a, name))
     _schur_2x2(planes, name)
     if planes.h00.size and all(np.all(bits == bits.flat[0])
                                for bits in (p.view(np.int64) for p in planes)):

@@ -12,10 +12,10 @@ system, matrix-free Krylov).  T is positive definite, so the operator is
 uniformly elliptic, and with t = tr T it is t tr((T/t) H(.)).  The Krylov
 solve is preconditioned by the trace-scaled frozen inverse: divide by t,
 then apply the exact torus inverse of tr(Tbar H(.)), Tbar the grid mean of
-T/t, whose constant coefficients np.fft diagonalizes
-(grid.trace_scaling and grid.frozen_hessian_inverse, which the chart
-solve of auxiliary also uses).  It is exact when T is a scalar field
-times a constant matrix.
+T/t, whose constant coefficients np.fft diagonalizes.  One call,
+grid.frozen_hessian_inverse(T, grid), gives both 1/t and that inverse, in
+this solve and in the chart solve of auxiliary.  It is exact when T is a
+scalar field times a constant matrix.
 
 g and g_h enter once, when a PrimaryProblem is built: it checks each
 (hermlin.checked_metric, once when g_h is g) and holds what the check
@@ -25,7 +25,8 @@ coefficients) and the matvec's tr(T H) take the closed forms on planes,
 with no further check.  A metric that is one matrix at every point comes
 as four 0-d planes, and its g^-1 as four numbers, which the closed forms
 broadcast: the pencil of every Newton step reads four numbers, not four
-fields.  l1_bound_check reads complex metrics through the same check.
+fields.  l1_bound_check reads the metrics it is given, complex fields at
+any n or planes, through the same check.
 
 damped_newton runs both Newton solves, this one and the chart solve of
 auxiliary, and reports what each did as a NewtonRecord, which both
@@ -171,10 +172,10 @@ def _newton_step(problem, coeff, r, krylov_rtol):
 
     The preconditioner is the exact inverse of the bordered system with
     coeff replaced by t Tbar, t = tr coeff and Tbar the grid mean of
-    coeff / t (grid.trace_scaling): db = -mean(top / t) / mean(1 / t), so
-    that (top + db) / t has zero mean, the mean of dphi is the bordered
-    entry, and dphi is the torus inverse of tr(Tbar H(.)) applied to
-    (top + db) / t (grid.frozen_hessian_inverse).
+    coeff / t: db = -mean(top / t) / mean(1 / t), so that (top + db) / t
+    has zero mean, the mean of dphi is the bordered entry, and dphi is the
+    torus inverse of tr(Tbar H(.)) applied to (top + db) / t (1 / t and
+    that inverse from one grid.frozen_hessian_inverse call).
 
     Returns ((dphi, db), info, matvecs) with info the lgmres exit flag and
     matvecs the number of operator applications.
@@ -193,8 +194,7 @@ def _newton_step(problem, coeff, r, krylov_rtol):
         bottom = np.array([dphi.mean()])
         return np.concatenate([top.reshape(-1), bottom])
 
-    inv_t, tbar = gridmod.trace_scaling(coeff)
-    frozen = gridmod.frozen_hessian_inverse(tbar, g)
+    inv_t, frozen = gridmod.frozen_hessian_inverse(coeff, g)
     mean_inv_t = float(np.mean(inv_t))
 
     def precond(u):
@@ -331,10 +331,6 @@ def solve_primary(problem, initial=None):
     return PrimarySolution(**vars(record), phi=gridmod.normalize_sup(phi), b=b)
 
 
-def _metric_planes(a, name):
-    return a if isinstance(a, gridmod.HermitianPlanes) else hermlin.checked_metric(a, name)
-
-
 @dataclass(frozen=True)
 class L1BoundReport:
     """Premises and output of the final L1 bound chain for one solution.
@@ -359,15 +355,16 @@ def l1_bound_check(phi, g, g_h, grid, g_inv=None):
     """Verify the trace-route premises on a solved potential.
 
     Both checks are trace conditions: membership of the rescaled twisted
-    eigenvalues in the largest cone only constrains the metric trace.  For
-    n = 2 they run on planes: a PrimaryProblem's (with its g_inv), or complex
-    metrics read through hermlin.checked_metric (once when g_h is g).
+    eigenvalues in the largest cone only constrains the metric trace, which
+    an indefinite metric can pass.  So g and g_h, complex fields at any n or
+    planes, are read through hermlin.checked_metric (once when g_h is g),
+    which refuses one that is not finite, Hermitian and positive definite;
+    g_inv, when given, is g^-1 (a PrimaryProblem's).
     """
     phi = np.asarray(phi, dtype=float)
-    if grid.n == 2:
-        metric = _metric_planes(g, "metric")
-        g_h = metric if g_h is g else _metric_planes(g_h, "reference metric")
-        g = metric
+    metric = hermlin.checked_metric(g, "metric")
+    g_h = metric if g_h is g else hermlin.checked_metric(g_h, "reference metric")
+    g = metric
     if g_inv is None:
         g_inv = gridmod.hermitian_inverse(g)
     lap = gridmod.laplacian(phi, g, grid, g_inv=g_inv)

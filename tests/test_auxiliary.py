@@ -271,7 +271,9 @@ def test_dirichlet_solve_constant_rhs_closed_form():
     assert err <= 10.0 * grid.h**2
     assert sol.residual_sup <= 1e-10
     assert abs(sol.mass - 1.0) <= 1e-8
-    assert sol.min_eigenvalue > 0.0
+    # the ball Hessian of the solution is positive definite
+    ball_hessian = complex_hessian(sol.psi, grid, chart.taps).matrix()
+    assert np.linalg.eigvalsh(ball_hessian).min() > 0.0
     assert sol.iterations <= 10
     # solution is a nonpositive potential vanishing toward the boundary
     assert sol.psi[chart.mask].max() <= 1e-12

@@ -470,6 +470,23 @@ def test_localize_forcing_that_overflows_writes_json_and_exits_one(tmp_path):
             assert "entropy" in docs["localize_error.json"]["error"]
 
 
+def test_localize_forcing_that_underflows_the_hinge_mass_exits_one(tmp_path):
+    # e^(n F) at a constant F = -700 underflows on the whole chart ball, so
+    # every hinge mass is 0.0: each cell fails with that message and null
+    # figures, and no 0/0 warning escapes (the suite turns warnings into errors)
+    config = tmp_path / "cold.json"
+    config.write_text(json.dumps({"grid": {"n": 2, "N": 16, "L": 1.0}, "forcing": {
+        "name": "constant", "params": {"value": -700}}}))
+    out = tmp_path / "out"
+    assert main(["localize", "--config", str(config), "--out", str(out)]) == EXIT_CHECK_FAILURE
+    payload = strict_json(out / "localization.json")
+    assert not payload["all_passed"] and len(payload["reports"]) == 6
+    for cell in payload["reports"]:
+        assert cell["pass"] is False
+        assert cell["error"] == "hinge mass is not positive: exp(n F) underflows on the chart ball"
+        assert cell["mass"] is None and cell["max_phi"] is None and cell["epsilon"] is None
+
+
 def test_json_artifacts_hold_no_nan(tmp_path, monkeypatch):
     # JSON has no NaN: _write_json refuses one before it opens the file, and
     # a start residual that is not finite goes into solve_error.json as null

@@ -339,12 +339,15 @@ def test_hessian_symbol_diagonalizes_the_frozen_operator(n, N):
 def test_frozen_hessian_inverse_is_exact_on_mean_free_fields(n, N):
     grid = TorusGrid(n=n, N=N, L=1.3)
     rng = np.random.default_rng(100 + 10 * n + N)
+    # T is one matrix (batch shape ()), so T / t is its own mean and the
+    # trace-scaled inverse is exact; a T broadcast to the grid would add
+    # the rounding of a mean over N^2n terms
     T = random_hermitian_pd(n, rng)
-    solve = frozen_hessian_inverse(T, grid)
+    inv_t, solve = frozen_hessian_inverse(T, grid)
     f = rng.normal(size=grid.shape)
     f -= f.mean()
     for mean in (0.0, 0.7):
-        u = solve(f, mean)
+        u = solve(f * inv_t, mean)
         back = frozen_operator(T, u, grid)
         assert np.abs(back - f).max() <= 1e-12 * np.abs(f).max()
         assert u.mean() == pytest.approx(mean, abs=1e-12)

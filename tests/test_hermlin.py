@@ -464,6 +464,32 @@ def test_constant_metric_rule_keeps_full_planes_at_its_edges():
     assert checked_metric(eye3).shape == (6, 3, 3)
 
 
+def test_checked_metric_reads_planes():
+    # planes are Hermitian by construction: they take the finiteness and the
+    # Schur checks, and the constant-metric rule
+    rng = np.random.default_rng(5)
+    g = _metric(rng, 6, False)
+    planes = HermitianPlanes(*(p.copy() for p in hermitian_planes(g)))
+    assert checked_metric(planes) is planes
+    for plane, value, message in (("h11", np.nan, "not finite"),
+                                  ("h11", -1.0, "not positive definite"),
+                                  ("h00", 0.0, "not positive definite")):
+        bad = getattr(planes, plane).copy()
+        bad[2] = value
+        with pytest.raises(MetricDegeneracyError, match="^metric is %s$" % message):
+            checked_metric(planes._replace(**{plane: bad}))
+    # a singular matrix at one point: h00 h11 = |h01|^2
+    singular = planes._replace(h11=planes.h11.copy())
+    singular.h11[4] = (planes.re01[4] ** 2 + planes.im01[4] ** 2) / planes.h00[4]
+    with pytest.raises(MetricDegeneracyError, match="^metric is not positive definite$"):
+        checked_metric(singular)
+    constant = checked_metric(np.broadcast_to(g[0], (6, 2, 2)))
+    full = full_planes(constant, (6,))
+    zero_d = checked_metric(full)
+    assert all(np.ndim(p) == 0 for p in zero_d)
+    assert differing_bytes(full_planes(zero_d, (6,)), full) == 0
+
+
 @pytest.mark.parametrize("matrix, message", [
     ([[1.0, 2.0], [2.0, 1.0]], "metric is not positive definite"),
     ([[1.0, 0.0], [0.0, 0.0]], "metric is not positive definite"),

@@ -353,6 +353,52 @@ def test_l1_bound_check_refuses_a_bad_complex_metric(defect):
             l1_bound_check(phi, g, g_h, grid)
 
 
+def _bad_metric(case):
+    """(grid, g, a bad metric): n = 2 planes with h11 = -1, or an n = 3
+    field indefinite or singular at one point."""
+    if case == "planes-indefinite":
+        grid = TorusGrid(n=2, N=8, L=1.0)
+        g = hermlin.checked_metric(identity_metric(grid))
+        return grid, g, g._replace(h11=np.full(grid.shape, -1.0))
+    grid = TorusGrid(n=3, N=8, L=1.0)
+    bad = identity_metric(grid)
+    bad[1, 2, 3, 4, 5, 6] = np.diag([1.0, -1.0 if case == "n3-indefinite" else 0.0, 1.0])
+    return grid, identity_metric(grid), bad
+
+
+@pytest.mark.parametrize("case", ["planes-indefinite", "n3-indefinite", "n3-singular"])
+def test_l1_bound_check_refuses_a_metric_that_is_not_positive_definite(case):
+    # the L1 premises read traces only, which an indefinite metric can pass;
+    # planes and n = 3 fields enter through checked_metric too, as g (g_h
+    # the same field) and as g_h
+    grid, g, bad = _bad_metric(case)
+    phi = np.zeros(grid.shape)
+    for g, g_h, name in ((bad, bad, "metric"), (g, bad, "reference metric")):
+        with pytest.raises(MetricDegeneracyError, match="^%s is not positive definite$" % name):
+            l1_bound_check(phi, g, g_h, grid)
+
+
+def test_newton_solve_at_n3_recovers_a_manufactured_solution():
+    # phi* is an exact discrete solution: F is the forcing of its complex
+    # Hessian on a non-identity g_h, so the solve returns phi* and b
+    grid = TorusGrid(n=3, N=8, L=1.0)
+    k = 2.0 * math.pi / grid.L
+    x = [grid.axis_coordinates(a) for a in range(6)]
+    g = identity_metric(grid)
+    g_h = identity_metric(grid)
+    g_h[..., 0, 2] += 0.1 * (np.cos(k * x[0]) + 1j * np.sin(k * x[3]))
+    g_h[..., 2, 0] = np.conj(g_h[..., 0, 2])
+    phi_star = sum(0.002 * np.sin(k * x[a]) * np.cos(k * x[(a + 1) % 6]) for a in range(6))
+    spec = monge_ampere(3)
+    F = forcing_from_hessian(spec, g, g_h, complex_hessian(phi_star, grid), b=0.3)
+    problem = PrimaryProblem(spec=spec, g=g, g_h=g_h, F=F, grid=grid)
+    sol = solve_primary(problem)
+    assert sol.iterations > 0
+    assert np.abs(sol.phi - normalize_sup(phi_star)).max() <= 1e-9
+    assert abs(sol.b - 0.3) <= 1e-9
+    assert l1_bound_check(sol.phi, problem.g, problem.g_h, grid).passed
+
+
 def test_l1_bound_tracks_solution_norm():
     grid = TorusGrid(n=2, N=12, L=1.0)
     problem, _ = manufactured_problem(grid)
