@@ -38,6 +38,7 @@ from .grid import (
     volume_density,
 )
 from .hermlin import _eigs_2x2, checked_metric, endomorphism_eigs
+from .lanes import available_cpus, map_in_lanes
 from .solver import NewtonRecord, damped_newton
 from .symfun import plane_sum
 
@@ -285,20 +286,28 @@ def _chart_geometry(mask, center_index, R, grid):
     u = center + offset.astype(float) * (rq / rp)[:, None]
     base = np.floor(u).astype(np.int64)
     frac = u - base
+    # r >= R outside the open ball, so the scale factor is nonpositive
+    factor = (R * R - rp * rp) / (R * R - rq * rq)
 
-    bits = np.array(list(itertools.product((0, 1), repeat=m)), dtype=np.int64)
-    corners = (base[:, None, :] + bits[None, :, :]) % N
-    weights = np.prod(np.where(bits[None, :, :] == 1, frac[:, None, :], 1.0 - frac[:, None, :]), axis=2)
-    corner_flat = np.ravel_multi_index(tuple(corners[:, :, a] for a in range(m)), grid.shape)
-    cols = inverse[corner_flat]
+    # one column of the (ghosts, 2^m) corner tables per corner of the cell,
+    # its weight the product over the axes in axis order
+    corners = list(itertools.product((0, 1), repeat=m))
+    cols = np.empty((ghost_flat.size, len(corners)), dtype=np.int64)
+    data = np.empty((ghost_flat.size, len(corners)))
+    for c, bits in enumerate(corners):
+        index = tuple((base[:, a] + bits[a]) % N for a in range(m))
+        cols[:, c] = inverse[np.ravel_multi_index(index, grid.shape)]
+        weights = reduce(np.multiply, [frac[:, a] if bits[a] else 1.0 - frac[:, a]
+                                       for a in range(m)])
+        data[:, c] = weights * factor
     if np.any(cols < 0):
         raise InconsistentInputError("ghost interpolation point escaped the chart ball")
 
-    # r >= R outside the open ball, so the scale factor is nonpositive
-    factor = (R * R - rp * rp) / (R * R - rq * rq)
-    rows = np.repeat(np.arange(ghost_flat.size), bits.shape[0])
-    data = (weights * factor[:, None]).ravel()
-    extend = csr_matrix((data, (rows, cols.ravel())), shape=(ghost_flat.size, mask_flat.size))
+    # each row holds its 2^m corners; a corner that wraps round the torus can
+    # come before the others in ball order, and sort_indices sorts in place
+    extend = csr_matrix((data.ravel(), cols.ravel(), np.arange(0, cols.size + 1, len(corners))),
+                        shape=(ghost_flat.size, mask_flat.size))
+    extend.sort_indices()
     return mask_flat, taps, ghost_flat, extend
 
 
@@ -502,11 +511,16 @@ def run_localization(solution, problem, s_fractions, k_list, c_disc, entropy_exp
     search trials and clamped points per step (clamp_history).  A cell that
     fails holds its (s, k) and ``error``, ``pass`` false and null figures; a
     chart failure or an entropy that is not finite aborts the whole run.
-    Each chart solve starts from the solution of the last cell with the same
-    k, when that cell is the last one run with it and did not fail; the
-    first cell of each k and the next one after a failure start cold.
+    The cells of one k form a chain, run in s-major order: each chart solve
+    starts from the solution of the cell before it in the chain when that
+    cell did not fail; the first cell of each chain and the next one after
+    a failure start cold.  The chains share only the read-only chart, and
+    run side by side on min(number of distinct k, available CPUs) threads,
+    the calling thread one of them (lanes.map_in_lanes); each cell does the
+    same arithmetic on any thread, so the result is bitwise the same.
     When a list phases is given, the wall time of the chart and of each cell
-    (time.perf_counter) is appended to it, as the trace.json phases of cli.
+    (time.perf_counter) is appended to it, as the trace.json phases of cli,
+    the cells in s-major order; the seconds of cells of different k overlap.
     """
     grid = problem.grid
     n = grid.n
@@ -519,19 +533,26 @@ def run_localization(solution, problem, s_fractions, k_list, c_disc, entropy_exp
     if not np.isfinite(entropy):
         raise InconsistentInputError("entropy of the forcing is not finite on the grid")
 
-    cells = []
-    warm = {}  # the last solved psi of each k, the start of its next cell
-    for fraction in s_fractions:
-        s = fraction * chart.depth_cap
-        for k in k_list:
-            started, initial = time.perf_counter(), warm.pop(k, None)
+    # the cells in s-major order, and one chain of them per distinct k
+    order = [(fraction * chart.depth_cap, k) for fraction in s_fractions for k in k_list]
+    chains = {}
+    for index, (_, k) in enumerate(order):
+        chains.setdefault(k, []).append(index)
+
+    def run_chain(indices):
+        """The chain's (index, cell, seconds); warm is the psi of the cell
+        before, None when there is none or it failed."""
+        done, warm = [], None
+        for index in indices:
+            s, k = order[index]
+            started, initial, warm = time.perf_counter(), warm, None
             try:
                 w = tilted_potential(solution.phi, chart, s)
                 density, mass = _hinge_density(w, problem.F, k, chart)
                 rhs = np.zeros(grid.shape)
                 rhs[chart.mask] = density / mass
                 aux = solve_dirichlet_ma(chart, rhs, initial=initial)
-                warm[k] = aux.psi
+                warm = aux.psi
                 eps = comparison_scale(mass, problem.spec.gamma, n)
                 cell = check_comparison(w, aux.psi, eps, chart, c_disc)
                 cell.update(mass=mass, mass_error=abs(aux.mass - 1.0), error=None,
@@ -543,9 +564,14 @@ def run_localization(solution, problem, s_fractions, k_list, c_disc, entropy_exp
                 cell = dict.fromkeys(_UNMEASURED)
                 cell.update({"pass": False, "error": str(exc), "residuals": dict.fromkeys(
                     ("solver_sup", "iterations", "krylov_iterations"))})
-            cells.append({"s": s, "k": k, **cell})
-            phases.append({"name": "cell", "s": s, "k": k,
-                           "seconds": time.perf_counter() - started})
+            done.append((index, {"s": s, "k": k, **cell}, time.perf_counter() - started))
+        return done
+
+    chained = map_in_lanes(run_chain, chains.values(), available_cpus())
+    finished = sorted((item for done in chained for item in done), key=lambda item: item[0])
+    cells = [cell for _, cell, _ in finished]
+    phases.extend({"name": "cell", "s": cell["s"], "k": cell["k"], "seconds": seconds}
+                  for _, cell, seconds in finished)
 
     return {
         "depth": float(-solution.phi.min()),

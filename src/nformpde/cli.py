@@ -18,7 +18,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 from jsonschema import ValidationError
@@ -29,6 +28,7 @@ from .descriptors import ExperimentDescriptor, parse_json
 from .errors import InconsistentInputError, NFormError, NonConvergenceError
 from .grid import entropy_integrand, entropy_norm, integrate, volume_density
 from .hermlin import random_admissible_parts, verify_trace_reversal_identities
+from .lanes import map_in_lanes
 from .solver import PrimaryProblem, l1_bound_check, solve_primary
 from .symfun import evaluate, gradient, sample_cone
 
@@ -279,8 +279,10 @@ def _sweep_member(problem, parameter, p, target):
 
 
 def cmd_sweep(descriptor, out_dir, workers=1, phases=None):
-    """The sweep subcommand; one phase per member goes to the list phases
-    when given, in member order whatever the workers."""
+    """The sweep subcommand; its members run on up to workers threads, each
+    in a copy of the caller's context (lanes.map_in_lanes), and one phase
+    per member goes to the list phases when given, in member order whatever
+    the workers."""
     phases = [] if phases is None else phases
     concentrations = descriptor.concentrations
     # every member's forcing must read the swept sigma and accept its value
@@ -320,12 +322,7 @@ def cmd_sweep(descriptor, out_dir, workers=1, phases=None):
         seconds[index] = time.perf_counter() - started
         return row
 
-    indices = range(len(concentrations))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(member, indices))
-    else:
-        rows = [member(index) for index in indices]
+    rows = map_in_lanes(member, range(len(concentrations)), workers)
     phases.extend({"name": "member", "parameter": row["parameter"], "seconds": t}
                   for row, t in zip(rows, seconds))
 

@@ -183,7 +183,9 @@ SWEEP_REPORT_SCHEMA = {
 
 # trace.json of solve, localize and sweep: wall times (time.perf_counter),
 # which no other artifact holds; a cell phase carries its (s, k), a member
-# phase its parameter
+# phase its parameter.  Phases come in artifact order, but cells of
+# different k run on separate threads, as do sweep members with workers
+# above 1, so their seconds overlap and can sum to more than wall_s
 TRACE_SCHEMA = {
     "type": "object",
     "required": ["command", "wall_s", "phases"],

@@ -1,12 +1,16 @@
 """Chart extraction, tilted fields, hinge mass, and the Dirichlet comparison."""
 
+import itertools
 import math
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.sparse import csr_matrix
 
 from nformpde import auxiliary, schemas
 from nformpde.auxiliary import (
@@ -34,7 +38,7 @@ from nformpde.grid import (
     identity_metric,
     stencil_offsets,
 )
-from nformpde.hermlin import hermitian_part
+from nformpde.hermlin import checked_metric, hermitian_part
 from nformpde.manufactured import radial_field, radial_profile
 from nformpde.solver import PrimaryProblem, solve_primary
 from nformpde.symfun import monge_ampere
@@ -91,6 +95,58 @@ def test_chart_stencil_geometry(center):
     restricted = [p[chart.mask] for p in complex_hessian(field, grid)]
     for p, q in zip(at_ball, restricted):
         assert np.array_equal(p.view(np.uint8), q.view(np.uint8))
+
+
+def corner_tensor_extend(chart):
+    """The ghost interpolation map built as (ghosts, 2^m, m) arrays, the
+    reference for _chart_geometry's one corner at a time."""
+    grid = chart.grid
+    m, N, R = 2 * grid.n, grid.N, chart.radius
+    inverse = np.full(grid.num_points, -1, dtype=np.int64)
+    inverse[chart.mask_flat] = np.arange(chart.mask_flat.size)
+    center = np.array(chart.center_index, dtype=np.int64)
+    idx = np.array(np.unravel_index(chart.ghost_flat, grid.shape)).T
+    offset = (idx - center + N // 2) % N - N // 2
+    rp = grid.h * np.sqrt(np.sum(offset.astype(float) ** 2, axis=1))
+    rq = R - auxiliary.PULLBACK * grid.h
+    u = center + offset.astype(float) * (rq / rp)[:, None]
+    base = np.floor(u).astype(np.int64)
+    frac = u - base
+    bits = np.array(list(itertools.product((0, 1), repeat=m)), dtype=np.int64)
+    corners = (base[:, None, :] + bits[None, :, :]) % N
+    weights = np.prod(np.where(bits[None, :, :] == 1, frac[:, None, :], 1.0 - frac[:, None, :]),
+                      axis=2)
+    corner_flat = np.ravel_multi_index(tuple(corners[:, :, a] for a in range(m)), grid.shape)
+    cols = inverse[corner_flat]
+    factor = (R * R - rp * rp) / (R * R - rq * rq)
+    rows = np.repeat(np.arange(chart.ghost_flat.size), bits.shape[0])
+    data = (weights * factor[:, None]).ravel()
+    return csr_matrix((data, (rows, cols.ravel())),
+                      shape=(chart.ghost_flat.size, chart.mask_flat.size))
+
+
+@pytest.mark.parametrize("center", [CENTER, (0, 0, 0, 0)])
+def test_chart_extend_matches_the_corner_tensor_construction(center):
+    # centred at index 0 some corners wrap the torus and sort before the rest
+    chart, _ = flat_chart(center=center)
+    reference = corner_tensor_extend(chart)
+    for part in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(chart.extend, part), getattr(reference, part)), part
+
+
+def test_build_chart_allocates_at_most_20_mb_at_N16():
+    # the ghost interpolation is built one corner at a time; the (ghosts,
+    # 16, 4) temporaries of the corner tensors took the peak to 29.4 MB
+    grid = TorusGrid(n=2, N=16, L=1.0)
+    g = checked_metric(identity_metric(grid))
+    phi = np.zeros(grid.shape)
+    tracemalloc.start()
+    try:
+        build_chart(phi, g, g, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 20e6
 
 
 # no shrinking: the fields are drawn from the seed, and a seed does not shrink
@@ -293,33 +349,102 @@ def test_dirichlet_solve_starts_from_initial():
     assert warm.psi.tobytes() == cold.psi.tobytes()
 
 
-def test_run_localization_warm_starts_each_k_from_its_last_cell(monkeypatch):
-    # cells run s-major: (s0, 5), (s0, 10), (s1, 5), ...; each starts from the
-    # psi of the last cell with its k, and a failed cell leaves its k cold
+def flat_instance():
+    """The solved primary instance on the flat N = 16 torus with F = 0."""
     grid = TorusGrid(n=2, N=16, L=1.0)
     g = identity_metric(grid)
     problem = PrimaryProblem(
         spec=monge_ampere(2), g=g, g_h=g, F=np.zeros(grid.shape), grid=grid
     )
-    solution = solve_primary(problem)
-    real, starts, psis = auxiliary.solve_dirichlet_ma, [], []
+    return problem, solve_primary(problem)
+
+
+def test_run_localization_warm_starts_each_k_from_its_last_cell(monkeypatch):
+    # each k's cells form a chain in s-major order, (s0, 5), (s1, 5), (s2, 5)
+    # and (s0, 10), (s1, 10), (s2, 10); each starts from the psi of the cell
+    # before it in its chain, and a failed cell leaves the next one cold.  The
+    # chains may run on different threads, so each start is kept by its (s, k),
+    # read from the tilt and the hinge density that the chain's thread ran last
+    problem, solution = flat_instance()
+    depth_cap = build_chart(solution.phi, problem.metric, problem.reference_metric,
+                            problem.grid).depth_cap
+    s0, s1, s2 = (fraction * depth_cap for fraction in (0.2, 0.4, 0.6))
+    real_tilt, real_density = auxiliary.tilted_potential, auxiliary._hinge_density
+    real_solve, current, starts, psis = auxiliary.solve_dirichlet_ma, threading.local(), {}, {}
+
+    def tilt(phi, chart, s):
+        current.s = s
+        return real_tilt(phi, chart, s)
+
+    def density(w, F, k, chart):
+        current.k = k
+        return real_density(w, F, k, chart)
 
     def solve(chart, rhs, initial=None):
-        starts.append(initial)
-        if len(starts) == 3:
-            psis.append(None)
+        cell = (current.s, current.k)
+        starts[cell] = initial
+        if cell == (s1, 5):
             raise NonConvergenceError("scripted failure", [1.0])
-        aux = real(chart, rhs, initial=initial)
-        psis.append(aux.psi)
+        aux = real_solve(chart, rhs, initial=initial)
+        psis[cell] = aux.psi
         return aux
 
+    monkeypatch.setattr(auxiliary, "tilted_potential", tilt)
+    monkeypatch.setattr(auxiliary, "_hinge_density", density)
     monkeypatch.setattr(auxiliary, "solve_dirichlet_ma", solve)
     payload = run_localization(solution, problem, s_fractions=(0.2, 0.4, 0.6), k_list=(5, 10),
                                c_disc=10.0, entropy_exponent=3)
-    assert [cell["error"] is None for cell in payload["reports"]] == [True, True, False,
-                                                                      True, True, True]
-    assert starts[0] is None and starts[1] is None and starts[4] is None
-    assert starts[2] is psis[0] and starts[3] is psis[1] and starts[5] is psis[3]
+    assert [(cell["s"], cell["k"], cell["error"] is None) for cell in payload["reports"]] == [
+        (s0, 5, True), (s0, 10, True), (s1, 5, False), (s1, 10, True), (s2, 5, True),
+        (s2, 10, True)]
+    assert len(starts) == 6
+    assert starts[(s0, 5)] is None and starts[(s0, 10)] is None and starts[(s2, 5)] is None
+    assert starts[(s1, 5)] is psis[(s0, 5)] and starts[(s1, 10)] is psis[(s0, 10)]
+    assert starts[(s2, 10)] is psis[(s1, 10)]
+
+
+@pytest.mark.parametrize("k_list", [(5, 10), (5, 5)])
+def test_run_localization_chains_on_threads_match_one_cpu(monkeypatch, k_list):
+    # two CPUs run two distinct k on two threads and a repeated k as one
+    # chain; either way the payload is the one of a single CPU, bit for bit
+    problem, solution = flat_instance()
+    real_solve, threads = auxiliary.solve_dirichlet_ma, set()
+
+    def solve(chart, rhs, initial=None):
+        threads.add(threading.get_ident())
+        return real_solve(chart, rhs, initial=initial)
+
+    monkeypatch.setattr(auxiliary, "solve_dirichlet_ma", solve)
+    payloads = []
+    for cpus in (2, 1):
+        monkeypatch.setattr(auxiliary, "available_cpus", lambda: cpus)
+        threads.clear()
+        payloads.append(run_localization(solution, problem, s_fractions=(0.3, 0.6),
+                                         k_list=k_list, c_disc=10.0, entropy_exponent=3))
+        assert len(threads) == (len(set(k_list)) if cpus == 2 else 1)
+    threaded, serial = payloads
+    assert threaded.keys() == serial.keys()
+    for key in serial:
+        assert threaded[key] == serial[key], key
+    assert all(cell["error"] is None for cell in serial["reports"])
+
+
+def test_run_localization_cells_keep_the_callers_errstate(monkeypatch):
+    # numpy's errstate is a context variable and a new thread starts with the
+    # default context; every chain runs in a copy of the caller's
+    problem, solution = flat_instance()
+    real_solve, seen = auxiliary.solve_dirichlet_ma, []
+
+    def solve(chart, rhs, initial=None):
+        seen.append(np.geterr()["under"])
+        return real_solve(chart, rhs, initial=initial)
+
+    monkeypatch.setattr(auxiliary, "solve_dirichlet_ma", solve)
+    monkeypatch.setattr(auxiliary, "available_cpus", lambda: 2)
+    with np.errstate(under="raise"):
+        run_localization(solution, problem, s_fractions=(0.5,), k_list=(5, 10), c_disc=10.0,
+                         entropy_exponent=3)
+    assert seen == ["raise", "raise"]
 
 
 @settings(max_examples=10, deadline=None)
@@ -536,12 +661,7 @@ def test_n2_fixture_never_reaches_the_general_path(monkeypatch):
 
 
 def test_run_localization_trivial_instance():
-    grid = TorusGrid(n=2, N=16, L=1.0)
-    g = identity_metric(grid)
-    problem = PrimaryProblem(
-        spec=monge_ampere(2), g=g, g_h=g, F=np.zeros(grid.shape), grid=grid
-    )
-    solution = solve_primary(problem)
+    problem, solution = flat_instance()
     payload = run_localization(solution, problem, s_fractions=(0.5,), k_list=(10,), c_disc=10.0,
                                entropy_exponent=3)
     schemas.validate(payload, schemas.LOCALIZATION_REPORT_SCHEMA)
@@ -556,12 +676,7 @@ def test_run_localization_trivial_instance():
 
 
 def test_run_localization_captures_cell_errors():
-    grid = TorusGrid(n=2, N=16, L=1.0)
-    g = identity_metric(grid)
-    problem = PrimaryProblem(
-        spec=monge_ampere(2), g=g, g_h=g, F=np.zeros(grid.shape), grid=grid
-    )
-    solution = solve_primary(problem)
+    problem, solution = flat_instance()
     payload = run_localization(solution, problem, s_fractions=(0.5,), k_list=(7.5,), c_disc=10.0,
                                entropy_exponent=3)
     assert not payload["all_passed"]
