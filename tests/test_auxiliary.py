@@ -405,7 +405,7 @@ def test_run_localization_warm_starts_each_k_from_its_last_cell(monkeypatch):
 
 @pytest.mark.parametrize("k_list", [(5, 10), (5, 5)])
 def test_run_localization_chains_on_threads_match_one_cpu(monkeypatch, k_list):
-    # two CPUs run two distinct k on two threads and a repeated k as one
+    # two CPUs give two distinct k a lane each, and a repeated k is one
     # chain; either way the payload is the one of a single CPU, bit for bit
     problem, solution = flat_instance()
     real_solve, threads = auxiliary.solve_dirichlet_ma, set()
@@ -421,7 +421,8 @@ def test_run_localization_chains_on_threads_match_one_cpu(monkeypatch, k_list):
         threads.clear()
         payloads.append(run_localization(solution, problem, s_fractions=(0.3, 0.6),
                                          k_list=k_list, c_disc=10.0, entropy_exponent=3))
-        assert len(threads) == (len(set(k_list)) if cpus == 2 else 1)
+    # one CPU runs every chain on the calling thread
+    assert threads == {threading.get_ident()}
     threaded, serial = payloads
     assert threaded.keys() == serial.keys()
     for key in serial:

@@ -45,7 +45,7 @@ def test_every_item_runs_once_in_item_order_under_contention():
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        results = map_in_lanes(task, range(len(counts)), 2 * available_cpus() + 2)
+        results = map_in_lanes(task, range(len(counts)), available_cpus() + 1)
     finally:
         sys.setswitchinterval(interval)
     assert results == [item * item for item in range(len(counts))]
