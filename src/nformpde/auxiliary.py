@@ -7,7 +7,10 @@ Monge-Ampere problem whose right hand side is the normalized smoothed mass.
 The solution, rescaled by a power of that mass, must dominate the tilted
 potential; ``check_comparison`` measures the worst violation of that bound on
 the grid and ``run_localization`` drives the whole loop over tilt depths and
-smoothing indices.
+smoothing indices.  At n = 2 the Dirichlet solve runs in real arithmetic:
+the planes of a ball Hessian are a diagonal phase away from a real symmetric
+field, whose eigen-decomposition gives the residual and, as planes, the
+clamped inverse Hessian of each Newton step.
 """
 
 import itertools
@@ -32,7 +35,6 @@ from .grid import (
     entropy_norm,
     frozen_hessian_inverse,
     hermitian_inverse,
-    hermitian_planes,
     hermitian_trace,
     neighbour_table,
     volume_density,
@@ -223,21 +225,30 @@ def smooth_hinge(x, k):
 
 
 def _hinge_density(w, F, k, chart):
-    """smooth_hinge(-w, k) * exp(n F) * det(g) on the chart ball, and its
-    mass, which must be finite and positive (InconsistentInputError)."""
+    """(rhs, mass, log_mass) of the hinge density smooth_hinge(-w, k) *
+    exp(n F) * det(g) on the chart ball: its ball values over its mass, the
+    mass and the log of the mass.
+
+    The density is formed with exp(n (F - max F)), so rhs does not depend
+    on a shift of F, and n max F is carried into log_mass; the mass,
+    exp(log_mass), must be finite and positive (InconsistentInputError).
+    """
     grid = chart.grid
     mask = chart.mask
-    w = np.asarray(w, dtype=float)
-    F = np.asarray(F, dtype=float)
-    with np.errstate(over="ignore"):
-        density = smooth_hinge(-w[mask], k) * np.exp(grid.n * F[mask]) * chart.vol_density[mask]
-        mass = float(np.sum(density) * grid.cell_volume)
+    F = np.asarray(F, dtype=float)[mask]
+    top = F.max()
+    with np.errstate(over="ignore", invalid="ignore"):
+        density = (smooth_hinge(-np.asarray(w, dtype=float)[mask], k)
+                   * np.exp(grid.n * (F - top)) * chart.vol_density[mask])
+        scaled = float(np.sum(density) * grid.cell_volume)
+        log_mass = np.log(scaled) + grid.n * top
+        mass = float(np.exp(log_mass))
     if not np.isfinite(mass):
         raise InconsistentInputError("hinge mass is not finite: exp(n F) overflows")
     if not mass > 0.0:
         raise InconsistentInputError(
             "hinge mass is not positive: exp(n F) underflows on the chart ball")
-    return density, mass
+    return density / scaled, mass, float(log_mass)
 
 
 def hinge_mass(w, F, k, chart):
@@ -321,16 +332,45 @@ class AuxiliarySolution(NewtonRecord):
     clamp_history: list
 
 
-def _clamped_inverse(eigs, frames):
+def _chart_eigh(H):
+    """(eigs, frames, phase): the eigen-decomposition of a ball Hessian by
+    one np.linalg.eigh call, eigenvalues ascending.
+
+    On planes (n = 2) in real arithmetic: H = D S D^H with the real
+    symmetric S = [[H_00, z], [z, H_11]], z = hypot(Re H_01, Im H_01), and
+    D = diag(1, e^(-i theta)), e^(i theta) = H_01 / z (theta = 0 where
+    z = 0).  frames are then the real eigenvectors R of S, and phase the
+    planes (cos theta, sin theta).  Otherwise eigh of the complex field,
+    its complex eigenvectors, and phase None.
+    """
+    if not isinstance(H, HermitianPlanes):
+        eigs, frames = np.linalg.eigh(H)
+        return eigs, frames, None
+    z = np.hypot(H.re01, H.im01)
+    S = np.stack([H.h00, z, z, H.h11], axis=-1).reshape(z.shape + (2, 2))
+    eigs, frames = np.linalg.eigh(S)
+    turned = z != 0.0
+    phase = (np.divide(H.re01, z, out=np.ones_like(z), where=turned),
+             np.divide(H.im01, z, out=np.zeros_like(z), where=turned))
+    return eigs, frames, phase
+
+
+def _clamped_inverse(eigs, frames, phase):
     """The inverse ball Hessian of a chart Newton step with its eigenvalues
-    clamped at EIG_FLOOR, from eigh's eigen-pairs: at n = 2 its planes,
-    stored contiguous since every matvec reads each of them, otherwise the
-    complex field."""
-    inv = np.einsum("pik,pk,pjk->pij", frames, 1.0 / np.maximum(eigs, EIG_FLOOR),
-                    frames.conj())
-    if inv.shape[-1] != 2:
-        return inv
-    return HermitianPlanes(*(p.copy() for p in hermitian_planes(inv)))
+    clamped at EIG_FLOOR, from _chart_eigh's decomposition.  At n = 2
+    P = R diag(1/max(lambda, EIG_FLOOR)) R^T entry by entry, and the planes
+    of D P D^H, (P_00, P_11, P_01 cos theta, P_01 sin theta), contiguous
+    since every matvec reads each of them; otherwise the complex field
+    F diag(1/max(lambda, EIG_FLOOR)) F^H."""
+    inv = 1.0 / np.maximum(eigs, EIG_FLOOR)
+    if phase is None:
+        return np.einsum("pik,pk,pjk->pij", frames, inv, frames.conj())
+    r00, r01, r10, r11 = (frames[:, i, j] for i in range(2) for j in range(2))
+    d0, d1 = inv[:, 0], inv[:, 1]
+    p01 = r00 * r10 * d0 + r01 * r11 * d1
+    cos, sin = phase
+    return HermitianPlanes(r00 * r00 * d0 + r01 * r01 * d1, r10 * r10 * d0 + r11 * r11 * d1,
+                           p01 * cos, p01 * sin)
 
 
 def solve_dirichlet_ma(chart, rhs_density, initial=None):
@@ -342,14 +382,16 @@ def solve_dirichlet_ma(chart, rhs_density, initial=None):
     extrapolation (``extend``).  It starts from the ball values of the grid
     field ``initial`` when given (a solution on the same chart), otherwise
     from the paraboloid of the mean density.
-    Each residual takes np.linalg.eigh of the ball Hessian (at n = 2 its
-    planes written as a complex field).  Hessian eigenvalues are clamped at
-    EIG_FLOOR during the iteration; a clamp still active at convergence
-    raises DegeneracyError.
+    Each residual takes one np.linalg.eigh of the ball Hessian
+    (``_chart_eigh``: at n = 2 of the real symmetric field its planes are a
+    diagonal phase away from, otherwise of the complex field).  Hessian
+    eigenvalues are clamped at EIG_FLOOR during the iteration; a clamp still
+    active at convergence raises DegeneracyError.
 
     Each Newton step solves tr(inv H(d)) = -r on the ball, inv the clamped
-    inverse Hessian (at n = 2 the real weighted sum over the planes of inv
-    and H), by LGMRES with the trace-scaled preconditioner of the periodic
+    inverse Hessian (at n = 2 its planes, formed from the real eigen-pairs,
+    and the trace the real weighted sum over the planes of inv and H), by
+    LGMRES with the trace-scaled preconditioner of the periodic
     solve, both parts from one grid.frozen_hessian_inverse(inv, grid) call:
     the ball residual is divided by t = tr inv, zero-extended to the grid,
     its zero mode dropped, passed through the exact torus inverse of
@@ -385,19 +427,16 @@ def solve_dirichlet_ma(chart, rhs_density, initial=None):
         return full.reshape(grid.shape)
 
     def evaluate_at(values):
-        H = complex_hessian(fill(values), grid, chart.taps)
-        if isinstance(H, HermitianPlanes):
-            H = H.matrix()
-        eigs, frames = np.linalg.eigh(H)
+        eigs, frames, phase = _chart_eigh(complex_hessian(fill(values), grid, chart.taps))
         r = plane_sum([np.log(np.maximum(eigs[:, i], EIG_FLOOR)) for i in range(n)]) - log_rho
-        return values, r, (eigs, frames)
+        return values, r, (eigs, frames, phase)
 
     clamp_history = []
 
     def step(state, r, krylov_rtol):
-        eigs, frames = state
+        eigs = state[0]
         clamp_history.append(int(np.count_nonzero(eigs < EIG_FLOOR)))
-        inv = _clamped_inverse(eigs, frames)
+        inv = _clamped_inverse(*state)
         matvecs = 0
 
         def matvec(d):
@@ -423,7 +462,7 @@ def solve_dirichlet_ma(chart, rhs_density, initial=None):
         start = float(np.mean(rho)) ** (1.0 / n) * (chart.dist_sq[mask] - R * R)
     else:
         start = np.asarray(initial, dtype=float).ravel()[chart.mask_flat]
-    psi, (eigs, _), record = damped_newton(
+    psi, (eigs, *_), record = damped_newton(
         evaluate_at(start),
         lambda values, direction, t: evaluate_at(values + t * direction),
         step, RESIDUAL_TOL, MAX_ITERATIONS,
@@ -548,12 +587,13 @@ def run_localization(solution, problem, s_fractions, k_list, c_disc, entropy_exp
             started, initial, warm = time.perf_counter(), warm, None
             try:
                 w = tilted_potential(solution.phi, chart, s)
-                density, mass = _hinge_density(w, problem.F, k, chart)
+                unit, mass, log_mass = _hinge_density(w, problem.F, k, chart)
                 rhs = np.zeros(grid.shape)
-                rhs[chart.mask] = density / mass
+                rhs[chart.mask] = unit
                 aux = solve_dirichlet_ma(chart, rhs, initial=initial)
                 warm = aux.psi
-                eps = comparison_scale(mass, problem.spec.gamma, n)
+                # homogeneous of degree 1/(n+1) in the mass, which may be subnormal
+                eps = comparison_scale(1.0, problem.spec.gamma, n) * np.exp(log_mass / (n + 1))
                 cell = check_comparison(w, aux.psi, eps, chart, c_disc)
                 cell.update(mass=mass, mass_error=abs(aux.mass - 1.0), error=None,
                             line_search_trials=aux.line_search_trials,

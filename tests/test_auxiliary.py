@@ -34,6 +34,7 @@ from nformpde.grid import (
     HermitianPlanes,
     TorusGrid,
     complex_hessian,
+    hermitian_planes,
     hermitian_trace,
     identity_metric,
     stencil_offsets,
@@ -157,17 +158,21 @@ def test_build_chart_allocates_at_most_20_mb_at_N16():
 @example(seed=133066385, center=(14, 2, 15, 8))
 def test_chart_matvec_on_planes_matches_the_complex_einsum(seed, center):
     # a chart Newton step's operator, tr(inv H(d)) on planes with the step's
-    # clamped inverse, against the complex einsum statement of the same
-    # trace, to 1e-14 of sum |inv_ij H_ji| at each ball point
+    # clamped inverse, against the complex einsum statement of the same trace
+    # over the same eigen-pairs, to 1e-14 of sum |inv_ij H_ji| at each ball
+    # point: the real frames R of the planes' decomposition and its phase make
+    # the complex eigenvectors D R of H, D = diag(1, e^(-i theta))
     chart, grid = flat_chart(center=center)
     rng = np.random.default_rng(seed)
     noise = 10.0 ** rng.uniform(-4.0, 0.0)
     psi = grid.distance_sq(center) + noise * rng.normal(size=grid.shape)
     H = complex_hessian(psi, grid, chart.taps)
-    eigs, frames = np.linalg.eigh(H.matrix())
-    inv = auxiliary._clamped_inverse(eigs, frames)
+    eigs, frames, (cos, sin) = auxiliary._chart_eigh(H)
+    inv = auxiliary._clamped_inverse(eigs, frames, (cos, sin))
     assert isinstance(inv, HermitianPlanes)
     assert all(p.flags.c_contiguous and p.shape == (chart.num_interior,) for p in inv)
+    frames = frames.astype(complex)
+    frames[:, 1, :] *= (cos - 1j * sin)[:, None]
     reference = np.einsum("pik,pk,pjk->pij", frames,
                           1.0 / np.maximum(eigs, auxiliary.EIG_FLOOR), frames.conj())
     # the planes hold the upper entry: the Hermitian field they are is the
@@ -178,6 +183,51 @@ def test_chart_matvec_on_planes_matches_the_complex_einsum(seed, center):
     expected = np.einsum("pij,pji->p", reference, dH.matrix()).real
     scale = np.abs(np.einsum("pij,pji->pij", reference, dH.matrix())).sum(axis=(-2, -1))
     assert np.all(np.abs(value - expected) <= 1e-14 * scale)
+
+
+@st.composite
+def hermitian_point(draw):
+    """The planes of one Hermitian 2x2 matrix from its eigenvalues, of either
+    sign, at most a factor 100 apart at magnitudes from 1e-10 to 1 (so some
+    fall below EIG_FLOOR), in the frame diag(1, e^(i theta)) times a rotation."""
+    scale = 10.0 ** draw(st.floats(-10.0, 0.0))
+    lam0, lam1 = (draw(st.sampled_from([-1.0, 1.0])) * scale * 100.0 ** draw(st.floats(0.0, 1.0))
+                  for _ in range(2))
+    alpha, theta = draw(st.floats(0.0, math.pi)), draw(st.floats(-math.pi, math.pi))
+    c, s = math.cos(alpha), math.sin(alpha)
+    upper = c * s * (lam0 - lam1)
+    return (c * c * lam0 + s * s * lam1, s * s * lam0 + c * c * lam1,
+            upper * math.cos(theta), upper * math.sin(theta))
+
+
+@settings(max_examples=200, deadline=None)
+@given(points=st.lists(hermitian_point(), min_size=1, max_size=6))
+# H_01 = 0, with theta = 0 taken there (and one -0.0)
+@example(points=[(2.0, 0.5, 0.0, 0.0), (0.5, 2.0, 0.0, -0.0)])
+# merged eigenvalues, H = c I
+@example(points=[(1.5, 1.5, 0.0, 0.0)])
+# eigenvalues below EIG_FLOOR: one of them, both, and one far below zero
+@example(points=[(5e-8, 5e-8, 3e-8, 4e-8), (1e-9, 2e-9, 0.0, 5e-10), (-1.0, 2e-8, 1e-9, 0.0)])
+# |H_01|^2 overflows and underflows: hypot keeps z, and the squares would not
+@example(points=[(6e154, 5e154, 2e154, 2e154), (1.0, 1.0, 1e154, -1e154),
+                 (3e-160, 3e-160, 1e-160, 1e-160)])
+def test_chart_eigh_on_planes_matches_the_complex_eigh(points):
+    # the n = 2 real decomposition of the ball Hessian planes and its clamped
+    # inverse, against np.linalg.eigh of the complex field and the einsum:
+    # eigenvalues to 1e-14 of the largest magnitude, the inverse to 1e-12 of
+    # its largest entry, at each point
+    H = HermitianPlanes(*(np.array(plane) for plane in zip(*points)))
+    eigs, frames, phase = auxiliary._chart_eigh(H)
+    assert eigs.dtype == frames.dtype == float and frames.shape == (len(points), 2, 2)
+    inv = auxiliary._clamped_inverse(eigs, frames, phase)
+    assert all(p.flags.c_contiguous for p in inv)
+    ref_eigs, ref_frames = np.linalg.eigh(H.matrix())
+    top = np.abs(ref_eigs).max(axis=-1, keepdims=True)
+    assert np.all(np.abs(eigs - ref_eigs) <= 1e-14 * top)
+    reference = np.einsum("pik,pk,pjk->pij", ref_frames,
+                          1.0 / np.maximum(ref_eigs, auxiliary.EIG_FLOOR), ref_frames.conj())
+    size = np.abs(reference).max(axis=(-2, -1))
+    assert np.all(np.abs(inv.matrix() - reference).max(axis=(-2, -1)) <= 1e-12 * size)
 
 
 def test_chart_failure_on_rough_metric():
@@ -467,7 +517,9 @@ def test_clamped_inverse_is_the_inverse_of_the_clamped_matrix(seed, n):
     clamped = np.einsum("pik,pk,pjk->pij", frames, np.maximum(eigs, auxiliary.EIG_FLOOR),
                         frames.conj())
     reference = np.linalg.inv(clamped)
-    inv = auxiliary._clamped_inverse(eigs, frames)
+    # at n = 2 the chart decomposes the planes in real arithmetic
+    inv = auxiliary._clamped_inverse(*auxiliary._chart_eigh(
+        hermitian_planes(field) if n == 2 else field))
     if n == 2:
         assert isinstance(inv, HermitianPlanes)
         assert all(p.flags.c_contiguous for p in inv)
@@ -642,11 +694,12 @@ def test_tight_fixture_margins():
 def test_n2_fixture_never_reaches_the_general_path(monkeypatch):
     # the fixture's identity metric enters as planes, so its chart and volume
     # density run the closed forms; the only np.linalg kernel left is the
-    # chart residual's eigh, one per residual evaluation
-    calls = []
+    # chart residual's eigh, one per residual evaluation, on a real field
+    calls, dtypes = [], []
     for name in ("eigvalsh", "eigh", "inv", "det", "cholesky"):
         def counting(*args, _name=name, _kernel=getattr(np.linalg, name), **kwargs):
             calls.append(_name)
+            dtypes.append(np.asarray(args[0]).dtype)
             return _kernel(*args, **kwargs)
         monkeypatch.setattr(np.linalg, name, counting)
     solutions = []
@@ -659,6 +712,7 @@ def test_n2_fixture_never_reaches_the_general_path(monkeypatch):
     fixture = tight_comparison_fixture(monge_ampere(2), TorusGrid(n=2, N=16, L=1.0))
     assert fixture.chart.num_interior > 0 and len(solutions) == 1
     assert calls == ["eigh"] * solutions[0].residual_evaluations
+    assert dtypes == [np.float64] * len(calls)
 
 
 def test_run_localization_trivial_instance():

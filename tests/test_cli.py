@@ -487,6 +487,22 @@ def test_localize_forcing_that_underflows_the_hinge_mass_exits_one(tmp_path):
         assert cell["mass"] is None and cell["max_phi"] is None and cell["epsilon"] is None
 
 
+def test_localize_forcing_with_a_subnormal_hinge_mass_passes(tmp_path):
+    # e^(n F) at a constant F = -360 is subnormal, but the density is formed
+    # from e^(n (F - max F)), so its unit-mass rhs is exact and the mass, a
+    # positive subnormal, and epsilon come from the log mass
+    config = tmp_path / "cold.json"
+    config.write_text(json.dumps({"grid": {"n": 2, "N": 16, "L": 1.0}, "forcing": {
+        "name": "constant", "params": {"value": -360}}}))
+    out = tmp_path / "out"
+    assert main(["localize", "--config", str(config), "--out", str(out)]) == EXIT_PASS
+    payload = strict_json(out / "localization.json")
+    assert payload["all_passed"] and len(payload["reports"]) == 6
+    for cell in payload["reports"]:
+        assert cell["pass"] and cell["error"] is None
+        assert cell["mass"] > 0.0 and cell["epsilon"] > 0.0
+
+
 def test_json_artifacts_hold_no_nan(tmp_path, monkeypatch):
     # JSON has no NaN: _write_json refuses one before it opens the file, and
     # a start residual that is not finite goes into solve_error.json as null
