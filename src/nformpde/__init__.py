@@ -16,7 +16,6 @@ from .auxiliary import (
     run_localization,
     smooth_hinge,
     solve_dirichlet_ma,
-    tight_comparison_fixture,
     tilted_potential,
 )
 from .descriptors import ExperimentDescriptor

@@ -7,10 +7,14 @@ Monge-Ampere problem whose right hand side is the normalized smoothed mass.
 The solution, rescaled by a power of that mass, must dominate the tilted
 potential; ``check_comparison`` measures the worst violation of that bound on
 the grid and ``run_localization`` drives the whole loop over tilt depths and
-smoothing indices.  At n = 2 the Dirichlet solve runs in real arithmetic:
-the planes of a ball Hessian are a diagonal phase away from a real symmetric
-field, whose eigen-decomposition gives the residual and, as planes, the
-clamped inverse Hessian of each Newton step.
+smoothing indices.
+
+The chart runs at n = 2 only: it needs N >= 16 (a radius of
+MIN_RADIUS_STEPS spacings at most L/4), and at n = 3 that is 16**6 grid
+points, beyond the working set the descriptors allow.  The Dirichlet solve
+runs in real arithmetic: the planes of a ball Hessian are a diagonal phase
+away from a real symmetric field, whose eigen-decomposition gives the
+residual and, as planes, the clamped inverse Hessian of each Newton step.
 """
 
 import itertools
@@ -28,6 +32,7 @@ from .errors import (
     InconsistentInputError,
     MetricDegeneracyError,
     NonConvergenceError,
+    UnsupportedDimensionError,
 )
 from .grid import (
     HermitianPlanes,
@@ -107,35 +112,45 @@ class LocalChart:
 def build_chart(phi, g, g_h, grid):
     """Cut the largest admissible coordinate ball around the argmin of phi.
 
-    g and g_h come checked, as a PrimaryProblem's metric and reference_metric
-    (planes run the closed forms, complex fields eigvalsh).  The chart masks
-    them, so a constant metric's 0-d planes are broadcast to grid.shape
-    first, as views with no copy.  The center is
-    the grid argmin of phi (lowest flat index on ties).  The radius r0 is
-    the largest multiple of h, at most L/4, such that the eigenvalues of g
-    lie in [1/2, 2] on the open ball of radius 2*r0.
+    The chart runs at n = 2 only (UnsupportedDimensionError otherwise,
+    raised before anything is read or allocated).  g and g_h enter through
+    checked_metric, as planes; a PrimaryProblem's metric and
+    reference_metric already are, and a g_h that is g is read with g.  The
+    chart masks them, so a constant metric's 0-d planes are broadcast to
+    grid.shape first, as views with no copy.  The center is the grid argmin
+    of phi (lowest flat index on ties).  The radius r0 is the largest
+    multiple of h, at most L/4, such that the eigenvalues of g lie in
+    [1/2, 2] on the open ball of radius 2*r0.
 
-    Raises ChartFailureError when no radius of at least 4 grid spacings
-    qualifies, and MetricDegeneracyError when g_h is not positive definite
-    on the chosen ball.
+    Raises ChartFailureError when the grid is too coarse to hold a radius
+    of MIN_RADIUS_STEPS grid spacings (N < 16) or no such radius keeps the
+    metric in that band, and MetricDegeneracyError when g_h is not positive
+    definite on the chosen ball.
     """
+    if grid.n != 2:
+        raise UnsupportedDimensionError(
+            "the chart runs at n = 2 only, got n = %d" % grid.n)
     phi = np.asarray(phi, dtype=float)
     if phi.shape != grid.shape:
         raise InconsistentInputError("potential shape does not match the grid")
     if not np.all(np.isfinite(phi)):
         raise InconsistentInputError("potential contains non-finite values")
 
+    jmax = min(grid.N // 4, int(np.floor(grid.L / 4.0 / grid.h + 1e-12)))
+    if jmax < MIN_RADIUS_STEPS:
+        raise ChartFailureError(
+            "grid too coarse for a chart: a radius of %d grid spacings at most L/4 "
+            "needs N >= %d, got N = %d" % (MIN_RADIUS_STEPS, 4 * MIN_RADIUS_STEPS, grid.N))
     center_flat = int(np.argmin(phi.ravel()))
     center = tuple(int(c) for c in np.unravel_index(center_flat, grid.shape))
     dist_sq = grid.distance_sq(center)
 
-    planes = isinstance(g, HermitianPlanes)
-    if planes:
-        g, g_h = (HermitianPlanes(*(np.broadcast_to(p, grid.shape) for p in m))
-                  for m in (g, g_h))
-    eigs = _eigs_2x2(*g)[0] if planes else np.linalg.eigvalsh(g)
+    metric = checked_metric(g)
+    reference = metric if g_h is g else checked_metric(g_h, "reference metric")
+    g, g_h = (HermitianPlanes(*(np.broadcast_to(p, grid.shape) for p in m))
+              for m in (metric, reference))
+    eigs = _eigs_2x2(*g)[0]
     emin, emax = eigs[..., 0], eigs[..., -1]
-    jmax = min(grid.N // 4, int(np.floor(grid.L / 4.0 / grid.h + 1e-12)))
     chosen = None
     for j in range(jmax, MIN_RADIUS_STEPS - 1, -1):
         ball = dist_sq < (2.0 * j * grid.h) ** 2
@@ -158,10 +173,7 @@ def build_chart(phi, g, g_h, grid):
         for shift in (1, -1):
             ring |= mask & ~np.roll(mask, shift, axis=axis)
 
-    if planes:
-        g_m, gh_m = (HermitianPlanes(*(p[mask] for p in m)) for m in (g, g_h))
-    else:
-        g_m, gh_m = g[mask], g_h[mask]
+    g_m, gh_m = (HermitianPlanes(*(p[mask] for p in m)) for m in (g, g_h))
     lam_min = endomorphism_eigs(g_m, gh_m)[..., 0]
     trace = hermitian_trace(hermitian_inverse(g_m), gh_m)
     if lam_min.min() <= 0.0 or trace.min() <= 0.0:
@@ -333,19 +345,15 @@ class AuxiliarySolution(NewtonRecord):
 
 
 def _chart_eigh(H):
-    """(eigs, frames, phase): the eigen-decomposition of a ball Hessian by
-    one np.linalg.eigh call, eigenvalues ascending.
+    """(eigs, frames, phase): the eigen-decomposition of the planes of a
+    ball Hessian by one np.linalg.eigh call, in real arithmetic, eigenvalues
+    ascending.
 
-    On planes (n = 2) in real arithmetic: H = D S D^H with the real
-    symmetric S = [[H_00, z], [z, H_11]], z = hypot(Re H_01, Im H_01), and
-    D = diag(1, e^(-i theta)), e^(i theta) = H_01 / z (theta = 0 where
-    z = 0).  frames are then the real eigenvectors R of S, and phase the
-    planes (cos theta, sin theta).  Otherwise eigh of the complex field,
-    its complex eigenvectors, and phase None.
+    H = D S D^H with the real symmetric S = [[H_00, z], [z, H_11]],
+    z = hypot(Re H_01, Im H_01), and D = diag(1, e^(-i theta)),
+    e^(i theta) = H_01 / z (theta = 0 where z = 0): frames are the real
+    eigenvectors R of S, and phase the planes (cos theta, sin theta).
     """
-    if not isinstance(H, HermitianPlanes):
-        eigs, frames = np.linalg.eigh(H)
-        return eigs, frames, None
     z = np.hypot(H.re01, H.im01)
     S = np.stack([H.h00, z, z, H.h11], axis=-1).reshape(z.shape + (2, 2))
     eigs, frames = np.linalg.eigh(S)
@@ -356,15 +364,12 @@ def _chart_eigh(H):
 
 
 def _clamped_inverse(eigs, frames, phase):
-    """The inverse ball Hessian of a chart Newton step with its eigenvalues
-    clamped at EIG_FLOOR, from _chart_eigh's decomposition.  At n = 2
+    """The planes of the inverse ball Hessian of a chart Newton step, its
+    eigenvalues clamped at EIG_FLOOR, from _chart_eigh's decomposition:
     P = R diag(1/max(lambda, EIG_FLOOR)) R^T entry by entry, and the planes
     of D P D^H, (P_00, P_11, P_01 cos theta, P_01 sin theta), contiguous
-    since every matvec reads each of them; otherwise the complex field
-    F diag(1/max(lambda, EIG_FLOOR)) F^H."""
+    since every matvec reads each of them."""
     inv = 1.0 / np.maximum(eigs, EIG_FLOOR)
-    if phase is None:
-        return np.einsum("pik,pk,pjk->pij", frames, inv, frames.conj())
     r00, r01, r10, r11 = (frames[:, i, j] for i in range(2) for j in range(2))
     d0, d1 = inv[:, 0], inv[:, 1]
     p01 = r00 * r10 * d0 + r01 * r11 * d1
@@ -382,15 +387,15 @@ def solve_dirichlet_ma(chart, rhs_density, initial=None):
     extrapolation (``extend``).  It starts from the ball values of the grid
     field ``initial`` when given (a solution on the same chart), otherwise
     from the paraboloid of the mean density.
-    Each residual takes one np.linalg.eigh of the ball Hessian
-    (``_chart_eigh``: at n = 2 of the real symmetric field its planes are a
-    diagonal phase away from, otherwise of the complex field).  Hessian
-    eigenvalues are clamped at EIG_FLOOR during the iteration; a clamp still
-    active at convergence raises DegeneracyError.
+    Each residual takes one np.linalg.eigh, of the real symmetric field that
+    the planes of the ball Hessian are a diagonal phase away from
+    (``_chart_eigh``; the chart is n = 2 only).  Hessian eigenvalues are
+    clamped at EIG_FLOOR during the iteration; a clamp still active at
+    convergence raises DegeneracyError.
 
-    Each Newton step solves tr(inv H(d)) = -r on the ball, inv the clamped
-    inverse Hessian (at n = 2 its planes, formed from the real eigen-pairs,
-    and the trace the real weighted sum over the planes of inv and H), by
+    Each Newton step solves tr(inv H(d)) = -r on the ball, inv the planes
+    of the clamped inverse Hessian, formed from the real eigen-pairs, and
+    the trace the real weighted sum over the planes of inv and H, by
     LGMRES with the trace-scaled preconditioner of the periodic
     solve, both parts from one grid.frozen_hessian_inverse(inv, grid) call:
     the ball residual is divided by t = tr inv, zero-extended to the grid,
@@ -624,56 +629,3 @@ def run_localization(solution, problem, s_fractions, k_list, c_disc, entropy_exp
         "all_passed": all(cell["pass"] for cell in cells),
         "reports": cells,
     }
-
-
-@dataclass
-class TightFixture:
-    """Comparison fixture tuned so the bound holds with a thin margin."""
-
-    chart: LocalChart
-    psi: np.ndarray
-    w: np.ndarray
-    mass: float
-    epsilon: float
-    alpha: float
-
-
-def tight_comparison_fixture(spec, grid):
-    """Build a synthetic comparison instance with a controlled margin.
-
-    Solves the constant-rhs Dirichlet problem on the flat chart, then sets
-    the tilted field to -alpha * (-psi)^(n/(n+1)) with alpha 0.9 times the
-    fixed point where the comparison scale computed from the field's own
-    hinge mass at smoothing index 10 equals alpha.  The comparison then
-    holds with margin (alpha - eps) * max(-psi)^(n/(n+1)); any rescaling of
-    eps below alpha's fixed-point share makes it fail.
-    """
-    from scipy.optimize import brentq
-
-    from .grid import identity_metric
-
-    n = grid.n
-    k = 10
-    g = checked_metric(identity_metric(grid))
-    chart = build_chart(np.zeros(grid.shape), g, g, grid)
-    count = chart.num_interior
-    rhs = np.zeros(grid.shape)
-    rhs[chart.mask] = 1.0 / (count * grid.cell_volume)
-    aux = solve_dirichlet_ma(chart, rhs)
-
-    power = n / (n + 1.0)
-    depth = np.maximum(-aux.psi[chart.mask], 0.0) ** power
-    shape_mass = float(np.sum(depth * chart.vol_density[chart.mask]) * grid.cell_volume)
-    tail = float(np.sum(chart.vol_density[chart.mask]) * grid.cell_volume) / k
-
-    def residual(alpha):
-        return alpha - comparison_scale(alpha * shape_mass + tail, spec.gamma, n)
-
-    fixed_point = brentq(residual, 1e-9, 1e9, xtol=1e-14, rtol=1e-14)
-    alpha = 0.9 * fixed_point
-
-    w = np.zeros(grid.shape)
-    w[chart.mask] = -alpha * depth
-    mass = hinge_mass(w, np.zeros(grid.shape), k, chart)
-    eps = comparison_scale(mass, spec.gamma, n)
-    return TightFixture(chart=chart, psi=aux.psi, w=w, mass=mass, epsilon=eps, alpha=alpha)

@@ -131,8 +131,7 @@ def cmd_check_pointwise(descriptor, out_dir):
 # ---------------------------------------------------------------------------
 # solves
 
-def _build_problem(descriptor, forcing_params=None):
-    grid = descriptor.make_grid()
+def _build_problem(descriptor, grid, forcing_params=None):
     g, g_h = descriptor.make_backgrounds(grid)
     F = descriptor.make_forcing(grid, forcing_params)
     return PrimaryProblem(spec=descriptor.make_operator(), g=g, g_h=g_h, F=F, grid=grid,
@@ -187,7 +186,8 @@ def _solve_artifacts(problem, out_dir, descriptor, phases):
 def cmd_solve(descriptor, out_dir, phases=None):
     """The solve subcommand; its phases go to the list phases when given."""
     phases = [] if phases is None else phases
-    result = _solve_artifacts(_build_problem(descriptor), out_dir, descriptor, phases)
+    result = _solve_artifacts(_build_problem(descriptor, descriptor.make_grid()), out_dir,
+                              descriptor, phases)
     if result is None:
         return EXIT_SOLVER
     return EXIT_PASS if result[1] else EXIT_CHECK_FAILURE
@@ -195,9 +195,16 @@ def cmd_solve(descriptor, out_dir, phases=None):
 
 def cmd_localize(descriptor, out_dir, phases=None):
     """The localize subcommand; its phases (the solve's, the chart's and one
-    per (s, k) cell) go to the list phases when given."""
+    per (s, k) cell) go to the list phases when given.  The chart runs at
+    n = 2 only, so any other grid.n is a descriptor error, raised before a
+    field is realized."""
     phases = [] if phases is None else phases
-    problem = _build_problem(descriptor)
+    grid = descriptor.make_grid()
+    if grid.n != 2:
+        raise InconsistentInputError(
+            "grid.n: localize runs at n = 2 only, got n = %d (a chart needs N >= 16, and "
+            "16^2n grid points at n >= 3 exceed the grid budget)" % grid.n)
+    problem = _build_problem(descriptor, grid)
     result = _solve_artifacts(problem, out_dir, descriptor, phases)
     if result is None:
         return EXIT_SOLVER
@@ -282,20 +289,22 @@ def cmd_sweep(descriptor, out_dir, workers=1, phases=None):
     """The sweep subcommand; its members run on up to workers threads, each
     in a copy of the caller's context (lanes.map_in_lanes), and one phase
     per member goes to the list phases when given, in member order whatever
-    the workers."""
+    the workers.  The grid is realized once, before any member runs, and
+    every member's problem is built on it."""
     phases = [] if phases is None else phases
+    grid = descriptor.make_grid()
     concentrations = descriptor.concentrations
     # every member's forcing must read the swept sigma and accept its value
     for value in concentrations:
         descriptor.forcing_params({"sigma": value})
-    p = descriptor.entropy_exponent_or_default(descriptor.grid["n"])
+    p = descriptor.entropy_exponent_or_default(grid.n)
     # each member's problem, built when the member runs and dropped when it
     # is done; the first member's is built here when it sets the target
     problems = [None] * len(concentrations)
     if descriptor.entropy_target is not None:
         target = float(descriptor.entropy_target)
     else:
-        first = problems[0] = _build_problem(descriptor, {"sigma": concentrations[0]})
+        first = problems[0] = _build_problem(descriptor, grid, {"sigma": concentrations[0]})
         with np.errstate(over="ignore"):
             target = float(entropy_norm(first.F, first.metric, first.grid, p))
         del first  # only the list holds it, until its member runs
@@ -314,7 +323,7 @@ def cmd_sweep(descriptor, out_dir, workers=1, phases=None):
         problem, problems[index] = problems[index], None
         try:
             if problem is None:
-                problem = _build_problem(descriptor, {"sigma": value})
+                problem = _build_problem(descriptor, grid, {"sigma": value})
             row = _sweep_member(problem, value, p, target)
         except NFormError as exc:
             row = dict(dict.fromkeys(_SWEEP_COLUMNS), parameter=float(value),
@@ -465,10 +474,11 @@ def main(argv=None):
         else:
             code = cmd_sweep(descriptor, args.out, workers=args.workers, phases=phases)
     except InconsistentInputError as exc:
-        # three descriptor errors show only after the descriptor is built: a
-        # sweep sigma the forcing rejects, a forcing that overflows on the grid
-        # and a sweep entropy target that does; every solve-time error is
-        # mapped inside the commands, and nothing is written
+        # some descriptor errors show only when a command reads the
+        # descriptor: a grid above the budget, localize at n != 2, a sweep
+        # sigma the forcing rejects, a forcing that overflows on the grid and
+        # a sweep entropy target that does; every solve-time error is mapped
+        # inside the commands, and nothing is written
         print("descriptor error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
     _write_trace(args.out, args.command, started, phases)

@@ -222,6 +222,17 @@ def parse_json(text):
         raise InconsistentInputError("descriptor is not valid JSON: %s" % exc) from None
 
 
+# The working set every accepted descriptor fits, shared out by tracemalloc
+# peaks rounded up: bytes per grid point of the command that needs most at
+# each n (localize at n = 2, solve at n = 3), and check-pointwise's bytes per
+# sample and entry of an n x n matrix.  No n >= 4 grid fits: it has at least
+# 8^8 points.  The budget is a constant, so a descriptor that one host
+# accepts every host accepts.
+WORKING_SET_BYTES = 4 * 2**30
+_BYTES_PER_POINT = {2: 560, 3: 1400}
+_BYTES_PER_SAMPLE_ENTRY = 260
+GRID_POINT_BUDGET = {n: WORKING_SET_BYTES // size for n, size in _BYTES_PER_POINT.items()}
+
 _GRID_DEFAULTS = {"n": 2, "N": 16, "L": 1.0}
 # the solver tolerance and step budget are PrimaryProblem's field defaults
 _TOLERANCE_DEFAULTS = {"solver": PrimaryProblem.tolerance, "c_disc": 10.0, "sweep_ratio": 3.0,
@@ -277,6 +288,13 @@ class ExperimentDescriptor:
                                          "aliases a lower one on the grid" % (self.grid["N"] // 2))
         if self.entropy_exponent is not None and self.entropy_exponent <= self.grid["n"]:
             raise InconsistentInputError("entropy exponent must exceed the complex dimension")
+        entries = self.samples * self.grid["n"] ** 2
+        if entries * _BYTES_PER_SAMPLE_ENTRY > WORKING_SET_BYTES:
+            raise InconsistentInputError(
+                "samples: %d samples of n x n matrices at n = %d need about %d bytes, more "
+                "than the working set of %d" % (self.samples, self.grid["n"],
+                                                entries * _BYTES_PER_SAMPLE_ENTRY,
+                                                WORKING_SET_BYTES))
 
     def to_dict(self):
         return asdict(self)
@@ -297,10 +315,19 @@ class ExperimentDescriptor:
     # ---- realized objects: the fields were checked when the descriptor was built ----
 
     def make_grid(self):
+        """The grid, refused (grid.N) above GRID_POINT_BUDGET, before any field
+        is realized on it."""
         try:
-            return TorusGrid(**self.grid)
+            grid = TorusGrid(**self.grid)
         except ValueError as exc:  # the one grid field __post_init__ leaves
             raise InconsistentInputError("grid.N: %s" % exc) from None
+        budget = GRID_POINT_BUDGET.get(grid.n, 0)
+        if grid.num_points > budget:
+            raise InconsistentInputError(
+                "grid.N: N = %d at n = %d gives N^2n = %d grid points, more than the %d "
+                "that fit the working set of %d bytes" % (grid.N, grid.n, grid.num_points,
+                                                          budget, WORKING_SET_BYTES))
+        return grid
 
     def make_operator(self):
         return _operator_from_config(self.operator)

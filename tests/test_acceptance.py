@@ -19,7 +19,6 @@ from nformpde.auxiliary import (
     comparison_scale,
     run_localization,
     solve_dirichlet_ma,
-    tight_comparison_fixture,
 )
 from nformpde.cli import EXIT_PASS, cmd_sweep
 from nformpde.descriptors import ExperimentDescriptor
@@ -52,6 +51,8 @@ from nformpde.symfun import (
     p_monge_ampere,
     sample_cone,
 )
+
+from tight_fixture import tight_comparison_fixture
 
 SAMPLES = 10**4
 

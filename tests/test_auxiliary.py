@@ -21,7 +21,6 @@ from nformpde.auxiliary import (
     run_localization,
     smooth_hinge,
     solve_dirichlet_ma,
-    tight_comparison_fixture,
     tilted_potential,
 )
 from nformpde.errors import (
@@ -29,6 +28,7 @@ from nformpde.errors import (
     InconsistentInputError,
     MetricDegeneracyError,
     NonConvergenceError,
+    UnsupportedDimensionError,
 )
 from nformpde.grid import (
     HermitianPlanes,
@@ -43,6 +43,8 @@ from nformpde.hermlin import checked_metric, hermitian_part
 from nformpde.manufactured import radial_field, radial_profile
 from nformpde.solver import PrimaryProblem, solve_primary
 from nformpde.symfun import monge_ampere
+
+from tight_fixture import tight_comparison_fixture
 
 CENTER = (12, 3, 7, 9)
 
@@ -238,11 +240,20 @@ def test_chart_failure_on_rough_metric():
 
 
 def test_chart_failure_on_coarse_grid():
-    # N = 12 cannot host the minimum of four grid spacings at radius L/4
+    # N = 12 cannot host the minimum of four grid spacings at radius L/4,
+    # whatever the background: the message blames the grid
     grid = TorusGrid(n=2, N=12, L=1.0)
     g = identity_metric(grid)
-    with pytest.raises(ChartFailureError):
+    with pytest.raises(ChartFailureError, match=r"grid too coarse .* needs N >= 16, got N = 12"):
         build_chart(np.zeros(grid.shape), g, g, grid)
+
+
+def test_build_chart_refuses_n3_before_reading_its_inputs():
+    # the chart runs at n = 2 only; the refusal comes before phi or a metric
+    # is read, so none is realized here
+    grid = TorusGrid(n=3, N=16, L=1.0)
+    with pytest.raises(UnsupportedDimensionError, match="n = 2 only, got n = 3"):
+        build_chart(None, None, None, grid)
 
 
 def test_chart_degenerate_reference_rejected():
@@ -499,17 +510,17 @@ def test_run_localization_cells_keep_the_callers_errstate(monkeypatch):
 
 
 @settings(max_examples=10, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([2, 3]))
-def test_clamped_inverse_is_the_inverse_of_the_clamped_matrix(seed, n):
-    # Hermitian fields whose spectra span at most a factor 100 at scales from
-    # 1e-10 to 1, so that some fall below EIG_FLOOR: those are raised to it,
-    # and the result is np.linalg.inv of the matrix with its spectrum so
-    # clamped (its condition number stays below 100)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_clamped_inverse_is_the_inverse_of_the_clamped_matrix(seed):
+    # Hermitian 2x2 fields whose spectra span at most a factor 100 at scales
+    # from 1e-10 to 1, so that some fall below EIG_FLOOR: those are raised
+    # to it, and the result is np.linalg.inv of the matrix with its spectrum
+    # so clamped (its condition number stays below 100)
     rng = np.random.default_rng(seed)
     count = 40
     scale = np.logspace(-10.0, 0.0, count)[:, None]
-    spectrum = scale * np.exp(rng.uniform(0.0, np.log(100.0), size=(count, n)))
-    a = rng.normal(size=(count, n, n)) + 1j * rng.normal(size=(count, n, n))
+    spectrum = scale * np.exp(rng.uniform(0.0, np.log(100.0), size=(count, 2)))
+    a = rng.normal(size=(count, 2, 2)) + 1j * rng.normal(size=(count, 2, 2))
     frames = np.linalg.qr(a)[0]
     field = hermitian_part(np.einsum("pik,pk,pjk->pij", frames, spectrum, frames.conj()))
     eigs, frames = np.linalg.eigh(field)
@@ -517,17 +528,12 @@ def test_clamped_inverse_is_the_inverse_of_the_clamped_matrix(seed, n):
     clamped = np.einsum("pik,pk,pjk->pij", frames, np.maximum(eigs, auxiliary.EIG_FLOOR),
                         frames.conj())
     reference = np.linalg.inv(clamped)
-    # at n = 2 the chart decomposes the planes in real arithmetic
-    inv = auxiliary._clamped_inverse(*auxiliary._chart_eigh(
-        hermitian_planes(field) if n == 2 else field))
-    if n == 2:
-        assert isinstance(inv, HermitianPlanes)
-        assert all(p.flags.c_contiguous for p in inv)
-        inv = inv.matrix()
-    else:
-        assert inv.shape == (count, n, n) and inv.dtype == complex
+    # the chart decomposes the planes in real arithmetic
+    inv = auxiliary._clamped_inverse(*auxiliary._chart_eigh(hermitian_planes(field)))
+    assert isinstance(inv, HermitianPlanes)
+    assert all(p.flags.c_contiguous for p in inv)
     size = np.abs(reference).max(axis=(-2, -1))
-    assert np.all(np.abs(inv - reference).max(axis=(-2, -1)) <= 1e-12 * size)
+    assert np.all(np.abs(inv.matrix() - reference).max(axis=(-2, -1)) <= 1e-12 * size)
 
 
 @pytest.mark.parametrize("N", [16, 20])

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nformpde
-from nformpde import cli, schemas
+from nformpde import cli, descriptors, schemas
 from nformpde.cli import EXIT_CHECK_FAILURE, EXIT_PASS, EXIT_SOLVER, EXIT_USAGE, main
 from nformpde.descriptors import ExperimentDescriptor
 from nformpde.errors import DegeneratePointError, NonConvergenceError
@@ -229,7 +229,9 @@ def test_usage_errors_exit_two(tmp_path, capsys):
             ("localize", {"grid": {"L": 1e-150}}, "grid.L"),
             ("solve", {"forcing": {"name": "bumps", "params": {"count": 1001}}},
              "forcing.params.count"),
-            ("check-pointwise", {"samples": 1000001}, "descriptor.samples")):
+            ("check-pointwise", {"samples": 1000001}, "descriptor.samples"),
+            ("check-pointwise", {"operator": {"family": "monge-ampere", "dim": 6},
+                                 "grid": {"n": 6}, "samples": 1000000}, "samples")):
         config = write_config(tmp_path / "scale.json", **fields)
         assert main([command, "--config", config, "--out", str(tmp_path / "o")]) == EXIT_USAGE
         assert "descriptor error: " + name in capsys.readouterr().err
@@ -530,7 +532,42 @@ def test_localize_chart_failure_exits_one(tmp_path):
     out = tmp_path / "out"
     assert main(["localize", "--config", config, "--out", str(out)]) == EXIT_CHECK_FAILURE
     diag = json.loads(read(out / "localize_error.json"))
-    assert "chart" in diag["error"] or "radius" in diag["error"]
+    assert diag["error"].startswith("grid too coarse for a chart")
+    assert "needs N >= 16" in diag["error"]
+
+
+def test_localize_refuses_n3_before_any_field(tmp_path, capsys):
+    # the chart runs at n = 2 only, so at n = 3 localize is a descriptor
+    # error before the periodic solve runs, and nothing is written
+    config = write_config(tmp_path / "desc.json", operator={"family": "monge-ampere", "dim": 3},
+                          grid={"n": 3, "N": 8, "L": 1.0})
+    out = tmp_path / "out"
+    assert main(["localize", "--config", config, "--out", str(out)]) == EXIT_USAGE
+    assert "descriptor error: grid.n: localize runs at n = 2 only" in capsys.readouterr().err
+    assert os.listdir(out) == []
+
+
+def first_n_above_budget(n):
+    N = 8
+    while N ** (2 * n) <= descriptors.GRID_POINT_BUDGET[n]:
+        N += 1
+    return N
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("command, target", [("solve", None), ("localize", None),
+                                             ("sweep", None), ("sweep", 1.0)])
+def test_grid_above_the_budget_exits_two_with_nothing_written(tmp_path, capsys, n, command,
+                                                              target):
+    N = first_n_above_budget(n)
+    assert N == {2: 53, 3: 13}[n]  # the budget the README states
+    config = write_config(tmp_path / "desc.json", operator={"family": "monge-ampere", "dim": n},
+                          grid={"n": n, "N": N, "L": 1.0}, entropy_target=target,
+                          forcing={"name": "gaussian", "params": {"center": [0.5] * (2 * n)}})
+    out = tmp_path / "out"
+    assert main([command, "--config", config, "--out", str(out)]) == EXIT_USAGE
+    assert ("descriptor error: grid.N: N = %d at n = %d" % (N, n)) in capsys.readouterr().err
+    assert os.listdir(out) == []
 
 
 def test_sweep_and_report_round_trip(tmp_path):
@@ -665,6 +702,29 @@ def sweep_config(path, **overrides):
         seed=3,
         **overrides,
     )
+
+
+@pytest.mark.parametrize("target", [None, 1.0])
+def test_sweep_realizes_its_grid_once_before_any_member(tmp_path, capsys, monkeypatch, target):
+    # a grid TorusGrid refuses (2**31 points or more) is a descriptor error,
+    # with or without an entropy target, and no member row is written
+    config = write_config(tmp_path / "big.json", grid={"n": 2, "N": 216, "L": 1.0},
+                          forcing={"name": "gaussian", "params": {}}, entropy_target=target)
+    out = tmp_path / "big"
+    assert main(["sweep", "--config", config, "--out", str(out)]) == EXIT_USAGE
+    assert "descriptor error: grid.N: N = 216" in capsys.readouterr().err
+    assert os.listdir(out) == []
+    # a sweep that runs realizes one grid for all its members
+    calls = []
+    make_grid = ExperimentDescriptor.make_grid
+    monkeypatch.setattr(ExperimentDescriptor, "make_grid",
+                        lambda self: calls.append(self) or make_grid(self))
+    config = write_config(tmp_path / "small.json", grid={"n": 2, "N": 8, "L": 1.0},
+                          forcing={"name": "gaussian", "params": {}},
+                          concentrations=[0.18, 0.14, 0.1], entropy_target=target)
+    code = main(["sweep", "--config", config, "--out", str(tmp_path / "small")])
+    assert code in (EXIT_PASS, EXIT_CHECK_FAILURE)
+    assert len(calls) == 1
 
 
 def test_sweep_honours_solver_budget(tmp_path):

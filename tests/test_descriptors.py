@@ -36,6 +36,33 @@ def test_round_trip_preserves_custom_fields():
     assert back.make_operator().family == "hessian"
 
 
+def test_make_grid_takes_the_largest_grid_inside_the_budget():
+    # N^2n grid points up to GRID_POINT_BUDGET at n = 2 and 3, and no grid at
+    # n >= 4; make_grid realizes no field, so none is built here
+    for n, largest in ((2, 52), (3, 12)):
+        assert largest ** (2 * n) <= descriptors.GRID_POINT_BUDGET[n] < (largest + 1) ** (2 * n)
+        operator = {"family": "monge-ampere", "dim": n}
+        desc = ExperimentDescriptor(operator=operator, grid={"n": n, "N": largest})
+        assert desc.make_grid() == TorusGrid(n=n, N=largest, L=1.0)
+        with pytest.raises(InconsistentInputError, match="^grid.N: N = %d at n = %d"
+                           % (largest + 1, n)):
+            ExperimentDescriptor(operator=operator, grid={"n": n, "N": largest + 1}).make_grid()
+    with pytest.raises(InconsistentInputError, match="^grid.N: N = 8 at n = 4"):
+        ExperimentDescriptor(operator={"family": "monge-ampere", "dim": 4},
+                             grid={"n": 4, "N": 8}).make_grid()
+
+
+def test_samples_are_bounded_by_the_working_set():
+    # check-pointwise's batch holds about 260 bytes per sample and entry of
+    # an n x n matrix: at n = 6 the largest count inside the working set is
+    # taken, and one more is refused
+    largest = descriptors.WORKING_SET_BYTES // (descriptors._BYTES_PER_SAMPLE_ENTRY * 36)
+    operator = {"family": "monge-ampere", "dim": 6}
+    assert ExperimentDescriptor(operator=operator, grid={"n": 6}, samples=largest).samples == largest
+    with pytest.raises(InconsistentInputError, match="^samples: %d samples" % (largest + 1)):
+        ExperimentDescriptor(operator=operator, grid={"n": 6}, samples=largest + 1)
+
+
 def test_unknown_fields_rejected():
     data = ExperimentDescriptor().to_dict()
     data["extra_knob"] = 1
