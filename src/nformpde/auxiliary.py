@@ -69,6 +69,11 @@ MASS_TOL = 1e-10
 RESIDUAL_TOL = 1e-10
 MAX_ITERATIONS = 60
 
+# At most this many chains of chart solves run at once, whatever the host's
+# CPUs, so the peak memory of localize, which the descriptors' grid budget
+# is rated for, is the same on every host.
+CHAIN_LANES = 2
+
 
 @dataclass
 class LocalChart:
@@ -124,8 +129,9 @@ def build_chart(phi, g, g_h, grid):
 
     Raises ChartFailureError when the grid is too coarse to hold a radius
     of MIN_RADIUS_STEPS grid spacings (N < 16) or no such radius keeps the
-    metric in that band, and MetricDegeneracyError when g_h is not positive
-    definite on the chosen ball.
+    metric in that band, and MetricDegeneracyError (from checked_metric)
+    when g or g_h is not positive definite anywhere on the grid, inside the
+    ball or not.
     """
     if grid.n != 2:
         raise UnsupportedDimensionError(
@@ -176,6 +182,8 @@ def build_chart(phi, g, g_h, grid):
     g_m, gh_m = (HermitianPlanes(*(p[mask] for p in m)) for m in (g, g_h))
     lam_min = endomorphism_eigs(g_m, gh_m)[..., 0]
     trace = hermitian_trace(hermitian_inverse(g_m), gh_m)
+    # checked_metric found both positive definite, so only roundoff in the
+    # pencil of an ill-conditioned pair ends here
     if lam_min.min() <= 0.0 or trace.min() <= 0.0:
         raise MetricDegeneracyError("reference form is not positive definite on the chart ball")
     maximal = 0.5 * (grid.n - 1) * float(np.min(lam_min / trace))
@@ -559,9 +567,10 @@ def run_localization(solution, problem, s_fractions, k_list, c_disc, entropy_exp
     starts from the solution of the cell before it in the chain when that
     cell did not fail; the first cell of each chain and the next one after
     a failure start cold.  The chains share only the read-only chart, and
-    run side by side on min(number of distinct k, available CPUs) threads,
-    the calling thread one of them (lanes.map_in_lanes); each cell does the
-    same arithmetic on any thread, so the result is bitwise the same.
+    run side by side on min(number of distinct k, CHAIN_LANES, available
+    CPUs) threads, the calling thread one of them (lanes.map_in_lanes);
+    each cell does the same arithmetic on any thread, so the result is
+    bitwise the same.
     When a list phases is given, the wall time of the chart and of each cell
     (time.perf_counter) is appended to it, as the trace.json phases of cli,
     the cells in s-major order; the seconds of cells of different k overlap.
@@ -612,7 +621,7 @@ def run_localization(solution, problem, s_fractions, k_list, c_disc, entropy_exp
             done.append((index, {"s": s, "k": k, **cell}, time.perf_counter() - started))
         return done
 
-    chained = map_in_lanes(run_chain, chains.values(), available_cpus())
+    chained = map_in_lanes(run_chain, chains.values(), min(CHAIN_LANES, available_cpus()))
     finished = sorted((item for done in chained for item in done), key=lambda item: item[0])
     cells = [cell for _, cell, _ in finished]
     phases.extend({"name": "cell", "s": cell["s"], "k": cell["k"], "seconds": seconds}

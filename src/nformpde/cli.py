@@ -24,7 +24,7 @@ from jsonschema import ValidationError
 
 from . import schemas
 from .auxiliary import run_localization
-from .descriptors import ExperimentDescriptor, parse_json
+from .descriptors import ExperimentDescriptor, check_sweep_lanes, parse_json
 from .errors import InconsistentInputError, NFormError, NonConvergenceError
 from .grid import entropy_integrand, entropy_norm, integrate, volume_density
 from .hermlin import random_admissible_parts, verify_trace_reversal_identities
@@ -290,10 +290,12 @@ def cmd_sweep(descriptor, out_dir, workers=1, phases=None):
     in a copy of the caller's context (lanes.map_in_lanes), and one phase
     per member goes to the list phases when given, in member order whatever
     the workers.  The grid is realized once, before any member runs, and
-    every member's problem is built on it."""
+    every member's problem is built on it; workers that would run more
+    members at once than fit the working set are refused first."""
     phases = [] if phases is None else phases
     grid = descriptor.make_grid()
     concentrations = descriptor.concentrations
+    check_sweep_lanes(grid, min(workers, len(concentrations)))
     # every member's forcing must read the swept sigma and accept its value
     for value in concentrations:
         descriptor.forcing_params({"sigma": value})
@@ -475,10 +477,11 @@ def main(argv=None):
             code = cmd_sweep(descriptor, args.out, workers=args.workers, phases=phases)
     except InconsistentInputError as exc:
         # some descriptor errors show only when a command reads the
-        # descriptor: a grid above the budget, localize at n != 2, a sweep
-        # sigma the forcing rejects, a forcing that overflows on the grid and
-        # a sweep entropy target that does; every solve-time error is mapped
-        # inside the commands, and nothing is written
+        # descriptor: a grid above the budget, sweep workers whose members
+        # together pass it, localize at n != 2, a sweep sigma the forcing
+        # rejects, a forcing that overflows on the grid and a sweep entropy
+        # target that does; every solve-time error is mapped inside the
+        # commands, and nothing is written
         print("descriptor error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
     _write_trace(args.out, args.command, started, phases)

@@ -223,15 +223,32 @@ def parse_json(text):
 
 
 # The working set every accepted descriptor fits, shared out by tracemalloc
-# peaks rounded up: bytes per grid point of the command that needs most at
-# each n (localize at n = 2, solve at n = 3), and check-pointwise's bytes per
-# sample and entry of an n x n matrix.  No n >= 4 grid fits: it has at least
-# 8^8 points.  The budget is a constant, so a descriptor that one host
-# accepts every host accepts.
+# peaks rounded up, the worst over the background pairs, operator families
+# and forcings measured: bytes per grid point of the command that needs most
+# at each n (localize, on its two chains, at n = 2, solve at n = 3), of each
+# sweep member running at once, and check-pointwise's bytes per sample and
+# entry of an n x n matrix.  No n >= 4 grid fits: it has at least 8^8
+# points.  The budget is a constant, so a descriptor that one host accepts
+# every host accepts.
 WORKING_SET_BYTES = 4 * 2**30
-_BYTES_PER_POINT = {2: 560, 3: 1400}
+_BYTES_PER_POINT = {2: 800, 3: 1400}
+_SWEEP_MEMBER_BYTES_PER_POINT = {2: 520, 3: 1400}
 _BYTES_PER_SAMPLE_ENTRY = 260
 GRID_POINT_BUDGET = {n: WORKING_SET_BYTES // size for n, size in _BYTES_PER_POINT.items()}
+
+
+def check_sweep_lanes(grid, lanes):
+    """Refuse (--workers) lanes sweep members running at once on grid when
+    their peaks add up to more than the working set; one member always
+    fits a grid that make_grid returned."""
+    need = lanes * _SWEEP_MEMBER_BYTES_PER_POINT[grid.n] * grid.num_points
+    if need > WORKING_SET_BYTES:
+        fit = WORKING_SET_BYTES // (_SWEEP_MEMBER_BYTES_PER_POINT[grid.n] * grid.num_points)
+        raise InconsistentInputError(
+            "--workers: %d sweep members at once on N = %d at n = %d need about %d bytes, "
+            "more than the working set of %d; at most %d fit" % (
+                lanes, grid.N, grid.n, need, WORKING_SET_BYTES, fit))
+
 
 _GRID_DEFAULTS = {"n": 2, "N": 16, "L": 1.0}
 # the solver tolerance and step budget are PrimaryProblem's field defaults

@@ -261,8 +261,14 @@ def test_chart_degenerate_reference_rejected():
     g = identity_metric(grid)
     g_h = identity_metric(grid)
     g_h[..., 1, 1] = 0.0
-    with pytest.raises(MetricDegeneracyError):
+    with pytest.raises(MetricDegeneracyError, match="^reference metric is not positive definite$"):
         build_chart(np.zeros(grid.shape), g, g_h, grid)
+    # g_h enters through checked_metric on the whole grid, so a degenerate
+    # point far outside the chart ball is refused too
+    g_h = identity_metric(grid)
+    g_h[12, 12, 12, 12, 1, 1] = 0.0
+    with pytest.raises(MetricDegeneracyError, match="^reference metric is not positive definite$"):
+        build_chart(grid.distance_sq((4, 4, 4, 4)), g, g_h, grid)
 
 
 def test_chart_trivial_flag_tracks_depth():
@@ -489,6 +495,30 @@ def test_run_localization_chains_on_threads_match_one_cpu(monkeypatch, k_list):
     for key in serial:
         assert threaded[key] == serial[key], key
     assert all(cell["error"] is None for cell in serial["reports"])
+
+
+def test_run_localization_runs_at_most_two_chains_at_once(monkeypatch):
+    # the grid budget is rated for two chains, so three distinct k on a host
+    # with eight CPUs still share two lanes
+    problem, solution = flat_instance()
+    real_map, real_solve = auxiliary.map_in_lanes, auxiliary.solve_dirichlet_ma
+    lanes, threads = [], set()
+
+    def spy(task, items, count):
+        lanes.append(count)
+        return real_map(task, items, count)
+
+    def solve(chart, rhs, initial=None):
+        threads.add(threading.get_ident())
+        return real_solve(chart, rhs, initial=initial)
+
+    monkeypatch.setattr(auxiliary, "map_in_lanes", spy)
+    monkeypatch.setattr(auxiliary, "solve_dirichlet_ma", solve)
+    monkeypatch.setattr(auxiliary, "available_cpus", lambda: 8)
+    payload = run_localization(solution, problem, s_fractions=(0.5,), k_list=(5, 10, 20),
+                               c_disc=10.0, entropy_exponent=3)
+    assert auxiliary.CHAIN_LANES == 2 and lanes == [2]
+    assert len(threads) <= 2 and len(payload["reports"]) == 3
 
 
 def test_run_localization_cells_keep_the_callers_errstate(monkeypatch):

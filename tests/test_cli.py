@@ -560,7 +560,7 @@ def first_n_above_budget(n):
 def test_grid_above_the_budget_exits_two_with_nothing_written(tmp_path, capsys, n, command,
                                                               target):
     N = first_n_above_budget(n)
-    assert N == {2: 53, 3: 13}[n]  # the budget the README states
+    assert N == {2: 49, 3: 13}[n]  # the budget the README states
     config = write_config(tmp_path / "desc.json", operator={"family": "monge-ampere", "dim": n},
                           grid={"n": n, "N": N, "L": 1.0}, entropy_target=target,
                           forcing={"name": "gaussian", "params": {"center": [0.5] * (2 * n)}})
@@ -568,6 +568,32 @@ def test_grid_above_the_budget_exits_two_with_nothing_written(tmp_path, capsys, 
     assert main([command, "--config", config, "--out", str(out)]) == EXIT_USAGE
     assert ("descriptor error: grid.N: N = %d at n = %d" % (N, n)) in capsys.readouterr().err
     assert os.listdir(out) == []
+
+
+def first_n_above_two_sweep_lanes():
+    N, member = 8, descriptors._SWEEP_MEMBER_BYTES_PER_POINT[2]
+    while 2 * member * N ** 4 <= descriptors.WORKING_SET_BYTES:
+        N += 1
+    return N
+
+
+@pytest.mark.parametrize("target", [None, 1.0])
+def test_sweep_workers_above_the_working_set_exit_two_with_nothing_written(tmp_path, capsys,
+                                                                            target):
+    # one member fits this grid, two at once do not: --workers 2 is refused
+    # before any field is realized, and --workers 8 on two members runs two
+    N = first_n_above_two_sweep_lanes()
+    assert N ** 4 <= descriptors.GRID_POINT_BUDGET[2]
+    config = write_config(tmp_path / "desc.json", grid={"n": 2, "N": N, "L": 1.0},
+                          entropy_target=target, concentrations=[0.18, 0.16],
+                          forcing={"name": "gaussian", "params": {}})
+    for workers in ("2", "8"):
+        out = tmp_path / ("out" + workers)
+        assert main(["sweep", "--config", config, "--out", str(out), "--workers", workers]) \
+            == EXIT_USAGE
+        assert ("descriptor error: --workers: 2 sweep members at once on N = %d at n = 2" % N
+                in capsys.readouterr().err)
+        assert os.listdir(out) == []
 
 
 def test_sweep_and_report_round_trip(tmp_path):

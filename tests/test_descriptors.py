@@ -39,7 +39,7 @@ def test_round_trip_preserves_custom_fields():
 def test_make_grid_takes_the_largest_grid_inside_the_budget():
     # N^2n grid points up to GRID_POINT_BUDGET at n = 2 and 3, and no grid at
     # n >= 4; make_grid realizes no field, so none is built here
-    for n, largest in ((2, 52), (3, 12)):
+    for n, largest in ((2, 48), (3, 12)):
         assert largest ** (2 * n) <= descriptors.GRID_POINT_BUDGET[n] < (largest + 1) ** (2 * n)
         operator = {"family": "monge-ampere", "dim": n}
         desc = ExperimentDescriptor(operator=operator, grid={"n": n, "N": largest})
@@ -50,6 +50,23 @@ def test_make_grid_takes_the_largest_grid_inside_the_budget():
     with pytest.raises(InconsistentInputError, match="^grid.N: N = 8 at n = 4"):
         ExperimentDescriptor(operator={"family": "monge-ampere", "dim": 4},
                              grid={"n": 4, "N": 8}).make_grid()
+
+
+def test_sweep_lanes_are_bounded_by_the_working_set():
+    # as many sweep members at once as fit the working set are taken, one
+    # more is refused, and one member fits every grid that make_grid returns
+    for n in (2, 3):
+        largest = round(descriptors.GRID_POINT_BUDGET[n] ** (1.0 / (2 * n)))
+        while largest ** (2 * n) > descriptors.GRID_POINT_BUDGET[n]:
+            largest -= 1
+        grid = TorusGrid(n=n, N=largest, L=1.0)
+        descriptors.check_sweep_lanes(grid, 1)
+        lanes = descriptors.WORKING_SET_BYTES // (
+            descriptors._SWEEP_MEMBER_BYTES_PER_POINT[n] * grid.num_points)
+        descriptors.check_sweep_lanes(grid, lanes)
+        with pytest.raises(InconsistentInputError, match="^--workers: %d sweep members at once "
+                           "on N = %d at n = %d" % (lanes + 1, largest, n)):
+            descriptors.check_sweep_lanes(grid, lanes + 1)
 
 
 def test_samples_are_bounded_by_the_working_set():
