@@ -45,7 +45,7 @@ from .grid import (
     volume_density,
 )
 from .hermlin import _eigs_2x2, checked_metric, endomorphism_eigs
-from .lanes import available_cpus, map_in_lanes
+from .lanes import available_cpus, map_chains
 from .solver import NewtonRecord, damped_newton
 from .symfun import plane_sum
 
@@ -568,9 +568,9 @@ def run_localization(solution, problem, s_fractions, k_list, c_disc, entropy_exp
     cell did not fail; the first cell of each chain and the next one after
     a failure start cold.  The chains share only the read-only chart, and
     run side by side on min(number of distinct k, CHAIN_LANES, available
-    CPUs) threads, the calling thread one of them (lanes.map_in_lanes);
-    each cell does the same arithmetic on any thread, so the result is
-    bitwise the same.
+    CPUs) threads, the calling thread one of them (lanes.map_chains, the
+    chain runner that the sweep uses too); each cell does the same
+    arithmetic on any thread, so the result is bitwise the same.
     When a list phases is given, the wall time of the chart and of each cell
     (time.perf_counter) is appended to it, as the trace.json phases of cli,
     the cells in s-major order; the seconds of cells of different k overlap.
@@ -592,36 +592,33 @@ def run_localization(solution, problem, s_fractions, k_list, c_disc, entropy_exp
     for index, (_, k) in enumerate(order):
         chains.setdefault(k, []).append(index)
 
-    def run_chain(indices):
-        """The chain's (index, cell, seconds); warm is the psi of the cell
-        before, None when there is none or it failed."""
-        done, warm = [], None
-        for index in indices:
-            s, k = order[index]
-            started, initial, warm = time.perf_counter(), warm, None
-            try:
-                w = tilted_potential(solution.phi, chart, s)
-                unit, mass, log_mass = _hinge_density(w, problem.F, k, chart)
-                rhs = np.zeros(grid.shape)
-                rhs[chart.mask] = unit
-                aux = solve_dirichlet_ma(chart, rhs, initial=initial)
-                warm = aux.psi
-                # homogeneous of degree 1/(n+1) in the mass, which may be subnormal
-                eps = comparison_scale(1.0, problem.spec.gamma, n) * np.exp(log_mass / (n + 1))
-                cell = check_comparison(w, aux.psi, eps, chart, c_disc)
-                cell.update(mass=mass, mass_error=abs(aux.mass - 1.0), error=None,
-                            line_search_trials=aux.line_search_trials,
-                            clamp_history=aux.clamp_history, residuals={
-                    "solver_sup": aux.residual_sup, "iterations": aux.iterations,
-                    "krylov_iterations": aux.krylov_iterations})
-            except (DegeneracyError, InconsistentInputError, NonConvergenceError, ValueError) as exc:
-                cell = dict.fromkeys(_UNMEASURED)
-                cell.update({"pass": False, "error": str(exc), "residuals": dict.fromkeys(
-                    ("solver_sup", "iterations", "krylov_iterations"))})
-            done.append((index, {"s": s, "k": k, **cell}, time.perf_counter() - started))
-        return done
+    def run_cell(index, initial):
+        """The cell's (index, cell, seconds) and its psi, the next cell's
+        start: None when the cell failed before its chart solve was done."""
+        s, k = order[index]
+        started, warm = time.perf_counter(), None
+        try:
+            w = tilted_potential(solution.phi, chart, s)
+            unit, mass, log_mass = _hinge_density(w, problem.F, k, chart)
+            rhs = np.zeros(grid.shape)
+            rhs[chart.mask] = unit
+            aux = solve_dirichlet_ma(chart, rhs, initial=initial)
+            warm = aux.psi
+            # homogeneous of degree 1/(n+1) in the mass, which may be subnormal
+            eps = comparison_scale(1.0, problem.spec.gamma, n) * np.exp(log_mass / (n + 1))
+            cell = check_comparison(w, aux.psi, eps, chart, c_disc)
+            cell.update(mass=mass, mass_error=abs(aux.mass - 1.0), error=None,
+                        line_search_trials=aux.line_search_trials,
+                        clamp_history=aux.clamp_history, residuals={
+                "solver_sup": aux.residual_sup, "iterations": aux.iterations,
+                "krylov_iterations": aux.krylov_iterations})
+        except (DegeneracyError, InconsistentInputError, NonConvergenceError, ValueError) as exc:
+            cell = dict.fromkeys(_UNMEASURED)
+            cell.update({"pass": False, "error": str(exc), "residuals": dict.fromkeys(
+                ("solver_sup", "iterations", "krylov_iterations"))})
+        return (index, {"s": s, "k": k, **cell}, time.perf_counter() - started), warm
 
-    chained = map_in_lanes(run_chain, chains.values(), min(CHAIN_LANES, available_cpus()))
+    chained = map_chains(run_cell, chains.values(), min(CHAIN_LANES, available_cpus()))
     finished = sorted((item for done in chained for item in done), key=lambda item: item[0])
     cells = [cell for _, cell, _ in finished]
     phases.extend({"name": "cell", "s": cell["s"], "k": cell["k"], "seconds": seconds}

@@ -28,7 +28,7 @@ from .descriptors import ExperimentDescriptor, check_sweep_lanes, parse_json
 from .errors import InconsistentInputError, NFormError, NonConvergenceError
 from .grid import entropy_integrand, entropy_norm, integrate, volume_density
 from .hermlin import random_admissible_parts, verify_trace_reversal_identities
-from .lanes import map_in_lanes
+from .lanes import map_chains
 from .solver import PrimaryProblem, l1_bound_check, solve_primary
 from .symfun import evaluate, gradient, sample_cone
 
@@ -265,11 +265,17 @@ def _entropy_shift(F, g, grid, p, target):
 
 _SWEEP_COLUMNS = ("parameter", "entropy", "sup_norm", "b", "residual_sup",
                   "laplacian_margin", "iterations", "matvecs", "converged")
+# the keys a failed row holds as null; sweep.csv has no column for the last two
+_UNMEASURED = _SWEEP_COLUMNS + ("warm_start", "line_search_trials")
 
 
-def _sweep_member(problem, parameter, p, target):
-    problem.F = problem.F + _entropy_shift(problem.F, problem.metric, problem.grid, p, target)
-    solution = solve_primary(problem)
+def _sweep_member(background, F, parameter, p, target, initial=None):
+    """The sweep.json row of the member with forcing F, shifted to the
+    entropy target, on background's checked metrics (PrimaryProblem
+    .with_forcing), solved from initial (cold when None), and its phi."""
+    problem = background.with_forcing(
+        F + _entropy_shift(F, background.metric, background.grid, p, target))
+    solution = solve_primary(problem, initial=initial)
     bound = l1_bound_check(solution.phi, problem.metric, problem.reference_metric,
                            problem.grid, g_inv=problem.g_inv)
     return {
@@ -281,35 +287,52 @@ def _sweep_member(problem, parameter, p, target):
         "laplacian_margin": bound.laplacian_margin,
         "iterations": solution.iterations,
         "matvecs": sum(solution.krylov_iterations),
+        "line_search_trials": solution.line_search_trials,
+        "warm_start": initial is not None,
         "converged": True,
-    }
+    }, solution.phi
 
 
 def cmd_sweep(descriptor, out_dir, workers=1, phases=None):
-    """The sweep subcommand; its members run on up to workers threads, each
-    in a copy of the caller's context (lanes.map_in_lanes), and one phase
-    per member goes to the list phases when given, in member order whatever
-    the workers.  The grid is realized once, before any member runs, and
-    every member's problem is built on it; workers that would run more
-    members at once than fit the working set are refused first."""
+    """The sweep subcommand, continued along its parameter.
+
+    The members run as two fixed contiguous chains, the first ceil(m / 2)
+    of the m members and the rest (one chain when m = 1), a split that
+    reads only the member list, so the bytes do not depend on workers or
+    the host.  Each member starts from the phi of the member before it in
+    its chain; the first of a chain, and the next one after a member that
+    failed, start cold.  A warm start cannot leave the admissible set: the
+    twisted metric depends on phi and the backgrounds only, and every
+    member has the same backgrounds.  The grid, g and g_h are realized
+    and checked once, with the first member's forcing, before any member
+    runs; each member then realizes only its forcing, checked as a
+    problem's is, and the members keep only the checked metrics and g^-1
+    (PrimaryProblem.with_forcing).  The chains run on min(workers, chains)
+    threads, each in a copy of the caller's context (lanes.map_chains),
+    and chains that would run more members at once than fit the working
+    set are refused before any field is realized.  One phase per member
+    goes to the list phases when given, in member order whatever the
+    workers."""
     phases = [] if phases is None else phases
     grid = descriptor.make_grid()
     concentrations = descriptor.concentrations
-    check_sweep_lanes(grid, min(workers, len(concentrations)))
+    half = (len(concentrations) + 1) // 2
+    chains = [chain for chain in (range(half), range(half, len(concentrations))) if chain]
+    lanes = min(workers, len(chains))
+    check_sweep_lanes(grid, lanes)
     # every member's forcing must read the swept sigma and accept its value
     for value in concentrations:
         descriptor.forcing_params({"sigma": value})
     p = descriptor.entropy_exponent_or_default(grid.n)
-    # each member's problem, built when the member runs and dropped when it
-    # is done; the first member's is built here when it sets the target
-    problems = [None] * len(concentrations)
+    # the checked background, with the first member's forcing, kept as the
+    # checked metrics and g^-1 only, not the complex g and g_h
+    background = _build_problem(descriptor, grid, {"sigma": concentrations[0]})
+    background = background.with_forcing(background.F)
     if descriptor.entropy_target is not None:
         target = float(descriptor.entropy_target)
     else:
-        first = problems[0] = _build_problem(descriptor, grid, {"sigma": concentrations[0]})
         with np.errstate(over="ignore"):
-            target = float(entropy_norm(first.F, first.metric, first.grid, p))
-        del first  # only the list holds it, until its member runs
+            target = float(entropy_norm(background.F, background.metric, grid, p))
         if not math.isfinite(target):
             raise InconsistentInputError("entropy of the first sweep member is not finite "
                                          "on the grid")
@@ -319,21 +342,20 @@ def cmd_sweep(descriptor, out_dir, workers=1, phases=None):
 
     seconds = [None] * len(concentrations)
 
-    def member(index):
+    def member(index, warm):
         started = time.perf_counter()
-        value = concentrations[index]
-        problem, problems[index] = problems[index], None
+        value, phi = concentrations[index], None
         try:
-            if problem is None:
-                problem = _build_problem(descriptor, grid, {"sigma": value})
-            row = _sweep_member(problem, value, p, target)
+            F = (background.F if index == 0
+                 else descriptor.make_forcing(grid, {"sigma": value}))
+            row, phi = _sweep_member(background, F, value, p, target, warm)
         except NFormError as exc:
-            row = dict(dict.fromkeys(_SWEEP_COLUMNS), parameter=float(value),
+            row = dict(dict.fromkeys(_UNMEASURED), parameter=float(value),
                        converged=False, error=str(exc))
         seconds[index] = time.perf_counter() - started
-        return row
+        return row, phi
 
-    rows = map_in_lanes(member, range(len(concentrations)), workers)
+    rows = [row for chain in map_chains(member, chains, lanes) for row in chain]
     phases.extend({"name": "member", "parameter": row["parameter"], "seconds": t}
                   for row, t in zip(rows, seconds))
 
@@ -445,7 +467,8 @@ def _parser():
     sub.add_parser("solve", parents=[solving])
     sub.add_parser("localize", parents=[solving])
     sub.add_parser("sweep", parents=[solving]).add_argument(
-        "--workers", type=_workers, default=1, help="sweep members run concurrently on threads")
+        "--workers", type=_workers, default=1,
+        help="the sweep's two chains of members run concurrently on threads")
     report = sub.add_parser("report")
     report.add_argument("--out", default="out", help="directory holding artifacts")
     return parser
@@ -477,7 +500,7 @@ def main(argv=None):
             code = cmd_sweep(descriptor, args.out, workers=args.workers, phases=phases)
     except InconsistentInputError as exc:
         # some descriptor errors show only when a command reads the
-        # descriptor: a grid above the budget, sweep workers whose members
+        # descriptor: a grid above the budget, sweep workers whose chains
         # together pass it, localize at n != 2, a sweep sigma the forcing
         # rejects, a forcing that overflows on the grid and a sweep entropy
         # target that does; every solve-time error is mapped inside the

@@ -1,4 +1,4 @@
-"""Independent tasks shared out among a few threads.
+"""Independent tasks, or chains of tasks, shared out among a few threads.
 
 The work is batched numpy, which releases the interpreter lock inside its
 loops, so tasks that share only read-only arrays overlap on threads.  Each
@@ -55,3 +55,21 @@ def map_in_lanes(task, items, lanes):
     for future in futures:
         future.result()
     return results
+
+
+def map_chains(step, chains, lanes):
+    """[[result of each item of chain] for chain in chains]: the items of a
+    chain run in order on one lane, the chains shared out as map_in_lanes
+    shares out its items.  step(item, warm) returns (result, next warm);
+    warm is None for the first item of a chain, and a step that returns
+    None as its next warm starts the next item of its chain cold.
+    """
+
+    def run(chain):
+        results, warm = [], None
+        for item in chain:
+            result, warm = step(item, warm)
+            results.append(result)
+        return results
+
+    return map_in_lanes(run, chains, lanes)

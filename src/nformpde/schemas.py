@@ -167,10 +167,13 @@ SWEEP_REPORT_SCHEMA = {
             "items": {
                 "type": "object",
                 "required": ["parameter", "entropy", "sup_norm", "b", "iterations", "matvecs",
-                             "converged"],
+                             "warm_start", "line_search_trials", "converged"],
                 "properties": {
                     "iterations": {"type": ["integer", "null"], "minimum": 0},
                     "matvecs": {"type": ["integer", "null"], "minimum": 0},
+                    "warm_start": {"type": ["boolean", "null"]},
+                    "line_search_trials": {"type": ["array", "null"],
+                                           "items": {"type": "integer", "minimum": 1}},
                 },
             },
         },
@@ -183,9 +186,10 @@ SWEEP_REPORT_SCHEMA = {
 
 # trace.json of solve, localize and sweep: wall times (time.perf_counter),
 # which no other artifact holds; a cell phase carries its (s, k), a member
-# phase its parameter.  Phases come in artifact order, but cells of
-# different k run on separate threads, as do sweep members with workers
-# above 1, so their seconds overlap and can sum to more than wall_s
+# phase its parameter.  Phases come in artifact order, but localize's
+# chains of cells of different k run on separate threads, as do the
+# sweep's two chains of members with workers above 1, so their seconds
+# overlap and can sum to more than wall_s
 TRACE_SCHEMA = {
     "type": "object",
     "required": ["command", "wall_s", "phases"],

@@ -19,7 +19,8 @@ scalar field times a constant matrix.
 
 g and g_h enter once, when a PrimaryProblem is built: it checks each
 (hermlin.checked_metric, once when g_h is g) and holds what the check
-returns, with g^-1.  For n = 2 these are grid.HermitianPlanes, so the
+returns, with g^-1, which PrimaryProblem.with_forcing shares with a
+problem on another forcing.  For n = 2 these are grid.HermitianPlanes, so the
 twisted metric, the linearization, its trace reversal (the Newton
 coefficients) and the matvec's tr(T H) take the closed forms on planes,
 with no further check.  A metric that is one matrix at every point comes
@@ -35,6 +36,7 @@ solutions extend.
 
 from __future__ import annotations
 
+import copy
 import numbers
 from dataclasses import dataclass, field
 
@@ -73,10 +75,7 @@ class PrimaryProblem:
             raise ValueError("operator dimension does not match the grid")
         if self.g.shape != shape or self.g_h.shape != shape:
             raise ValueError("metric fields must have shape grid.shape + (n, n)")
-        if self.F.shape != self.grid.shape:
-            raise ValueError("forcing must be a scalar field on the grid")
-        if not np.all(np.isfinite(self.F)):
-            raise ValueError("forcing must be finite")
+        self._check_forcing()
         if not (self.tolerance > 0 and np.isfinite(self.tolerance)):
             raise ValueError("tolerance must be positive and finite")
         if not (isinstance(self.max_iterations, numbers.Integral) and self.max_iterations >= 0):
@@ -90,6 +89,24 @@ class PrimaryProblem:
         self.reference_metric = (self.metric if self.g_h is self.g
                                  else hermlin.checked_metric(self.g_h, "reference metric"))
         self.g_inv = gridmod.hermitian_inverse(self.metric)
+
+    def _check_forcing(self):
+        if self.F.shape != self.grid.shape:
+            raise ValueError("forcing must be a scalar field on the grid")
+        if not np.all(np.isfinite(self.F)):
+            raise ValueError("forcing must be finite")
+
+    def with_forcing(self, F):
+        """This problem with forcing F, checked as a new problem's is, on the
+        same checked metrics and g^-1, which are not checked again.  Its g
+        and g_h are the checked metrics too, not the complex fields, so
+        that a problem kept for its background holds only what the solve
+        reads; l1_bound_check and checked_metric read planes as they read
+        complex fields."""
+        problem = copy.copy(self)
+        problem.F, problem.g, problem.g_h = F, self.metric, self.reference_metric
+        problem._check_forcing()
+        return problem
 
 
 @dataclass

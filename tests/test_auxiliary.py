@@ -501,18 +501,18 @@ def test_run_localization_runs_at_most_two_chains_at_once(monkeypatch):
     # the grid budget is rated for two chains, so three distinct k on a host
     # with eight CPUs still share two lanes
     problem, solution = flat_instance()
-    real_map, real_solve = auxiliary.map_in_lanes, auxiliary.solve_dirichlet_ma
+    real_map, real_solve = auxiliary.map_chains, auxiliary.solve_dirichlet_ma
     lanes, threads = [], set()
 
-    def spy(task, items, count):
+    def spy(step, chains, count):
         lanes.append(count)
-        return real_map(task, items, count)
+        return real_map(step, chains, count)
 
     def solve(chart, rhs, initial=None):
         threads.add(threading.get_ident())
         return real_solve(chart, rhs, initial=initial)
 
-    monkeypatch.setattr(auxiliary, "map_in_lanes", spy)
+    monkeypatch.setattr(auxiliary, "map_chains", spy)
     monkeypatch.setattr(auxiliary, "solve_dirichlet_ma", solve)
     monkeypatch.setattr(auxiliary, "available_cpus", lambda: 8)
     payload = run_localization(solution, problem, s_fractions=(0.5,), k_list=(5, 10, 20),

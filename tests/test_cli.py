@@ -14,7 +14,7 @@ import nformpde
 from nformpde import cli, descriptors, schemas
 from nformpde.cli import EXIT_CHECK_FAILURE, EXIT_PASS, EXIT_SOLVER, EXIT_USAGE, main
 from nformpde.descriptors import ExperimentDescriptor
-from nformpde.errors import DegeneratePointError, NonConvergenceError
+from nformpde.errors import DegeneratePointError, InconsistentInputError, NonConvergenceError
 from nformpde.grid import TorusGrid, entropy_norm, identity_metric
 
 
@@ -580,8 +580,9 @@ def first_n_above_two_sweep_lanes():
 @pytest.mark.parametrize("target", [None, 1.0])
 def test_sweep_workers_above_the_working_set_exit_two_with_nothing_written(tmp_path, capsys,
                                                                             target):
-    # one member fits this grid, two at once do not: --workers 2 is refused
+    # one chain fits this grid, two at once do not: --workers 2 is refused
     # before any field is realized, and --workers 8 on two members runs two
+    # chains of one member each
     N = first_n_above_two_sweep_lanes()
     assert N ** 4 <= descriptors.GRID_POINT_BUDGET[2]
     config = write_config(tmp_path / "desc.json", grid={"n": 2, "N": N, "L": 1.0},
@@ -591,9 +592,34 @@ def test_sweep_workers_above_the_working_set_exit_two_with_nothing_written(tmp_p
         out = tmp_path / ("out" + workers)
         assert main(["sweep", "--config", config, "--out", str(out), "--workers", workers]) \
             == EXIT_USAGE
-        assert ("descriptor error: --workers: 2 sweep members at once on N = %d at n = 2" % N
+        assert ("descriptor error: --workers: 2 sweep chains at once on N = %d at n = 2" % N
                 in capsys.readouterr().err)
         assert os.listdir(out) == []
+
+
+def test_sweep_workers_are_rated_by_the_chains_that_run_at_once(tmp_path, monkeypatch):
+    # five members run as two chains, so --workers 8 runs two members at
+    # once: it passes the check on a grid where five at once would not fit,
+    # and the sweep goes on to realize its fields (stopped here)
+    member = descriptors._SWEEP_MEMBER_BYTES_PER_POINT[2]
+    N = 36
+    assert 5 * member * N ** 4 > descriptors.WORKING_SET_BYTES >= 2 * member * N ** 4
+    descriptor = ExperimentDescriptor(grid={"n": 2, "N": N, "L": 1.0},
+                                      forcing={"name": "gaussian", "params": {}})
+    assert len(descriptor.concentrations) == 5
+    with pytest.raises(InconsistentInputError, match="5 sweep chains at once"):
+        descriptors.check_sweep_lanes(descriptor.make_grid(), 5)
+
+    class Realized(Exception):
+        pass
+
+    def realize(self, grid):
+        raise Realized
+
+    monkeypatch.setattr(ExperimentDescriptor, "make_backgrounds", realize)
+    with pytest.raises(Realized):
+        cli.cmd_sweep(descriptor, str(tmp_path), workers=8)
+    assert os.listdir(tmp_path) == []
 
 
 def test_sweep_and_report_round_trip(tmp_path):
@@ -640,11 +666,12 @@ def test_sweep_and_report_round_trip(tmp_path):
 
 
 def test_sweep_workers_parity(tmp_path):
+    # three members: the first chain holds two, so one member starts warm
     config = write_config(
         tmp_path / "desc.json",
         grid={"n": 2, "N": 12, "L": 1.0},
         forcing={"name": "gaussian", "params": {"amplitude": 1.0, "sigma": 0.18}},
-        concentrations=[0.18, 0.16],
+        concentrations=[0.18, 0.16, 0.14],
         seed=3,
     )
     a, b = tmp_path / "a", tmp_path / "b"
@@ -652,6 +679,97 @@ def test_sweep_workers_parity(tmp_path):
     assert main(["sweep", "--config", config, "--out", str(b), "--workers", "2"]) == EXIT_PASS
     assert read(a / "sweep.json") == read(b / "sweep.json")
     assert read(a / "sweep.csv") == read(b / "sweep.csv")
+    rows = json.loads(read(a / "sweep.json"))["rows"]
+    assert [row["warm_start"] for row in rows] == [False, True, False]
+
+
+def sweep_descriptor(concentrations, N=8):
+    return ExperimentDescriptor(
+        grid={"n": 2, "N": N, "L": 1.0},
+        forcing={"name": "gaussian", "params": {"amplitude": 1.0, "sigma": 0.18}},
+        concentrations=list(concentrations), seed=3)
+
+
+def cold_sweep_rows(descriptor, target):
+    """The sweep rows of descriptor with every member solved cold."""
+    grid = descriptor.make_grid()
+    p = descriptor.entropy_exponent_or_default(grid.n)
+    rows = []
+    for value in descriptor.concentrations:
+        problem = cli._build_problem(descriptor, grid, {"sigma": value})
+        rows.append(cli._sweep_member(problem, problem.F, value, p, target)[0])
+    return rows
+
+
+@settings(max_examples=6, deadline=None)
+@given(concentrations=st.lists(st.floats(0.10, 0.20), min_size=2, max_size=4))
+def test_chained_sweep_rows_match_the_cold_reference(tmp_path_factory, concentrations):
+    # each warm-started member converges to the cold member's solution, to
+    # the solver tolerance
+    descriptor = sweep_descriptor(concentrations)
+    out = tmp_path_factory.mktemp("chained")
+    assert cli.cmd_sweep(descriptor, str(out)) == EXIT_PASS
+    payload = json.loads(read(out / "sweep.json"))
+    half = (len(concentrations) + 1) // 2
+    cold = cold_sweep_rows(descriptor, payload["entropy_target"])
+    for index, (row, reference) in enumerate(zip(payload["rows"], cold)):
+        assert row["warm_start"] is (index not in (0, half))
+        assert reference["warm_start"] is False
+        assert row["parameter"] == reference["parameter"]
+        for key in ("sup_norm", "b"):
+            assert row[key] == pytest.approx(reference[key], rel=1e-8), key
+        assert row["residual_sup"] <= descriptor.tolerances["solver"]
+        assert len(row["line_search_trials"]) == row["iterations"]
+
+
+def test_chained_sweep_takes_fewer_newton_steps_than_cold_members(tmp_path):
+    # the acceptance criterion 10 descriptor: 19 steps against 25 cold
+    descriptor = sweep_descriptor([0.18, 0.16, 0.14, 0.12, 0.10], N=12)
+    assert cli.cmd_sweep(descriptor, str(tmp_path)) == EXIT_PASS
+    payload = json.loads(read(tmp_path / "sweep.json"))
+    chained = sum(row["iterations"] for row in payload["rows"])
+    cold = sum(row["iterations"] for row in cold_sweep_rows(descriptor,
+                                                            payload["entropy_target"]))
+    assert chained < cold
+
+
+def test_a_failed_sweep_member_leaves_the_next_of_its_chain_cold(tmp_path, monkeypatch):
+    # five members form the chains (0.18, 0.16, 0.14) and (0.12, 0.10); each
+    # starts from the phi of the member before it in its chain, and a member
+    # that fails leaves the next one cold.  The chains may run on different
+    # threads, so each start is kept by its parameter
+    descriptor = sweep_descriptor([0.18, 0.16, 0.14, 0.12, 0.10])
+    real_member, starts, phis = cli._sweep_member, {}, {}
+
+    def member(background, F, value, p, target, initial=None):
+        starts[value] = initial
+        if value == 0.16 and fail:
+            raise NonConvergenceError("scripted failure", [1.0])
+        row, phi = real_member(background, F, value, p, target, initial)
+        phis[value] = phi
+        return row, phi
+
+    monkeypatch.setattr(cli, "_sweep_member", member)
+    rows = {}
+    for fail in (False, True):
+        out = tmp_path / str(fail)
+        os.mkdir(out)
+        starts.clear()
+        phis.clear()
+        assert cli.cmd_sweep(descriptor, str(out), workers=2) == (EXIT_SOLVER if fail
+                                                                  else EXIT_PASS)
+        rows[fail] = json.loads(read(out / "sweep.json"))["rows"]
+    assert starts[0.18] is None and starts[0.12] is None
+    assert starts[0.16] is phis[0.18] and starts[0.10] is phis[0.12]
+    assert starts[0.14] is None  # after the scripted failure
+    failed = rows[True][1]
+    assert failed["converged"] is False and failed["error"] == "scripted failure"
+    assert failed["warm_start"] is None and failed["line_search_trials"] is None
+    assert [row["warm_start"] for row in rows[True]] == [False, None, False, False, True]
+    assert rows[False][2]["warm_start"] is True
+    # the other chain holds the rows of the run without the failure
+    assert rows[True][0] == rows[False][0]
+    assert rows[True][3:] == rows[False][3:]
 
 
 def test_sweep_members_keep_the_callers_errstate(tmp_path, monkeypatch):

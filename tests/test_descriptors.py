@@ -53,8 +53,8 @@ def test_make_grid_takes_the_largest_grid_inside_the_budget():
 
 
 def test_sweep_lanes_are_bounded_by_the_working_set():
-    # as many sweep members at once as fit the working set are taken, one
-    # more is refused, and one member fits every grid that make_grid returns
+    # as many sweep chains at once as fit the working set are taken, one
+    # more is refused, and one chain fits every grid that make_grid returns
     for n in (2, 3):
         largest = round(descriptors.GRID_POINT_BUDGET[n] ** (1.0 / (2 * n)))
         while largest ** (2 * n) > descriptors.GRID_POINT_BUDGET[n]:
@@ -64,7 +64,7 @@ def test_sweep_lanes_are_bounded_by_the_working_set():
         lanes = descriptors.WORKING_SET_BYTES // (
             descriptors._SWEEP_MEMBER_BYTES_PER_POINT[n] * grid.num_points)
         descriptors.check_sweep_lanes(grid, lanes)
-        with pytest.raises(InconsistentInputError, match="^--workers: %d sweep members at once "
+        with pytest.raises(InconsistentInputError, match="^--workers: %d sweep chains at once "
                            "on N = %d at n = %d" % (lanes + 1, largest, n)):
             descriptors.check_sweep_lanes(grid, lanes + 1)
 

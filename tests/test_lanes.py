@@ -6,7 +6,7 @@ import threading
 
 import pytest
 
-from nformpde.lanes import available_cpus, map_in_lanes
+from nformpde.lanes import available_cpus, map_chains, map_in_lanes
 
 LABEL = contextvars.ContextVar("label", default="default")
 
@@ -66,3 +66,13 @@ def test_a_failed_task_stops_the_hand_out_and_raises():
     assert ran == [0]
     with pytest.raises(ValueError, match="scripted"):
         map_in_lanes(task, range(50), 2)
+
+
+def test_map_chains_hands_each_warm_start_to_the_next_item_of_its_chain():
+    # a chain's first item starts cold, and a step that returns None as its
+    # warm start starts the next item of its chain cold
+    def step(item, warm):
+        return (item, warm), None if item == "b" else item
+
+    assert map_chains(step, ["abc", "de"], 2) == [
+        [("a", None), ("b", "a"), ("c", None)], [("d", None), ("e", "d")]]

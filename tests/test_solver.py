@@ -474,6 +474,37 @@ def test_problem_validation_checks_a_shared_metric_once(monkeypatch, n, shared):
     assert (problem.reference_metric is problem.metric) == shared
 
 
+@pytest.mark.parametrize("shared", [True, False])
+def test_with_forcing_shares_the_checked_metrics_and_checks_only_the_forcing(monkeypatch,
+                                                                            shared):
+    # a problem on another forcing keeps the checked metrics and g^-1 and
+    # checks no metric again; its forcing is checked as a new problem's is,
+    # and it solves to the bytes of a problem built from the complex fields
+    grid = TorusGrid(n=2, N=8, L=1.0)
+    g = ExperimentDescriptor(background_g={"name": "conformal", "params": {"amplitude": 0.3}},
+                             grid={"n": 2, "N": 8}).make_backgrounds(grid)[0]
+    g_h = g if shared else identity_metric(grid)
+    F = 0.2 * np.cos(2 * np.pi * grid.axis_coordinates(0))
+    base = PrimaryProblem(spec=monge_ampere(2), g=g, g_h=g_h, F=np.zeros(grid.shape),
+                          grid=grid)
+    monkeypatch.setattr(hermlin, "checked_metric", None)  # any metric check would raise
+    problem = base.with_forcing(F)
+    assert problem.F is F and base.F is not F
+    assert problem.metric is base.metric and problem.g is base.metric
+    assert problem.reference_metric is base.reference_metric
+    assert problem.g_h is base.reference_metric and problem.g_inv is base.g_inv
+    assert (problem.g_h is problem.g) == shared
+    for bad in (np.zeros((8, 8)), np.full(grid.shape, np.inf)):
+        with pytest.raises(ValueError, match="^forcing must be"):
+            base.with_forcing(bad)
+    monkeypatch.undo()
+    fresh = solve_primary(PrimaryProblem(spec=monge_ampere(2), g=g, g_h=g_h, F=F, grid=grid))
+    shared_solution = solve_primary(problem)
+    assert shared_solution.phi.tobytes() == fresh.phi.tobytes() and shared_solution.b == fresh.b
+    assert l1_bound_check(shared_solution.phi, problem.g, problem.g_h, grid) == l1_bound_check(
+        fresh.phi, g, g_h, grid)
+
+
 @pytest.mark.parametrize("limit, value", [
     ("max_iterations", -1), ("max_iterations", 2.5),
     ("tolerance", np.inf), ("tolerance", np.nan), ("tolerance", 0.0),
