@@ -279,6 +279,14 @@ def test_forcing_that_overflows_on_the_grid(tmp_path, capsys):
         assert main([command, "--config", config, "--out", str(out)]) == EXIT_USAGE
         assert "descriptor error: forcing gaussian is not finite" in capsys.readouterr().err
         assert os.listdir(out) == []
+    # the sweep realizes its first member's forcing with the backgrounds,
+    # before any member runs, with an entropy target as without one
+    config = write_config(tmp_path / "target.json", grid=coarse, forcing=wide,
+                          concentrations=[10, 0.1], entropy_target=1.0)
+    out = tmp_path / "target"
+    assert main(["sweep", "--config", config, "--out", str(out)]) == EXIT_USAGE
+    assert "descriptor error: forcing gaussian is not finite" in capsys.readouterr().err
+    assert os.listdir(out) == []
     # a later sweep member that overflows fails its own row: at sigma 0.001
     # the off-grid well underflows to zero, at sigma 10 it overflows
     config = write_config(tmp_path / "sweep.json", grid=coarse, concentrations=[0.001, 10], forcing={
